@@ -31,6 +31,7 @@ from .errors import (
     DimensionMismatchError,
     IllConditionedError,
     InfoBoundError,
+    InvalidParameterError,
     InvalidWeightError,
     LengthMismatchError,
     NegativeLambdaError,

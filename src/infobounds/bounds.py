@@ -41,6 +41,7 @@ from .information import (
     MARGINAL_FLOOR,
     fisher_information,
     mutual_information,
+    outcome_grid_chunks,
     pmi,
     surprisal,
 )
@@ -67,8 +68,6 @@ DEFAULT_SLACK_TOL = 1e-6
 #: size, orders below the slack tolerance for integrands of the weight's
 #: scale; a Gaussian clipped to a positivity constraint sits near 4e-6.
 BOUNDARY_DECAY_RTOL = 1e-5
-
-_X_CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +394,9 @@ def average_pointwise_bound(
 
     The bound's only theta dependence is the penalty term, so the average
     splits into the outcome-marginal average of the log integral plus the
-    prior average of the penalty.
+    prior average of the penalty. On a continuous outcome space, raises
+    :class:`UnnormalizedOutcomeSpaceError` if the outcome grid does not hold
+    the conditional mass at some prior node.
     """
     _check_weight(prior, weight)
     penalty_avg = _average_penalty(prior, weight)
@@ -413,10 +414,7 @@ def average_pointwise_bound(
     xg = space.grid
     nodes = prior.grid.nodes
     g = np.empty(xg.n_points)
-    for start in range(0, xg.n_points, _X_CHUNK):
-        xs = xg.nodes[start : start + _X_CHUNK]
-        logpdf = np.asarray(model.log_pdf(xs[:, None], nodes[None, :]), dtype=float)
-        pdf = np.exp(logpdf)
+    for rows, xs, _logpdf, pdf in outcome_grid_chunks(model, prior):
         px = quadrature_rows(pdf * prior.density, prior.grid)
         scores = np.asarray(model.score(xs[:, None], nodes[None, :]), dtype=float)
         sqrt_lam = np.where(
@@ -428,7 +426,7 @@ def average_pointwise_bound(
         # p(x) log(.../p(x)) -> 0 with vanishing marginal weight
         ok = px > MARGINAL_FLOOR
         ratio = np.where(ok, integral, 1.0) / np.where(ok, px, 1.0)
-        g[start : start + _X_CHUNK] = np.where(ok, px * np.log(ratio), 0.0)
+        g[rows] = np.where(ok, px * np.log(ratio), 0.0)
     return float(quadrature(g, xg)) + penalty_avg
 
 

@@ -103,15 +103,18 @@ def validate_config(cfg: dict) -> list[str]:
         prior_kind = prior.get("kind")
         if prior_kind not in _PRIOR_KINDS:
             _err(errors, "prior.kind", f"expected one of {_PRIOR_KINDS}, got {prior_kind!r}")
-        elif prior_kind == "uniform" and scenario != "qubit_phase":
+        elif prior_kind == "uniform":
             # The qubit scenario defaults its phase window; others must say.
-            _get_number(prior, "prior", "theta_min", errors)
-            _get_number(prior, "prior", "theta_max", errors)
+            for key in ("theta_min", "theta_max"):
+                if scenario != "qubit_phase" or key in prior:
+                    _get_number(prior, "prior", key, errors)
         elif prior_kind == "gaussian":
             _get_number(prior, "prior", "mean", errors)
             sigma = _get_number(prior, "prior", "sigma", errors)
             if sigma is not None and sigma <= 0:
                 _err(errors, "prior.sigma", "must be positive")
+            if prior.get("lower") is not None:
+                _get_number(prior, "prior", "lower", errors)
         elif prior_kind == "gamma":
             shape = _get_number(prior, "prior", "shape", errors)
             scale = _get_number(prior, "prior", "scale", errors)
@@ -166,10 +169,16 @@ def validate_config(cfg: dict) -> list[str]:
     for key in ("theta_count", "x_count"):
         if key in sweep and (not isinstance(sweep[key], int) or sweep[key] < 1):
             _err(errors, f"sweep.{key}", "must be a positive integer")
+    numeric = ["theta_min", "theta_max"]
     if scenario in ("qubit_phase", "custom_discrete"):
         for key in ("x_min", "x_max", "x_count"):
             if key in sweep:
                 _err(errors, f"sweep.{key}", "not applicable to discrete outcome scenarios")
+    else:
+        numeric += ["x_min", "x_max"]
+    for key in numeric:
+        if key in sweep:
+            _get_number(sweep, "sweep", key, errors)
 
     if bound == "general":
         weight = cfg.get("weight")
@@ -188,8 +197,12 @@ def validate_config(cfg: dict) -> list[str]:
     output = cfg.get("output", {})
     if not isinstance(output, dict):
         _err(errors, "output", "must be an object")
-    elif output.get("format", "csv") not in ("csv", "json"):
-        _err(errors, "output.format", "expected 'csv' or 'json'")
+    else:
+        if output.get("format", "csv") not in ("csv", "json"):
+            _err(errors, "output.format", "expected 'csv' or 'json'")
+        path = output.get("path")
+        if path is not None and not isinstance(path, str):
+            _err(errors, "output.path", f"expected a string, got {path!r}")
     return errors
 
 

@@ -70,5 +70,9 @@ class NonPositiveDiffusionError(InfoBoundError, ValueError):
     """Diffusion constant must be strictly positive."""
 
 
+class InvalidParameterError(InfoBoundError, ValueError):
+    """A constructor argument lies outside its admissible range."""
+
+
 class ConfigError(InfoBoundError):
     """Run configuration is invalid; the message carries field paths."""

@@ -7,7 +7,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import LengthMismatchError, NonFiniteError, OutsideSupportError
+from .errors import (
+    InvalidParameterError,
+    LengthMismatchError,
+    NonFiniteError,
+    OutsideSupportError,
+)
 
 #: Relative tolerance for accepting a node sequence as uniformly spaced.
 UNIFORM_SPACING_RTOL = 1e-12
@@ -37,11 +42,11 @@ class ParameterGrid:
         if not (np.isfinite(self.theta_min) and np.isfinite(self.theta_max)):
             raise NonFiniteError("grid endpoints must be finite")
         if not self.theta_min < self.theta_max:
-            raise ValueError(
+            raise InvalidParameterError(
                 f"theta_min must be < theta_max, got [{self.theta_min}, {self.theta_max}]"
             )
         if int(self.n_points) != self.n_points or self.n_points < 3:
-            raise ValueError(f"n_points must be an integer >= 3, got {self.n_points}")
+            raise InvalidParameterError(f"n_points must be an integer >= 3, got {self.n_points}")
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -63,13 +68,13 @@ class ParameterGrid:
         """Build a grid from an explicit node sequence, checking uniformity."""
         arr = np.asarray(nodes, dtype=float)
         if arr.ndim != 1 or arr.size < 3:
-            raise ValueError("nodes must be a 1-d sequence with at least 3 entries")
+            raise InvalidParameterError("nodes must be a 1-d sequence with at least 3 entries")
         steps = np.diff(arr)
         if np.any(steps <= 0):
-            raise ValueError("nodes must be strictly increasing")
+            raise InvalidParameterError("nodes must be strictly increasing")
         h = (arr[-1] - arr[0]) / (arr.size - 1)
         if np.max(np.abs(steps - h)) > UNIFORM_SPACING_RTOL * max(abs(h), 1e-300):
-            raise ValueError("nodes are not uniformly spaced")
+            raise InvalidParameterError("nodes are not uniformly spaced")
         return cls(float(arr[0]), float(arr[-1]), int(arr.size))
 
     def contains(self, theta: float, *, slop: float = 0.0) -> bool:

@@ -91,13 +91,40 @@ def surprisal(prior: Prior, theta: float) -> float:
     return float(-np.log(dens))
 
 
-def _check_outcome_mass(model: ConditionalModel, theta: float, pdf: np.ndarray) -> None:
-    space = model.outcome_space
-    mass = quadrature(pdf, space.grid)
-    if abs(mass - 1.0) > OUTCOME_MASS_TOL:
+def _check_outcome_mass(mass: np.ndarray, thetas: np.ndarray) -> None:
+    """Raise if the conditional outcome mass at some parameter node deviates
+    from 1 by more than ``OUTCOME_MASS_TOL``; the error names the worst node."""
+    deviation = np.abs(mass - 1.0)
+    worst = int(np.argmax(deviation))
+    if deviation[worst] > OUTCOME_MASS_TOL:
         raise UnnormalizedOutcomeSpaceError(
-            f"conditional mass over the outcome grid is {mass!r} at theta={theta}"
+            f"conditional mass over the outcome grid is {float(mass[worst])!r} "
+            f"at theta={float(thetas[worst])}"
         )
+
+
+def outcome_grid_chunks(model: ConditionalModel, prior: Prior):
+    """Yield ``(rows, xs, logpdf, pdf)`` for chunks of the model's outcome
+    grid against every prior node, ``rows`` slicing the outcome grid.
+
+    The conditional outcome mass at each node is accumulated from the same
+    chunks and checked once the last chunk has been consumed, so a
+    truncated outcome grid raises :class:`UnnormalizedOutcomeSpaceError`
+    instead of silently lowering every integral over the outcome.
+    """
+    xg = model.outcome_space.grid
+    nodes = prior.grid.nodes
+    x_weights = np.full(xg.n_points, xg.spacing)
+    x_weights[[0, -1]] *= 0.5
+    mass = np.zeros(nodes.size)
+    for start in range(0, xg.n_points, _X_CHUNK):
+        rows = slice(start, start + _X_CHUNK)
+        xs = xg.nodes[rows]
+        logpdf = np.asarray(model.log_pdf(xs[:, None], nodes[None, :]), dtype=float)
+        pdf = np.exp(logpdf)
+        mass += x_weights[rows] @ pdf
+        yield rows, xs, logpdf, pdf
+    _check_outcome_mass(mass, nodes)
 
 
 def fisher_information(model: ConditionalModel, theta):
@@ -120,11 +147,13 @@ def fisher_information(model: ConditionalModel, theta):
     else:
         xg = space.grid
         fi = np.empty_like(th)
+        mass = np.empty_like(th)
         for i, t in enumerate(th):
             pdf = np.exp(np.asarray(model.log_pdf(xg.nodes, t), dtype=float))
-            _check_outcome_mass(model, float(t), pdf)
+            mass[i] = quadrature(pdf, xg)
             s = np.asarray(model.score(xg.nodes, t), dtype=float)
             fi[i] = quadrature(pdf * s * s, xg)
+        _check_outcome_mass(mass, th)
     if np.ndim(theta) == 0:
         return float(fi[0])
     return fi
@@ -148,26 +177,24 @@ def _discrete_mutual_information(model: ConditionalModel, prior: Prior) -> float
 
 def _continuous_mutual_information(model: ConditionalModel, prior: Prior) -> float:
     xg = model.outcome_space.grid
-    nodes = prior.grid.nodes
     g = np.empty(xg.n_points)
-    for start in range(0, xg.n_points, _X_CHUNK):
-        xs = xg.nodes[start : start + _X_CHUNK]
-        logpdf = np.asarray(model.log_pdf(xs[:, None], nodes[None, :]), dtype=float)
-        pdf = np.exp(logpdf)
+    for rows, _xs, logpdf, pdf in outcome_grid_chunks(model, prior):
         px = quadrature_rows(pdf * prior.density, prior.grid)
         if np.any(px <= MARGINAL_FLOOR):
             raise DegenerateMarginalError("marginal density is degenerate on the outcome grid")
         integrand = np.where(
             pdf > 0.0, prior.density * pdf * (logpdf - np.log(px)[:, None]), 0.0
         )
-        g[start : start + _X_CHUNK] = quadrature_rows(integrand, prior.grid)
+        g[rows] = quadrature_rows(integrand, prior.grid)
     return float(quadrature(g, xg))
 
 
 def mutual_information(model: ConditionalModel, prior: Prior) -> float:
     """Ensemble average of the PMI over the joint distribution.
 
-    Nonnegative up to quadrature error.
+    Nonnegative up to quadrature error. On a continuous outcome space,
+    raises :class:`UnnormalizedOutcomeSpaceError` if the outcome grid does
+    not hold the conditional mass at some prior node.
     """
     if isinstance(model.outcome_space, DiscreteOutcomes):
         return _discrete_mutual_information(model, prior)

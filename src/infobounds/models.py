@@ -3,14 +3,15 @@ and the weight functions that generate the bound family."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from statistics import NormalDist
 from typing import Callable, Union
 
 import numpy as np
-from scipy import stats
 
-from .errors import LengthMismatchError, NonFiniteError
+from .errors import InvalidParameterError, LengthMismatchError, NonFiniteError
 from .grids import ParameterGrid, interp_on_grid, quadrature
 
 #: Allowed deviation of the grid quadrature of a prior density from 1.
@@ -36,9 +37,9 @@ class DiscreteOutcomes:
 
     def __post_init__(self):
         if len(self.outcomes) == 0:
-            raise ValueError("outcome list must be non-empty")
+            raise InvalidParameterError("outcome list must be non-empty")
         if len(set(self.outcomes)) != len(self.outcomes):
-            raise ValueError("outcome list contains duplicates")
+            raise InvalidParameterError("outcome list contains duplicates")
 
     def __contains__(self, x):
         return x in self.outcomes
@@ -54,9 +55,9 @@ class ContinuousOutcomes:
 
     def __post_init__(self):
         if not self.x_min < self.x_max:
-            raise ValueError("x_min must be < x_max")
+            raise InvalidParameterError("x_min must be < x_max")
         if self.n_x < 3:
-            raise ValueError("n_x must be >= 3")
+            raise InvalidParameterError("n_x must be >= 3")
 
     @cached_property
     def grid(self) -> ParameterGrid:
@@ -182,17 +183,17 @@ class Prior:
             if not np.all(np.isfinite(arr)):
                 raise NonFiniteError(f"prior {name} contains NaN or infinity")
         if dens.min() < 0.0:
-            raise ValueError("prior density must be nonnegative")
+            raise InvalidParameterError("prior density must be nonnegative")
         mass = quadrature(dens, self.grid)
         if abs(mass - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"prior density integrates to {mass!r}, not 1")
+            raise InvalidParameterError(f"prior density integrates to {mass!r}, not 1")
         if isinstance(self.support, FiniteSupport):
             slop = 1e-12 * max(1.0, abs(self.grid.theta_min), abs(self.grid.theta_max))
             if (
                 abs(self.support.lower - self.grid.theta_min) > slop
                 or abs(self.support.upper - self.grid.theta_max) > slop
             ):
-                raise ValueError("finite support must coincide with the grid interval")
+                raise InvalidParameterError("finite support must coincide with the grid interval")
         dens.setflags(write=False)
         deriv.setflags(write=False)
         object.__setattr__(self, "density", dens)
@@ -228,20 +229,26 @@ def gaussian_prior(
     is folded into the recorded ``tail_mass_bound``.
     """
     if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    dist = stats.norm(loc=mean, scale=sigma)
-    lo = dist.ppf(tail_mass)
-    hi = dist.isf(tail_mass)
+        raise InvalidParameterError("sigma must be positive")
+    if not 0.0 < tail_mass < 0.5:
+        raise InvalidParameterError("tail_mass must lie in (0, 0.5)")
+    lo = NormalDist(mean, sigma).inv_cdf(tail_mass)
+    hi = mean + (mean - lo)
     if lower is not None:
         lo = max(lo, float(lower))
     if upper is not None:
         hi = min(hi, float(upper))
     if not lo < hi:
-        raise ValueError("truncation window is empty")
+        raise InvalidParameterError("truncation window is empty")
     grid = ParameterGrid(lo, hi, n_points)
-    dens = dist.pdf(grid.nodes)
+    z = (grid.nodes - mean) / sigma
+    dens = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
     deriv = -(grid.nodes - mean) / sigma**2 * dens
-    discarded = float(dist.cdf(lo) + dist.sf(hi))
+    # erfc on both tails keeps masses near 1e-12 free of cancellation.
+    root2_sigma = math.sqrt(2.0) * sigma
+    lower_tail = math.erfc((mean - lo) / root2_sigma)
+    upper_tail = math.erfc((hi - mean) / root2_sigma)
+    discarded = 0.5 * (lower_tail + upper_tail)
     return Prior(grid, dens, deriv, TruncatedInfinite(discarded))
 
 
@@ -251,9 +258,16 @@ def gamma_prior(
     n_points: int = 2001,
     tail_mass: float = DEFAULT_TAIL_MASS,
 ) -> Prior:
-    """Gamma density truncated at ``tail_mass`` per side; support is theta > 0."""
+    """Gamma density truncated at ``tail_mass`` per side; support is theta > 0.
+
+    The only function of the package that needs SciPy (for the inverse
+    incomplete gamma function); it imports it on first call, which keeps
+    ``import infobounds`` down to NumPy.
+    """
     if shape <= 0 or scale <= 0:
-        raise ValueError("shape and scale must be positive")
+        raise InvalidParameterError("shape and scale must be positive")
+    from scipy import stats
+
     dist = stats.gamma(a=shape, scale=scale)
     lo = float(dist.ppf(tail_mass))
     hi = float(dist.isf(tail_mass))
@@ -291,7 +305,7 @@ class WeightFunction:
 
     def __post_init__(self):
         if self.kind not in _WEIGHT_KINDS:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
+            raise InvalidParameterError(f"unknown weight kind {self.kind!r}")
         vals = np.asarray(self.values, dtype=float).copy()
         deriv = np.asarray(self.derivative, dtype=float).copy()
         for name, arr in (("values", vals), ("derivative", deriv)):
@@ -302,7 +316,7 @@ class WeightFunction:
             if not np.all(np.isfinite(arr)):
                 raise NonFiniteError(f"weight {name} contains NaN or infinity")
         if vals.min() < 0.0:
-            raise ValueError("weight values must be nonnegative")
+            raise InvalidParameterError("weight values must be nonnegative")
         vals.setflags(write=False)
         deriv.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -327,7 +341,7 @@ def gaussian_weight(grid: ParameterGrid, center: float, width: float) -> WeightF
     """Unnormalized Gaussian bump; a smooth custom weight that decays at the
     grid boundaries when ``width`` is small against the grid span."""
     if width <= 0:
-        raise ValueError("width must be positive")
+        raise InvalidParameterError("width must be positive")
     z = (grid.nodes - center) / width
     vals = np.exp(-0.5 * z * z)
     deriv = -z / width * vals

@@ -14,6 +14,7 @@ from .errors import (
     DimensionMismatchError,
     IllConditionedError,
     InfoBoundError,
+    InvalidParameterError,
     NonFiniteError,
     ZeroOutcomeProbabilityError,
 )
@@ -82,7 +83,7 @@ class Povm:
 
     def __post_init__(self):
         if len(self.elements) == 0:
-            raise ValueError("a POVM needs at least one element")
+            raise InvalidParameterError("a POVM needs at least one element")
         mats = tuple(
             require_hermitian(e, f"POVM element {i}") for i, e in enumerate(self.elements)
         )

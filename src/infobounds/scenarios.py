@@ -9,10 +9,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bounds import BoundReport, bound_theorem1
-from .errors import NonPositiveDiffusionError
+from .errors import InvalidParameterError, NonPositiveDiffusionError
 from .information import pmi
 from .models import (
     ConditionalModel,
@@ -55,7 +54,7 @@ def langevin_model(
     if diffusion <= 0:
         raise NonPositiveDiffusionError(f"diffusion must be positive, got {diffusion}")
     if theta_min <= 0:
-        raise ValueError("theta_min must be positive")
+        raise InvalidParameterError("theta_min must be positive")
     d = float(diffusion)
     x_max = LANGEVIN_GRID_SIGMAS * math.sqrt(d / theta_min)
 
@@ -86,7 +85,7 @@ class LangevinScenario:
         if self.diffusion <= 0:
             raise NonPositiveDiffusionError("diffusion must be positive")
         if self.prior.grid.theta_min <= 0:
-            raise ValueError("trap stiffness prior must be supported on theta > 0")
+            raise InvalidParameterError("trap stiffness prior must be supported on theta > 0")
 
     def model(self) -> ConditionalModel:
         return langevin_model(self.diffusion, self.prior.grid.theta_min, self.n_x)
@@ -145,7 +144,7 @@ def qubit_phase_scenario(povm: Povm | None = None) -> tuple[StateFamily, Povm]:
     if povm is None:
         povm = sigma_x_povm()
     if povm.dim != 2:
-        raise ValueError("qubit scenario needs a dimension-2 POVM")
+        raise InvalidParameterError("qubit scenario needs a dimension-2 POVM")
     return qubit_phase_family(), povm
 
 
@@ -159,7 +158,7 @@ class QubitPhaseScenario:
 
     def __post_init__(self):
         if not (0.0 <= self.theta_min < self.theta_max <= QUBIT_THETA_MAX + 1e-12):
-            raise ValueError(
+            raise InvalidParameterError(
                 f"phase window must lie inside [0, {QUBIT_THETA_MAX}], "
                 f"got [{self.theta_min}, {self.theta_max}]"
             )
@@ -184,6 +183,15 @@ def qubit_measurement_model(povm: Povm | None = None, outcomes: tuple | None = N
 # ---------------------------------------------------------------------------
 
 
+def _logsumexp(a: np.ndarray, axis: int = 0, keepdims: bool = False) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis``, shifted by the maximum so that large
+    logits neither overflow nor lose the smaller terms."""
+    shift = np.max(a, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    out = shift + np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True))
+    return out if keepdims else np.squeeze(out, axis=axis)
+
+
 def discrete_exponential_model(log_weights, coefficients) -> ConditionalModel:
     """K-outcome model p(k | theta) proportional to w_k * exp(c_k * theta).
 
@@ -194,7 +202,9 @@ def discrete_exponential_model(log_weights, coefficients) -> ConditionalModel:
     lw = np.asarray(log_weights, dtype=float)
     c = np.asarray(coefficients, dtype=float)
     if lw.shape != c.shape or lw.ndim != 1 or lw.size < 2:
-        raise ValueError("log_weights and coefficients must be equal-length 1-d, size >= 2")
+        raise InvalidParameterError(
+            "log_weights and coefficients must be equal-length 1-d, size >= 2"
+        )
 
     def _logits(th: np.ndarray) -> np.ndarray:
         shape = (lw.size,) + (1,) * th.ndim
@@ -203,12 +213,12 @@ def discrete_exponential_model(log_weights, coefficients) -> ConditionalModel:
     def log_pdf(k, theta):
         th = np.asarray(theta, dtype=float)
         logits = _logits(th)
-        return lw[k] + c[k] * th - logsumexp(logits, axis=0)
+        return lw[k] + c[k] * th - _logsumexp(logits, axis=0)
 
     def score(k, theta):
         th = np.asarray(theta, dtype=float)
         logits = _logits(th)
-        probs = np.exp(logits - logsumexp(logits, axis=0, keepdims=True))
+        probs = np.exp(logits - _logsumexp(logits, axis=0, keepdims=True))
         shape = (lw.size,) + (1,) * th.ndim
         mean_c = (probs * c.reshape(shape)).sum(axis=0)
         out = c[k] - mean_c
@@ -238,7 +248,7 @@ class DemonRecord:
 
     def __post_init__(self):
         if self.beta <= 0:
-            raise ValueError("beta must be positive")
+            raise InvalidParameterError("beta must be positive")
 
     @property
     def lhs(self) -> float:

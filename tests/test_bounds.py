@@ -288,6 +288,13 @@ def test_average_pointwise_bound_matches_direct_average(qubit):
     assert shortcut == pytest.approx(direct, abs=1e-10)
 
 
+def test_average_pointwise_bound_unnormalized_outcome_grid():
+    model = ib.langevin_model(1.0)
+    prior = ib.uniform_prior(0.02, 1.5)
+    with pytest.raises(ib.UnnormalizedOutcomeSpaceError, match="theta=0.02"):
+        ib.average_pointwise_bound(model, prior, ib.boxcar_weight(prior.grid))
+
+
 def test_chain_holds_ordering():
     assert ib.chain_holds(0.1, 0.5, 0.6)
     assert not ib.chain_holds(0.5, 0.4, 0.6, 1e-9)

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 import infobounds.cli as cli
 
@@ -91,6 +92,37 @@ def test_verify_unknown_fields_and_paths(tmp_path, capsys):
     err = capsys.readouterr().err
     for path in ("schema_version", "scenario", "bound", "prior"):
         assert path in err
+
+
+#: One malformed config per row: a valid config and the edits merged into it.
+_MALFORMED = {
+    "sweep-theta-min-not-a-number": (_langevin_cfg, {"sweep": {"theta_min": "abc"}}),
+    "sweep-x-min-not-a-number": (_langevin_cfg, {"sweep": {"x_min": "q"}}),
+    "langevin-uniform-prior-nonpositive": (_langevin_cfg, {"prior": {"theta_min": 0.0}}),
+    "uniform-prior-inverted": (_langevin_cfg, {"prior": {"theta_min": 2.0, "theta_max": 1.0}}),
+    "gaussian-prior-clipped-empty": (
+        _langevin_cfg,
+        {"bound": "theorem2", "prior": {"kind": "gaussian", "mean": -5.0, "sigma": 0.1}},
+    ),
+    "gaussian-prior-lower-not-a-number": (
+        _langevin_cfg,
+        {"bound": "theorem2", "prior": {"kind": "gaussian", "mean": 1, "sigma": 1, "lower": "x"}},
+    ),
+    "qubit-prior-theta-min-not-a-number": (_qubit_cfg, {"prior": {"theta_min": "abc"}}),
+    "output-path-not-a-string": (_langevin_cfg, {"output": {"path": 5}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+@pytest.mark.parametrize("command", ["verify", "mi-chain"])
+def test_malformed_config_exits_two(tmp_path, capsys, name, command):
+    base, edits = _MALFORMED[name]
+    cfg = base(str(tmp_path / "r.csv"))
+    for key, edit in edits.items():
+        cfg[key] = {**cfg[key], **edit} if isinstance(edit, dict) else edit
+    assert cli.main([command, "--config", _write(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_verify_missing_config_file(tmp_path, capsys):

@@ -168,6 +168,13 @@ def test_fisher_unnormalized_outcome_grid():
         ib.fisher_information(clipped, 0.5)
 
 
+def test_mutual_information_unnormalized_outcome_grid():
+    # The outcome grid spans 8 sigma at theta=0.5 but only 1.6 sigma at 0.02.
+    model = ib.langevin_model(1.0)
+    with pytest.raises(ib.UnnormalizedOutcomeSpaceError, match="theta=0.02"):
+        ib.mutual_information(model, ib.uniform_prior(0.02, 1.5))
+
+
 def test_expected_sfi_equals_fisher(softmax3):
     # identical by construction; guards refactoring
     grid = ib.ParameterGrid(0.0, 1.0, 101)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import infobounds as ib
 from infobounds.models import discrete_probability_matrix
@@ -59,6 +60,23 @@ def test_gaussian_prior_lower_clip_records_extra_mass():
     # clipped left tail carries ~2.9e-7 of mass, far above the 1e-12 target
     assert 1e-8 < prior.support.tail_mass_bound < 1e-6
     assert ib.quadrature(prior.density, prior.grid) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "mean, sigma, lower",
+    [(1.0, 0.2, 1e-3), (0.0, 1.0, None), (math.pi / 4, math.pi / 20, None)],
+)
+def test_gaussian_prior_matches_scipy_norm(mean, sigma, lower):
+    dist = stats.norm(loc=mean, scale=sigma)
+    lo, hi = dist.ppf(ib.models.DEFAULT_TAIL_MASS), dist.isf(ib.models.DEFAULT_TAIL_MASS)
+    if lower is not None:
+        lo = max(lo, lower)
+    prior = ib.gaussian_prior(mean, sigma, lower=lower)
+    assert prior.grid.theta_min == pytest.approx(lo, rel=0, abs=1e-14)
+    assert prior.grid.theta_max == pytest.approx(hi, rel=0, abs=1e-14)
+    np.testing.assert_allclose(prior.density, dist.pdf(prior.grid.nodes), rtol=1e-12, atol=0)
+    discarded = dist.cdf(prior.grid.theta_min) + dist.sf(prior.grid.theta_max)
+    assert prior.support.tail_mass_bound == pytest.approx(discarded, rel=1e-12, abs=0)
 
 
 def test_gamma_prior_normalized_positive_support():

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 import infobounds as ib
+from infobounds.scenarios import _logsumexp
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +133,21 @@ def test_discrete_model_validation():
         ib.discrete_exponential_model([0.0], [0.0])
     with pytest.raises(ValueError):
         ib.discrete_exponential_model([0.0, 0.0], [0.0])
+
+
+@pytest.mark.parametrize("scale", [1.0, 800.0])
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_logsumexp_matches_scipy(scale, keepdims):
+    rng = np.random.default_rng(7)
+    # Logits near +-800 overflow (or underflow to -inf) in an unshifted sum.
+    logits = scale * rng.uniform(-1.0, 1.0, size=(4, 9))
+    logits[:, 0] = [800.0, 799.5, -3.0, 0.0]
+    logits[:, 1] = [-800.0, -799.0, -801.5, -800.0]
+    ours = _logsumexp(logits, axis=0, keepdims=keepdims)
+    ref = special.logsumexp(logits, axis=0, keepdims=keepdims)
+    assert ours.shape == ref.shape
+    assert np.all(np.isfinite(ours))
+    np.testing.assert_allclose(ours, ref, rtol=1e-14, atol=1e-13)
 
 
 def test_discrete_model_cross_term_cancels(softmax3):

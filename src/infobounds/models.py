@@ -261,20 +261,20 @@ def gamma_prior(
     """Gamma density truncated at ``tail_mass`` per side; support is theta > 0.
 
     The only function of the package that needs SciPy (for the inverse
-    incomplete gamma function); it imports it on first call, which keeps
-    ``import infobounds`` down to NumPy.
+    incomplete gamma function); it imports ``scipy.special`` on first call,
+    which keeps ``import infobounds`` down to NumPy.
     """
     if shape <= 0 or scale <= 0:
         raise InvalidParameterError("shape and scale must be positive")
-    from scipy import stats
+    from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, gammaln
 
-    dist = stats.gamma(a=shape, scale=scale)
-    lo = float(dist.ppf(tail_mass))
-    hi = float(dist.isf(tail_mass))
+    lo = scale * float(gammaincinv(shape, tail_mass))
+    hi = scale * float(gammainccinv(shape, tail_mass))
     grid = ParameterGrid(lo, hi, n_points)
-    dens = dist.pdf(grid.nodes)
+    u = grid.nodes / scale
+    dens = np.exp((shape - 1.0) * np.log(u) - u - gammaln(shape)) / scale
     deriv = dens * ((shape - 1.0) / grid.nodes - 1.0 / scale)
-    discarded = float(dist.cdf(lo) + dist.sf(hi))
+    discarded = float(gammainc(shape, lo / scale) + gammaincc(shape, hi / scale))
     return Prior(grid, dens, deriv, TruncatedInfinite(discarded))
 
 

@@ -18,7 +18,6 @@ from .errors import (
     NonFiniteError,
     ZeroOutcomeProbabilityError,
 )
-from .grids import ParameterGrid
 from .models import ConditionalModel, DiscreteOutcomes
 
 #: Eigenvalue-sum threshold below which the SLD is left zero (off-support).
@@ -49,11 +48,6 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def is_hermitian(a, atol: float = HERMITICITY_ATOL) -> bool:
-    m = np.asarray(a, dtype=complex)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= atol
-
-
 def require_hermitian(a, name: str = "matrix", atol: float = HERMITICITY_ATOL) -> np.ndarray:
     m = _as_matrix(a, name)
     if np.max(np.abs(m - m.conj().T)) > atol:
@@ -61,8 +55,13 @@ def require_hermitian(a, name: str = "matrix", atol: float = HERMITICITY_ATOL) -
     return m
 
 
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes of a matrix or a stack."""
+    return np.swapaxes(a, -1, -2).conj()
+
+
 def hermitize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + _dagger(a))
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +179,8 @@ class StateFamily:
 
 
 def _eigh_state(rho: np.ndarray, eps_rank: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of one state, or of a stack of states over the
+    leading axes, with the rank-ambiguity and positivity checks."""
     w, v = np.linalg.eigh(rho)
     ambiguous = (w > eps_rank / 10.0) & (w < eps_rank)
     if np.any(ambiguous):
@@ -193,11 +194,12 @@ def _eigh_state(rho: np.ndarray, eps_rank: float) -> tuple[np.ndarray, np.ndarra
 
 
 def _sld_from_eig(w: np.ndarray, v: np.ndarray, drho: np.ndarray, eps_rank: float) -> np.ndarray:
-    d_eig = v.conj().T @ drho @ v
-    denom = w[:, None] + w[None, :]
+    """SLD from the eigendecomposition of one state or of a stack of states."""
+    d_eig = _dagger(v) @ drho @ v
+    denom = w[..., :, None] + w[..., None, :]
     coeff = np.where(denom > eps_rank, 2.0 / np.where(denom > eps_rank, denom, 1.0), 0.0)
     l_eig = coeff * d_eig
-    return hermitize(v @ l_eig @ v.conj().T)
+    return hermitize(v @ l_eig @ _dagger(v))
 
 
 def sld(rho, drho, eps_rank: float = RANK_EPS) -> np.ndarray:
@@ -225,12 +227,6 @@ def sld_residual(rho, drho, l_matrix) -> float:
     return float(np.max(np.abs(p.conj().T @ res @ p)))
 
 
-def support_projector(rho, eps_rank: float = RANK_EPS) -> np.ndarray:
-    w, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
-    keep = w > eps_rank
-    return v[:, keep] @ v[:, keep].conj().T
-
-
 def qfi(family: StateFamily, theta: float) -> float:
     """Ensemble quantum sensitivity Tr(rho L^2)."""
     rho = family.rho(theta)
@@ -241,47 +237,71 @@ def qfi(family: StateFamily, theta: float) -> float:
     return max(value, 0.0)
 
 
+def _traces(elements: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Re Tr(E_k M_n) for a (K, d, d) and an (n, d, d) stack, as (K, n)."""
+    return np.einsum("kab,nba->kn", elements, mats).real
+
+
+def _support_leak(elements: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Weight of each element outside the support of each state, (K, n)."""
+    off = w <= RANK_EPS
+    if not np.any(off):
+        return np.zeros((elements.shape[0], w.shape[0]))
+    diag = np.einsum("nai,kab,nbi->kni", v.conj(), elements, v).real
+    return np.sum(diag * off, axis=-1)
+
+
+def _born_table(family: StateFamily, elements: np.ndarray, thetas: np.ndarray):
+    """Tabulate a POVM on a state family at every parameter value.
+
+    ``elements`` is a (K, d, d) stack and ``thetas`` a 1-D array of n
+    values. The n states are decomposed by one stacked ``eigh`` and share
+    one SLD computation. Returns (K, n) arrays: probabilities clamped into
+    [0, 1], their derivatives, per-outcome sensitivities (NaN where the
+    probability is at most ``PROB_EPS``, small negative values clamped to
+    zero) and the POVM weight outside each state's support.
+    """
+    rho = np.stack([family.rho(t) for t in thetas])
+    drho = np.stack([family.drho(t) for t in thetas])
+    if rho.shape[1:] != elements.shape[1:]:
+        raise DimensionMismatchError("POVM dimension does not match the state")
+    w, v = _eigh_state(rho, RANK_EPS)
+    l_matrix = _sld_from_eig(w, v, drho, RANK_EPS)
+    probs = np.clip(_traces(elements, rho), 0.0, 1.0)
+    dprobs = _traces(elements, drho)
+    positive = probs > PROB_EPS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sens = _traces(elements, l_matrix @ l_matrix @ rho) / probs
+    sens[(sens < 0.0) & (sens >= -STATE_ATOL)] = 0.0
+    sens[~positive] = np.nan
+    return probs, dprobs, sens, _support_leak(elements, w, v)
+
+
+def _warn_support_leak(x, stacklevel: int) -> None:
+    # Stable message so the default warning filter deduplicates repeats.
+    warnings.warn(
+        f"POVM element {x!r} has weight outside the state support; "
+        "the support-restricted SLD convention applies there",
+        RuntimeWarning,
+        stacklevel=stacklevel + 1,
+    )
+
+
 def cqfi(family: StateFamily, povm: Povm, x_index: int, theta: float) -> float:
     """Per-outcome quantum sensitivity Tr(Pi L^2 rho) / Tr(rho Pi).
 
     A random variable over outcomes that averages to the QFI under the
     Born distribution for any complete POVM.
     """
-    rho = family.rho(theta)
     element = povm.elements[x_index]
-    if element.shape != rho.shape:
-        raise DimensionMismatchError("POVM dimension does not match the state")
-    p = float(np.real(np.trace(element @ rho)))
-    if p <= PROB_EPS:
+    probs, _, sens, leak = _born_table(family, element[None], np.array([float(theta)]))
+    if probs[0, 0] <= PROB_EPS:
         raise ZeroOutcomeProbabilityError(
-            f"outcome {x_index} has probability {p:.3e} at theta={theta}"
+            f"outcome {x_index} has probability {probs[0, 0]:.3e} at theta={theta}"
         )
-    w, v = _eigh_state(rho, RANK_EPS)
-    l_matrix = _sld_from_eig(w, v, family.drho(theta), RANK_EPS)
-    _warn_on_support_leak(element, w, v, x_index)
-    value = float(np.real(np.trace(element @ l_matrix @ l_matrix @ rho))) / p
-    if value < 0.0 and value >= -STATE_ATOL:
-        value = 0.0
-    return value
-
-
-def _support_leak(element: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
-    keep = w > RANK_EPS
-    if np.all(keep):
-        return 0.0
-    q = v[:, ~keep]
-    return float(np.real(np.trace(q.conj().T @ element @ q)))
-
-
-def _warn_on_support_leak(element: np.ndarray, w: np.ndarray, v: np.ndarray, x_index) -> None:
-    # Stable message so the default warning filter deduplicates repeats.
-    if _support_leak(element, w, v) > SUPPORT_LEAK_TOL:
-        warnings.warn(
-            f"POVM element {x_index!r} has weight outside the state support; "
-            "the support-restricted SLD convention applies there",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    if leak[0, 0] > SUPPORT_LEAK_TOL:
+        _warn_support_leak(x_index, stacklevel=2)
+    return float(sens[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +312,11 @@ def _warn_on_support_leak(element: np.ndarray, w: np.ndarray, v: np.ndarray, x_i
 class MeasuredStateFamily:
     """Born-rule conditional model of a POVM on a state family.
 
-    Caches (probabilities, probability derivatives, per-outcome
-    sensitivities) per parameter value, so grid sweeps decompose each state
-    once regardless of how many outcomes and bounds reuse it.
+    An array query tabulates probabilities, their derivatives and the
+    per-outcome sensitivities of every outcome at once, from one stacked
+    decomposition of the states; the adapter keeps the table of its most
+    recent array query, so the outcomes and bounds of a grid sweep reuse
+    it. A scalar query is evaluated directly and not kept.
     """
 
     def __init__(self, family: StateFamily, povm: Povm, outcomes: tuple | None = None):
@@ -309,92 +331,69 @@ class MeasuredStateFamily:
         self.povm = povm
         self.outcomes = tuple(outcomes)
         self._index = {x: i for i, x in enumerate(self.outcomes)}
-        self._cache: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._elements = np.stack(povm.elements)
+        self._thetas: np.ndarray | None = None
+        self._table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._warned_zero_prob = False
         self._warned_leak: set = set()
 
-    def _node(self, theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        key = float(theta)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        rho = self.family.rho(key)
-        drho = self.family.drho(key)
-        w, v = _eigh_state(rho, RANK_EPS)
-        l_matrix = _sld_from_eig(w, v, drho, RANK_EPS)
-        l2rho = l_matrix @ l_matrix @ rho
-        n = len(self.povm)
-        probs = np.empty(n)
-        dprobs = np.empty(n)
-        sens = np.empty(n)
-        for i, element in enumerate(self.povm.elements):
-            p = float(np.real(np.trace(element @ rho)))
-            probs[i] = min(max(p, 0.0), 1.0)
-            dprobs[i] = float(np.real(np.trace(element @ drho)))
-            if probs[i] > PROB_EPS:
-                if self.outcomes[i] not in self._warned_leak and (
-                    _support_leak(element, w, v) > SUPPORT_LEAK_TOL
-                ):
-                    self._warned_leak.add(self.outcomes[i])
-                    _warn_on_support_leak(element, w, v, self.outcomes[i])
-                val = float(np.real(np.trace(element @ l2rho))) / probs[i]
-                sens[i] = 0.0 if -STATE_ATOL <= val < 0.0 else val
-            else:
-                sens[i] = np.nan
-                if not self._warned_zero_prob:
-                    self._warned_zero_prob = True
-                    warnings.warn(
-                        f"outcome {self.outcomes[i]!r} has zero probability at "
-                        f"theta={key}; such nodes are excluded from integrals",
-                        RuntimeWarning,
-                        stacklevel=4,
-                    )
-        out = (probs, dprobs, sens)
-        self._cache[key] = out
-        return out
+    def _tabulate(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (K, n) log-probabilities, scores and sensitivities."""
+        probs, dprobs, sens, leak = _born_table(self.family, self._elements, thetas)
+        positive = probs > PROB_EPS
+        for i, x in enumerate(self.outcomes):
+            if x not in self._warned_leak and np.any(
+                positive[i] & (leak[i] > SUPPORT_LEAK_TOL)
+            ):
+                self._warned_leak.add(x)
+                _warn_support_leak(x, stacklevel=4)
+        if not self._warned_zero_prob and not np.all(positive):
+            self._warned_zero_prob = True
+            node = int(np.argmax(~np.all(positive, axis=0)))
+            x = self.outcomes[int(np.argmin(positive[:, node]))]
+            warnings.warn(
+                f"outcome {x!r} has zero probability at "
+                f"theta={float(thetas[node])}; such nodes are excluded from integrals",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            table = (np.log(probs), np.where(probs > 0.0, dprobs / probs, np.nan), sens)
+        for a in table:
+            a.setflags(write=False)
+        return table
 
-    def _gather(self, x, theta, which: int) -> np.ndarray | float:
+    def _query(self, which: int, x, theta):
         i = self._index[x]
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        vals = np.array([self._node(t)[which][i] for t in th])
-        if np.ndim(theta) == 0:
-            return float(vals[0])
-        return vals
+        th = np.asarray(theta, dtype=float)
+        if th.ndim == 0:
+            return float(self._tabulate(th.reshape(1))[which][i, 0])
+        if self._thetas is None or not np.array_equal(th, self._thetas):
+            self._table = self._tabulate(th.ravel())
+            self._thetas = th.copy()
+        return self._table[which][i].reshape(th.shape)
 
     def log_pdf(self, x, theta):
-        p = self._gather(x, theta, 0)
-        with np.errstate(divide="ignore"):
-            return np.log(p)
+        return self._query(0, x, theta)
 
     def score(self, x, theta):
-        i = self._index[x]
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        out = np.empty(th.shape)
-        for j, t in enumerate(th):
-            probs, dprobs, _ = self._node(t)
-            out[j] = dprobs[i] / probs[i] if probs[i] > 0.0 else np.nan
-        if np.ndim(theta) == 0:
-            return float(out[0])
-        return out
+        return self._query(1, x, theta)
 
     def sensitivity(self, x, theta):
         """Per-outcome quantum sensitivity; NaN at zero-probability nodes."""
-        return self._gather(x, theta, 2)
+        return self._query(2, x, theta)
 
 
 def quantum_conditional_model(
     family: StateFamily,
     povm: Povm,
-    theta_grid: ParameterGrid | None = None,
     outcomes: tuple | None = None,
 ) -> tuple[ConditionalModel, Callable]:
     """Adapt a measured state family into a conditional model plus its
     per-outcome sensitivity provider.
 
     The returned sensitivity callable slots into the bound evaluators in
-    place of the squared score. ``theta_grid`` is accepted for symmetry
-    with the classical constructors; the adapter caches per parameter
-    value, so any grid works.
+    place of the squared score.
     """
     measured = MeasuredStateFamily(family, povm, outcomes)
     model = ConditionalModel(

@@ -12,7 +12,6 @@ import numpy as np
 
 from .bounds import BoundReport, bound_theorem1
 from .errors import InvalidParameterError, NonPositiveDiffusionError
-from .information import pmi
 from .models import (
     ConditionalModel,
     ContinuousOutcomes,
@@ -287,11 +286,10 @@ def demon_work_check(
         model, prior, record.outcome, record.theta, sensitivity
     )
     lhs = record.lhs
-    info = pmi(model, prior, record.outcome, record.theta)
     return DemonCheck(
         lhs=lhs,
-        pmi=info,
+        pmi=report.pmi,
         bound=report.bound,
-        sagawa_ueda_ok=lhs <= info + tolerance,
+        sagawa_ueda_ok=lhs <= report.pmi + tolerance,
         chained_ok=lhs <= report.bound + tolerance,
     )

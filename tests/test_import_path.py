@@ -1,4 +1,5 @@
-"""``import infobounds`` and the CLI must not load SciPy.
+"""``import infobounds`` and the CLI must not load SciPy, and
+``gamma_prior`` must load no more of it than ``scipy.special``.
 
 Each command runs in a fresh interpreter under ``-X importtime``, which logs
 every module the process imports; the pytest process cannot tell, because
@@ -30,18 +31,29 @@ def _imported_modules(importtime_log: str) -> list[str]:
     return names
 
 
-@pytest.mark.parametrize("name", sorted(_COMMANDS))
-def test_no_scipy_on_import_path(name):
+def _imported_by(args: list[str]) -> list[str]:
+    """Modules a fresh interpreter imports while running ``args``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *_COMMANDS[name]],
+        [sys.executable, "-X", "importtime", *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    modules = _imported_modules(proc.stderr)
+    return _imported_modules(proc.stderr)
+
+
+@pytest.mark.parametrize("name", sorted(_COMMANDS))
+def test_no_scipy_on_import_path(name):
+    modules = _imported_by(_COMMANDS[name])
     assert "infobounds" in modules
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
+def test_gamma_prior_loads_no_scipy_stats():
+    modules = _imported_by(["-c", "import infobounds; infobounds.gamma_prior(3.0, 0.5)"])
+    assert "scipy.special" in modules
+    assert [m for m in modules if m.startswith("scipy.stats")] == []

@@ -86,6 +86,18 @@ def test_gamma_prior_normalized_positive_support():
     assert np.all(prior.density >= 0)
 
 
+@pytest.mark.parametrize("shape, scale", [(3.0, 0.5), (40.0, 0.1)])
+def test_gamma_prior_matches_scipy_gamma(shape, scale):
+    dist = stats.gamma(a=shape, scale=scale)
+    prior = ib.gamma_prior(shape, scale)
+    tail = ib.models.DEFAULT_TAIL_MASS
+    assert prior.grid.theta_min == pytest.approx(dist.ppf(tail), rel=0, abs=1e-14)
+    assert prior.grid.theta_max == pytest.approx(dist.isf(tail), rel=0, abs=1e-14)
+    np.testing.assert_allclose(prior.density, dist.pdf(prior.grid.nodes), rtol=1e-12, atol=0)
+    discarded = dist.cdf(prior.grid.theta_min) + dist.sf(prior.grid.theta_max)
+    assert prior.support.tail_mass_bound == pytest.approx(discarded, rel=1e-12, abs=0)
+
+
 def test_prior_validation_errors():
     grid = ib.ParameterGrid(0.0, 1.0, 101)
     ones = np.ones(101)

@@ -222,8 +222,8 @@ def test_sensitivity_dominates_on_commuting_family():
             assert s * s <= float(sensitivity(i, float(theta))) + 1e-8
 
 
-def test_adapter_dominance_on_mixed_family_random_povm():
-    fam = three_level_family()
+def _random_qutrit_povm() -> ib.Povm:
+    """Four random positive elements, normalised to sum to the identity."""
     rng = np.random.default_rng(3)
     mats = []
     for _ in range(4):
@@ -234,6 +234,12 @@ def test_adapter_dominance_on_mixed_family_random_povm():
     norm = v @ np.diag(w**-0.5) @ v.conj().T
     povm = ib.Povm(tuple(norm @ m @ norm for m in mats))
     assert ib.validate_povm(povm) == []
+    return povm
+
+
+def test_adapter_dominance_on_mixed_family_random_povm():
+    fam = three_level_family()
+    povm = _random_qutrit_povm()
     model, sensitivity = ib.quantum_conditional_model(fam, povm)
     for theta in (0.2, 0.5, 0.9):
         for i in range(4):
@@ -302,3 +308,107 @@ def test_adapter_theta_independent_bound_slack_log2():
     r = ib.bound_theorem1(model, prior, 0, 0.5, sensitivity)
     assert r.pmi == pytest.approx(0.0, abs=1e-9)
     assert r.slack == pytest.approx(math.log(2.0), abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# adapter tables
+# ---------------------------------------------------------------------------
+
+
+def _counting(family: ib.StateFamily):
+    """The same family, with a list that grows by one per ``rho`` call."""
+    calls = []
+
+    def rho_of(theta):
+        calls.append(theta)
+        return family.rho(theta)
+
+    return ib.StateFamily(rho_of, family.drho), calls
+
+
+def test_adapter_table_matches_pointwise_born_and_cqfi():
+    fam = three_level_family()
+    povm = _random_qutrit_povm()
+    model, sensitivity = ib.quantum_conditional_model(fam, povm)
+    thetas = np.linspace(0.1, 1.3, 13)
+    for i, element in enumerate(povm.elements):
+        p = np.exp(model.log_pdf(i, thetas))
+        score = model.score(i, thetas)
+        sens = sensitivity(i, thetas)
+        for j, theta in enumerate(thetas):
+            rho, drho = fam.rho(theta), fam.drho(theta)
+            born = ib.born_probability(rho, element)
+            L = ib.sld(rho, drho)
+            assert abs(p[j] - born) <= 1e-12
+            assert abs(score[j] - np.trace(element @ drho).real / born) <= 1e-12
+            assert abs(sens[j] - ib.cqfi(fam, povm, i, theta)) <= 1e-12
+            assert abs(sens[j] - np.trace(element @ L @ L @ rho).real / born) <= 1e-12
+
+
+def test_adapter_rank_ambiguous_node_raises_on_grid_query():
+    # One node of the grid sits inside the rank ambiguity window.
+    def rho_of(theta):
+        eps = 5e-11 if theta == 0.5 else 0.25
+        return np.diag([1.0 - eps, eps]).astype(complex)
+
+    fam = ib.StateFamily(rho_of, lambda t: np.zeros((2, 2), dtype=complex))
+    model, _ = ib.quantum_conditional_model(fam, basis_povm(2))
+    with pytest.raises(ib.IllConditionedError):
+        model.log_pdf(0, np.linspace(0.0, 1.0, 5))
+
+
+def test_adapter_support_leak_warns_once_per_outcome():
+    grids = (np.linspace(0.1, 1.2, 11), np.linspace(0.2, 1.4, 7))
+    for _ in range(2):  # each adapter warns afresh
+        model, sensitivity = ib.qubit_measurement_model()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for thetas in grids + grids:
+                for x in ("+", "-"):
+                    model.log_pdf(x, thetas)
+                    sensitivity(x, thetas)
+            sensitivity("+", 0.3)
+        messages = sorted(
+            str(w.message) for w in caught if "outside the state support" in str(w.message)
+        )
+        assert len(messages) == 2
+        assert "'+'" in messages[0] and "'-'" in messages[1]
+
+
+def test_adapter_keeps_one_table():
+    counted, calls = _counting(ib.qubit_phase_family())
+    model, _ = ib.quantum_conditional_model(counted, ib.sigma_x_povm())
+    a, b = np.linspace(0.1, 1.2, 11), np.linspace(0.2, 1.4, 7)
+    for thetas, expected in ((a, 11), (a.copy(), 0), (b, 7), (a, 11)):
+        calls.clear()
+        model.log_pdf(0, thetas)
+        assert len(calls) == expected
+    calls.clear()
+    model.score(1, 0.55)
+    model.log_pdf(1, a)
+    assert calls == [0.55]
+
+
+def test_demon_check_evaluates_the_state_once():
+    counted, calls = _counting(ib.qubit_phase_family())
+    model, sensitivity = ib.quantum_conditional_model(
+        counted, ib.sigma_x_povm(), outcomes=("+", "-")
+    )
+    prior = ib.uniform_prior(0.0, math.pi / 2)
+    nodes = prior.grid.nodes
+    model.log_pdf("+", nodes)
+    record = ib.DemonRecord(1.0, 0.1, 0.0, "+", 0.7071)
+    calls.clear()
+    check = ib.demon_work_check(record, model, prior, sensitivity)
+    assert len(calls) == 1
+    assert check.pmi == ib.pmi(model, prior, "+", 0.7071)
+    calls.clear()
+    for x in ("+", "-"):
+        model.log_pdf(x, nodes)
+        model.score(x, nodes)
+        sensitivity(x, nodes)
+    assert calls == []
+    for _ in range(3):
+        calls.clear()
+        model.log_pdf("-", 0.7071)
+        assert calls == [0.7071]

@@ -20,7 +20,6 @@ it pointwise.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -28,7 +27,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateMarginalError,
     InfoBoundError,
     InvalidWeightError,
     NegativeLambdaError,
@@ -36,20 +34,23 @@ from .errors import (
     ThetaOutsideSupportError,
     ZeroWeightError,
 )
-from .grids import quadrature, quadrature_rows
+from .grids import quadrature
 from .information import (
-    MARGINAL_FLOOR,
+    _Block,
+    _fisher_rows,
+    _joint_table,
+    _marginal_rows,
+    _mi_rows,
+    _on_positive,
+    _pmi_given_marginal,
+    _table_rows,
     fisher_information,
-    mutual_information,
-    outcome_grid_chunks,
-    pmi,
     surprisal,
 )
 from .models import (
     BOXCAR,
     PRIOR_MATCHED,
     ConditionalModel,
-    DiscreteOutcomes,
     FiniteSupport,
     Prior,
     WeightFunction,
@@ -75,8 +76,8 @@ BOUNDARY_DECAY_RTOL = 1e-5
 # ---------------------------------------------------------------------------
 
 
-def lambda_general(sensitivity: float, score: float, f: float, f_dot: float) -> float:
-    """Bound kernel sensitivity*f^2 + f_dot^2 + 2*score*f*f_dot.
+def lambda_general(sensitivity, score, f, f_dot):
+    """Bound kernel sensitivity*f^2 + f_dot^2 + 2*score*f*f_dot, elementwise.
 
     With ``sensitivity == score**2`` this is the perfect square
     ``(score*f + f_dot)**2``; a genuine sensitivity must dominate the
@@ -84,74 +85,50 @@ def lambda_general(sensitivity: float, score: float, f: float, f_dot: float) -> 
 
     Tiny negative excursions (within ``NEGATIVE_LAMBDA_RTOL`` of the term
     magnitudes) are clamped to zero; anything beyond that raises
-    :class:`NegativeLambdaError`, signalling sensitivity < score^2.
+    :class:`NegativeLambdaError`, signalling sensitivity < score^2. Scalar
+    inputs give a float.
     """
-    terms = (sensitivity * f * f, f_dot * f_dot, 2.0 * score * f * f_dot)
-    if not all(math.isfinite(t) for t in terms):
-        raise NonFiniteError("kernel inputs are not finite")
-    if sensitivity < 0.0:
-        raise NegativeLambdaError(f"sensitivity must be nonnegative, got {sensitivity}")
-    value = terms[0] + terms[1] + terms[2]
-    scale = max(1.0, terms[0], terms[1], abs(terms[2]))
-    if value < -NEGATIVE_LAMBDA_RTOL * scale:
-        raise NegativeLambdaError(
-            f"kernel is negative ({value}) beyond tolerance: sensitivity < score^2"
-        )
-    return max(value, 0.0)
-
-
-def _lambda_nodes(sens, score, f, fdot) -> np.ndarray:
-    """Vectorized kernel with the same clamping semantics as lambda_general."""
-    t0 = sens * f * f
-    t1 = fdot * fdot
-    t2 = 2.0 * score * f * fdot
-    if np.any(sens < 0.0):
-        raise NegativeLambdaError("sensitivity must be nonnegative at every node")
+    t0 = sensitivity * f * f
+    t1 = f_dot * f_dot
+    t2 = 2.0 * score * f * f_dot
     value = t0 + t1 + t2
+    if not np.all(np.isfinite(value)):
+        raise NonFiniteError("kernel inputs are not finite")
+    if np.any(np.less(sensitivity, 0.0)):
+        raise NegativeLambdaError("sensitivity must be nonnegative")
     scale = np.maximum(1.0, np.maximum(t0, np.maximum(t1, np.abs(t2))))
     if np.any(value < -NEGATIVE_LAMBDA_RTOL * scale):
-        raise NegativeLambdaError("kernel is negative beyond tolerance at a grid node")
-    return np.maximum(value, 0.0)
+        raise NegativeLambdaError("kernel is negative beyond tolerance: sensitivity < score^2")
+    lam = np.maximum(value, 0.0)
+    return float(lam) if np.ndim(lam) == 0 else lam
 
 
-def sqrt_lambda_nodes(
-    model: ConditionalModel,
-    weight: WeightFunction,
-    x,
-    sensitivity: Callable | None = None,
-    valid: np.ndarray | None = None,
-) -> np.ndarray:
-    """sqrt(Lambda) at every grid node for one outcome.
+def _sqrt_lambda(block: _Block, weight: WeightFunction) -> np.ndarray:
+    """sqrt(Lambda) on each row of a block of the joint table.
 
-    Classically (``sensitivity is None``) the kernel is the perfect square
-    ``(score*f + fdot)**2`` and is evaluated in factored form
+    Classically (no sensitivity in the block) the kernel is the perfect
+    square ``(score*f + fdot)**2`` and is evaluated in factored form
     ``|score*f + fdot|``, which is immune to the catastrophic cancellation
     the expanded form suffers near its roots. With an explicit sensitivity
-    the expanded kernel is used, clamped at zero.
-
-    ``valid`` masks nodes where the conditional probability vanishes; the
-    kernel is not evaluated there (entries are zero).
+    the expanded kernel is used, clamped at zero. Cells of zero probability
+    read zero.
     """
-    nodes = weight.grid.nodes
-    out = np.zeros(weight.grid.n_points)
-    if valid is None:
-        valid = np.ones(weight.grid.n_points, dtype=bool)
-    if not np.any(valid):
-        return out
-    scores = np.asarray(model.score(x, nodes), dtype=float)
-    if sensitivity is None:
-        out[valid] = np.abs(
-            scores[valid] * weight.values[valid] + weight.derivative[valid]
-        )
+    score = _on_positive(block.score, block.positive)
+    if block.sensitivity is None:
+        root = np.abs(score * weight.values + weight.derivative)
     else:
-        sens = np.asarray(sensitivity(x, nodes), dtype=float)
-        lam = _lambda_nodes(
-            sens[valid], scores[valid], weight.values[valid], weight.derivative[valid]
-        )
-        out[valid] = np.sqrt(lam)
-    if not np.all(np.isfinite(out[valid])):
+        sens = _on_positive(block.sensitivity, block.positive)
+        root = np.sqrt(lambda_general(sens, score, weight.values, weight.derivative))
+    root = _on_positive(root, block.positive)
+    if not np.all(np.isfinite(root)):
         raise NonFiniteError("sqrt(Lambda) is not finite at a positive-probability node")
-    return out
+    return root
+
+
+def sqrt_lambda_nodes(model: ConditionalModel, weight: WeightFunction, x, sensitivity=None):
+    """sqrt(Lambda) at every grid node for one outcome; see :func:`_sqrt_lambda`."""
+    block = _table_rows(model, (x,), x, weight.grid.nodes, score=True, sensitivity=sensitivity)
+    return _sqrt_lambda(block, weight)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -224,35 +201,35 @@ def _check_weight(prior: Prior, weight: WeightFunction) -> None:
         )
 
 
+def _bound_rows(block: _Block, prior: Prior, weight: WeightFunction, px: np.ndarray):
+    """Boundary and integral terms of each row's bound, both over p(x)."""
+    root = _sqrt_lambda(block, weight)
+    integral = quadrature(block.pdf * root, prior.grid) / px
+    if weight.kind == BOXCAR:
+        return (block.pdf[:, 0] + block.pdf[:, -1]) / px, integral
+    return np.zeros_like(px), integral
+
+
 class _OutcomeProfile:
     """Per-outcome pieces of a bound that do not depend on the query theta."""
 
     __slots__ = ("px", "boundary_term", "integral_term")
 
     def __init__(self, model, prior, weight, x, sensitivity):
-        grid = prior.grid
-        logpdf = np.asarray(model.log_pdf(x, grid.nodes), dtype=float)
-        pdf = np.exp(logpdf)
-        if np.any(np.isnan(pdf)) or np.any(np.isposinf(pdf)):
-            raise NonFiniteError(f"conditional density is not finite for outcome {x!r}")
-        px = quadrature(pdf * prior.density, grid)
-        if px <= MARGINAL_FLOOR:
-            raise DegenerateMarginalError(f"marginal probability of {x!r} is degenerate")
-        valid = pdf > 0.0
-        if not np.all(valid):
+        block = _table_rows(model, (x,), x, prior.grid.nodes, score=True, sensitivity=sensitivity)
+        _, px = _marginal_rows(block, prior)
+        if block.positive is not None:
+            zeros = int(block.pdf.size - np.count_nonzero(block.positive))
             warnings.warn(
-                f"outcome {x!r}: {int((~valid).sum())} zero-probability grid nodes "
+                f"outcome {x!r}: {zeros} zero-probability grid nodes "
                 "excluded from the bound integral",
                 RuntimeWarning,
                 stacklevel=3,
             )
-        sqrt_lam = sqrt_lambda_nodes(model, weight, x, sensitivity, valid)
-        self.px = float(px)
-        self.integral_term = quadrature(pdf * sqrt_lam, grid) / px
-        if weight.kind == BOXCAR:
-            self.boundary_term = float((pdf[0] + pdf[-1]) / px)
-        else:
-            self.boundary_term = 0.0
+        boundary, integral = _bound_rows(block, prior, weight, px)
+        self.px = float(px[0])
+        self.boundary_term = float(boundary[0])
+        self.integral_term = float(integral[0])
 
 
 def _penalty(prior: Prior, weight: WeightFunction, theta: float) -> float:
@@ -279,7 +256,7 @@ def _assemble(model, prior, weight, x, theta, profile) -> BoundReport:
     bound = float(np.log(total)) + penalty
     if not np.isfinite(bound):
         raise NonFiniteError("bound value is not finite")
-    pmi_val = pmi(model, prior, x, theta)
+    pmi_val = _pmi_given_marginal(model, x, theta, profile.px)
     return BoundReport(
         x=x,
         theta=float(theta),
@@ -307,7 +284,9 @@ def bound_general(
     sensitivity : callable, optional
         ``sensitivity(x, thetas) -> ndarray`` replacing the squared score
         pointwise (the quantum per-outcome sensitivity). Defaults to the
-        classical squared score.
+        classical squared score. Like the model's callables, it must
+        broadcast a column of outcomes against a row of thetas when it is
+        averaged over a continuous outcome grid.
     """
     _check_weight(prior, weight)
     profile = _OutcomeProfile(model, prior, weight, x, sensitivity)
@@ -359,16 +338,8 @@ def _average_penalty(prior: Prior, weight: WeightFunction) -> float:
     return quadrature(integrand, prior.grid)
 
 
-def mi_bound_average(model: ConditionalModel, prior: Prior, weight: WeightFunction) -> float:
-    """Ensemble bound log(integral of sqrt(F f^2 + fdot^2)) minus the
-    prior-averaged log weight.
-
-    For the boxcar weight the derivative's boundary jumps contribute the
-    constant 2 inside the logarithm (each edge contributes the full jump of
-    f), so the value is log(2 + integral of sqrt(F)).
-    """
-    _check_weight(prior, weight)
-    fi = np.asarray(fisher_information(model, prior.grid.nodes), dtype=float)
+def _ensemble_bound(prior: Prior, weight: WeightFunction, fi: np.ndarray) -> float:
+    """The ensemble bound from the Fisher information at the prior nodes."""
     if not np.all(np.isfinite(fi)):
         raise NonFiniteError("Fisher information is not finite on the grid")
     if weight.kind == BOXCAR:
@@ -384,6 +355,28 @@ def mi_bound_average(model: ConditionalModel, prior: Prior, weight: WeightFuncti
     return value
 
 
+def mi_bound_average(model: ConditionalModel, prior: Prior, weight: WeightFunction) -> float:
+    """Ensemble bound log(integral of sqrt(F f^2 + fdot^2)) minus the
+    prior-averaged log weight.
+
+    For the boxcar weight the derivative's boundary jumps contribute the
+    constant 2 inside the logarithm (each edge contributes the full jump of
+    f), so the value is log(2 + integral of sqrt(F)).
+    """
+    _check_weight(prior, weight)
+    return _ensemble_bound(prior, weight, fisher_information(model, prior.grid.nodes))
+
+
+def _average_rows(block: _Block, prior: Prior, weight: WeightFunction, px: np.ndarray):
+    """p(x) times the log of each row's bound argument: the row's share of
+    the joint average of the bound, penalty aside."""
+    boundary, integral = _bound_rows(block, prior, weight, px)
+    argument = boundary + integral
+    if np.any(argument <= 0.0):
+        raise NonFiniteError("bound argument is nonpositive; the weight is degenerate")
+    return px * np.log(argument)
+
+
 def average_pointwise_bound(
     model: ConditionalModel,
     prior: Prior,
@@ -394,40 +387,17 @@ def average_pointwise_bound(
 
     The bound's only theta dependence is the penalty term, so the average
     splits into the outcome-marginal average of the log integral plus the
-    prior average of the penalty. On a continuous outcome space, raises
-    :class:`UnnormalizedOutcomeSpaceError` if the outcome grid does not hold
-    the conditional mass at some prior node.
+    prior average of the penalty. ``sensitivity`` works as in
+    :func:`bound_general`, on discrete and continuous outcome spaces alike.
+    Raises :class:`UnnormalizedOutcomeSpaceError` if the outcome space does
+    not hold the conditional mass at some prior node.
     """
     _check_weight(prior, weight)
-    penalty_avg = _average_penalty(prior, weight)
-    space = model.outcome_space
-    if isinstance(space, DiscreteOutcomes):
-        total = 0.0
-        for x in space.outcomes:
-            profile = _OutcomeProfile(model, prior, weight, x, sensitivity)
-            total += profile.px * np.log(profile.boundary_term + profile.integral_term)
-        return float(total) + penalty_avg
-    if sensitivity is not None:
-        raise InfoBoundError(
-            "explicit sensitivities are only supported for discrete outcome spaces"
-        )
-    xg = space.grid
-    nodes = prior.grid.nodes
-    g = np.empty(xg.n_points)
-    for rows, xs, _logpdf, pdf in outcome_grid_chunks(model, prior):
-        px = quadrature_rows(pdf * prior.density, prior.grid)
-        scores = np.asarray(model.score(xs[:, None], nodes[None, :]), dtype=float)
-        sqrt_lam = np.where(
-            pdf > 0.0, np.abs(scores * weight.values + weight.derivative), 0.0
-        )
-        integral = quadrature_rows(pdf * sqrt_lam, prior.grid)
-        if weight.kind == BOXCAR:
-            integral = integral + pdf[:, 0] + pdf[:, -1]
-        # p(x) log(.../p(x)) -> 0 with vanishing marginal weight
-        ok = px > MARGINAL_FLOOR
-        ratio = np.where(ok, integral, 1.0) / np.where(ok, px, 1.0)
-        g[rows] = np.where(ok, px * np.log(ratio), 0.0)
-    return float(quadrature(g, xg)) + penalty_avg
+    total = 0.0
+    for block in _joint_table(model, prior.grid.nodes, score=True, sensitivity=sensitivity):
+        _, px = _marginal_rows(block, prior)
+        total += block.weights @ _average_rows(block, prior, weight, px)
+    return float(total) + _average_penalty(prior, weight)
 
 
 def mi_chain_values(
@@ -436,11 +406,23 @@ def mi_chain_values(
     weight: WeightFunction,
     sensitivity: Callable | None = None,
 ) -> tuple[float, float, float]:
-    """(mutual information, averaged pointwise bound, ensemble bound)."""
+    """(mutual information, averaged pointwise bound, ensemble bound).
+
+    All three come from one pass over the joint table, so every model cell
+    is evaluated once; each value equals that of its own function.
+    """
+    _check_weight(prior, weight)
+    mi = avg = 0.0
+    fi = np.zeros(prior.grid.n_points)
+    for block in _joint_table(model, prior.grid.nodes, score=True, sensitivity=sensitivity):
+        joint, px = _marginal_rows(block, prior)
+        mi += block.weights @ _mi_rows(block, joint, px, prior)
+        avg += block.weights @ _average_rows(block, prior, weight, px)
+        fi += _fisher_rows(block)
     return (
-        mutual_information(model, prior),
-        average_pointwise_bound(model, prior, weight, sensitivity),
-        mi_bound_average(model, prior, weight),
+        float(mi),
+        float(avg) + _average_penalty(prior, weight),
+        _ensemble_bound(prior, weight, fi),
     )
 
 

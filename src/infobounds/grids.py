@@ -81,56 +81,31 @@ class ParameterGrid:
         return self.theta_min - slop <= theta <= self.theta_max + slop
 
 
-def quadrature(values, grid: ParameterGrid) -> float:
-    """Composite trapezoidal estimate of the integral of tabulated values.
+def quadrature(values, grid: ParameterGrid):
+    """Composite trapezoidal estimate of ``integral(values d(theta))``.
 
-    Exact for piecewise-linear data on the grid and deterministic for fixed
-    inputs regardless of how callers partition surrounding sweeps.
-
-    Parameters
-    ----------
-    values : array_like
-        One value per grid node.
-    grid : ParameterGrid
-        The grid the values are tabulated on.
-
-    Returns
-    -------
-    float
-        Trapezoidal estimate of ``integral(values d(theta))``.
-
-    Raises
-    ------
-    LengthMismatchError
-        If ``values`` does not have one entry per node.
-    NonFiniteError
-        If any value is NaN or infinite.
+    ``values`` holds one value per node of ``grid``, or is a (rows,
+    n_points) matrix of such rows, giving one estimate per row. Exact for
+    piecewise-linear data on the grid and deterministic for fixed inputs
+    regardless of how callers partition surrounding sweeps: each row of a
+    matrix integrates bit for bit like the same values passed alone. Raises
+    :class:`LengthMismatchError` on a wrong row length and
+    :class:`NonFiniteError` on a NaN or infinite value.
     """
     arr = np.asarray(values, dtype=float)
-    if arr.shape != (grid.n_points,):
+    if arr.ndim not in (1, 2) or arr.shape[-1] != grid.n_points:
         raise LengthMismatchError(
-            f"expected {grid.n_points} values, got shape {arr.shape}"
+            f"expected {grid.n_points} values per row, got shape {arr.shape}"
         )
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("quadrature input contains NaN or infinity")
     h = grid.spacing
-    return float(h * (0.5 * arr[0] + arr[1:-1].sum() + 0.5 * arr[-1]))
+    out = h * (0.5 * arr[..., 0] + arr[..., 1:-1].sum(axis=-1) + 0.5 * arr[..., -1])
+    return float(out) if arr.ndim == 1 else out
 
 
-def quadrature_rows(matrix: np.ndarray, grid: ParameterGrid) -> np.ndarray:
-    """Trapezoidal quadrature of each row of a (rows, n_points) matrix.
-
-    Uses the same summation order as :func:`quadrature` so row-wise sweeps
-    and scalar calls agree bit for bit.
-    """
-    if matrix.ndim != 2 or matrix.shape[1] != grid.n_points:
-        raise LengthMismatchError(
-            f"expected (rows, {grid.n_points}) matrix, got shape {matrix.shape}"
-        )
-    if not np.all(np.isfinite(matrix)):
-        raise NonFiniteError("quadrature input contains NaN or infinity")
-    h = grid.spacing
-    return h * (0.5 * matrix[:, 0] + matrix[:, 1:-1].sum(axis=1) + 0.5 * matrix[:, -1])
+#: Row-wise name of :func:`quadrature`, for a (rows, n_points) matrix.
+quadrature_rows = quadrature
 
 
 def interp_on_grid(grid: ParameterGrid, values: np.ndarray, theta: float) -> float:

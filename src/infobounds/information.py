@@ -2,9 +2,15 @@
 
 All integrals over the parameter run on the prior's grid with the trapezoid
 rule; integrals over a continuous outcome run on the model's outcome grid.
+Every ensemble quantity, here and in :mod:`infobounds.bounds`, is an
+outcome-weighted sum over one joint table of ``log p(x|theta)``, the score
+and optionally a sensitivity, which :func:`_joint_table` evaluates block by
+block, each cell once.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -15,25 +21,138 @@ from .errors import (
     UnnormalizedOutcomeSpaceError,
     ZeroLikelihoodError,
 )
-from .grids import quadrature, quadrature_rows
+from .grids import quadrature
 from .models import ConditionalModel, DiscreteOutcomes, Prior
 
 #: Marginals at or below this value make the log ratio meaningless.
 MARGINAL_FLOOR = 1e-300
 
-#: Allowed deviation of the conditional outcome mass from 1 on a continuous grid.
+#: Allowed deviation of the conditional outcome mass from 1.
 OUTCOME_MASS_TOL = 1e-3
 
-#: Chunk size for sweeps over a continuous outcome grid.
-_X_CHUNK = 256
+#: Cells (outcomes x parameter values) of the joint table evaluated at once.
+_BLOCK_CELLS = 1 << 15
 
 
-def _conditional_pdf_on_nodes(model: ConditionalModel, prior: Prior, x) -> np.ndarray:
-    logpdf = np.asarray(model.log_pdf(x, prior.grid.nodes), dtype=float)
+class _Block(NamedTuple):
+    """Rows of the joint table, one outcome per row, against an array of
+    parameter values. ``positive`` marks the cells of nonzero probability,
+    and is None when every cell has it; ``score`` and ``sensitivity`` are
+    None unless they were asked for."""
+
+    outcomes: Sequence
+    weights: np.ndarray
+    logpdf: np.ndarray
+    pdf: np.ndarray
+    positive: np.ndarray | None
+    score: np.ndarray | None
+    sensitivity: np.ndarray | None
+
+
+def _table_rows(model, outcomes, x, thetas, weights=None, score=False, sensitivity=None) -> _Block:
+    """Evaluate the model at ``x``, one outcome label or a column of grid
+    outcomes, against ``thetas``, as (len(outcomes), thetas.size) arrays.
+    The outcome weights default to 1."""
+    shape = (len(outcomes), thetas.size)
+
+    def table(fn):
+        values = np.asarray(fn(x, thetas), dtype=float)
+        if values.shape in (shape, shape[1:]):
+            return values.reshape(shape)
+        return np.broadcast_to(values, shape)
+
+    logpdf = table(model.log_pdf)
     pdf = np.exp(logpdf)
-    if np.any(np.isnan(pdf)) or np.any(np.isinf(pdf)):
-        raise NonFiniteError(f"conditional density is not finite for outcome {x!r}")
-    return pdf
+    finite = np.isfinite(pdf)
+    if not np.all(finite):
+        bad = outcomes[int(np.argmin(finite.all(axis=1)))]
+        raise NonFiniteError(f"conditional density is not finite for outcome {bad!r}")
+    positive = pdf > 0.0
+    return _Block(
+        outcomes,
+        np.ones(len(outcomes)) if weights is None else weights,
+        logpdf,
+        pdf,
+        None if positive.all() else positive,
+        table(model.score) if score else None,
+        None if sensitivity is None else table(sensitivity),
+    )
+
+
+def _joint_table(model: ConditionalModel, thetas: np.ndarray, score=False, sensitivity=None):
+    """Yield the joint table of ``model`` against the 1-D ``thetas`` as
+    :class:`_Block`\\ s of outcome rows.
+
+    The outcome weights are 1 on a discrete space and the trapezoid weights
+    of the outcome grid on a continuous one, so ``weights @ rows`` sums a
+    block over its outcomes. A continuous block holds about
+    ``_BLOCK_CELLS`` cells; a discrete one holds one outcome, since model
+    callables take one outcome label at a time. The conditional outcome
+    mass at each parameter value is summed from the blocks and checked
+    after the last one, so a truncated outcome grid raises
+    :class:`UnnormalizedOutcomeSpaceError` instead of silently lowering
+    every sum over the outcome.
+    """
+    space = model.outcome_space
+    if isinstance(space, DiscreteOutcomes):
+        rows = [((x,), x, thetas, None) for x in space.outcomes]
+    else:
+        xg = space.grid
+        weights = np.full(xg.n_points, xg.spacing)
+        weights[[0, -1]] *= 0.5
+        step = max(1, _BLOCK_CELLS // thetas.size)
+        rows = [
+            (xg.nodes[r].tolist(), xg.nodes[r, None], thetas[None, :], weights[r])
+            for r in (slice(i, i + step) for i in range(0, xg.n_points, step))
+        ]
+    mass = np.zeros(thetas.size)
+    for outcomes, x, row_thetas, row_weights in rows:
+        block = _table_rows(model, outcomes, x, row_thetas, row_weights, score, sensitivity)
+        mass += block.weights @ block.pdf
+        yield block
+    deviation = np.abs(mass - 1.0)
+    worst = int(np.argmax(deviation))
+    if deviation[worst] > OUTCOME_MASS_TOL:
+        raise UnnormalizedOutcomeSpaceError(
+            f"conditional mass over the outcome space is {float(mass[worst])!r} "
+            f"at theta={float(thetas[worst])}"
+        )
+
+
+def _on_positive(values: np.ndarray, positive: np.ndarray | None) -> np.ndarray:
+    """``values`` on the cells of positive probability and 0 elsewhere.
+
+    Masking comes before any product, since a log-density, score or
+    sensitivity may be infinite or NaN where the probability vanishes.
+    """
+    return values if positive is None else np.where(positive, values, 0.0)
+
+
+def _marginal_rows(block: _Block, prior: Prior) -> tuple[np.ndarray, np.ndarray]:
+    """Joint density p(theta) p(x|theta) of each row and its marginal p(x),
+    which must exceed ``MARGINAL_FLOOR``."""
+    joint = block.pdf * prior.density
+    px = quadrature(joint, prior.grid)
+    degenerate = px <= MARGINAL_FLOOR
+    if np.any(degenerate):
+        x = block.outcomes[int(np.argmax(degenerate))]
+        raise DegenerateMarginalError(f"marginal probability of {x!r} is degenerate")
+    return joint, px
+
+
+def _mi_rows(block: _Block, joint: np.ndarray, px: np.ndarray, prior: Prior) -> np.ndarray:
+    """Prior integral of p(theta) p(x|theta) PMI(x, theta) for each row."""
+    log_ratio = _on_positive(block.logpdf - np.log(px)[:, None], block.positive)
+    return quadrature(joint * log_ratio, prior.grid)
+
+
+def _fisher_rows(block: _Block) -> np.ndarray:
+    """The block's outcome sum of p(x|theta) score^2 at each parameter value."""
+    score = _on_positive(block.score, block.positive)
+    term = block.pdf * score * score
+    if not np.all(np.isfinite(term)):
+        raise NonFiniteError("squared score diverges at a positive-probability outcome")
+    return block.weights @ term
 
 
 def marginal(model: ConditionalModel, prior: Prior, x) -> float:
@@ -45,11 +164,18 @@ def marginal(model: ConditionalModel, prior: Prior, x) -> float:
         If the result is at or below ``MARGINAL_FLOOR``; every downstream
         log ratio divides by p(x).
     """
-    pdf = _conditional_pdf_on_nodes(model, prior, x)
-    px = quadrature(pdf * prior.density, prior.grid)
-    if px <= MARGINAL_FLOOR:
-        raise DegenerateMarginalError(f"marginal probability of {x!r} is degenerate")
-    return float(px)
+    block = _table_rows(model, (x,), x, prior.grid.nodes)
+    return float(_marginal_rows(block, prior)[1][0])
+
+
+def _pmi_given_marginal(model: ConditionalModel, x, theta: float, px: float) -> float:
+    """log p(x|theta) - log p(x) for a marginal ``px`` already in hand."""
+    log_cond = float(model.log_pdf(x, theta))
+    if np.isneginf(log_cond):
+        raise ZeroLikelihoodError(f"p({x!r} | theta={theta}) is zero")
+    if not np.isfinite(log_cond):
+        raise NonFiniteError("conditional log-density is not finite")
+    return log_cond - float(np.log(px))
 
 
 def pmi(model: ConditionalModel, prior: Prior, x, theta: float) -> float:
@@ -58,13 +184,7 @@ def pmi(model: ConditionalModel, prior: Prior, x, theta: float) -> float:
     Sign-indefinite: a single realization can be misleading about the
     parameter, in which case the PMI is negative.
     """
-    px = marginal(model, prior, x)
-    log_cond = float(model.log_pdf(x, theta))
-    if np.isneginf(log_cond):
-        raise ZeroLikelihoodError(f"p({x!r} | theta={theta}) is zero")
-    if not np.isfinite(log_cond):
-        raise NonFiniteError("conditional log-density is not finite")
-    return log_cond - float(np.log(px))
+    return _pmi_given_marginal(model, x, theta, marginal(model, prior, x))
 
 
 def sfi(model: ConditionalModel, x, theta: float) -> float:
@@ -91,111 +211,32 @@ def surprisal(prior: Prior, theta: float) -> float:
     return float(-np.log(dens))
 
 
-def _check_outcome_mass(mass: np.ndarray, thetas: np.ndarray) -> None:
-    """Raise if the conditional outcome mass at some parameter node deviates
-    from 1 by more than ``OUTCOME_MASS_TOL``; the error names the worst node."""
-    deviation = np.abs(mass - 1.0)
-    worst = int(np.argmax(deviation))
-    if deviation[worst] > OUTCOME_MASS_TOL:
-        raise UnnormalizedOutcomeSpaceError(
-            f"conditional mass over the outcome grid is {float(mass[worst])!r} "
-            f"at theta={float(thetas[worst])}"
-        )
-
-
-def outcome_grid_chunks(model: ConditionalModel, prior: Prior):
-    """Yield ``(rows, xs, logpdf, pdf)`` for chunks of the model's outcome
-    grid against every prior node, ``rows`` slicing the outcome grid.
-
-    The conditional outcome mass at each node is accumulated from the same
-    chunks and checked once the last chunk has been consumed, so a
-    truncated outcome grid raises :class:`UnnormalizedOutcomeSpaceError`
-    instead of silently lowering every integral over the outcome.
-    """
-    xg = model.outcome_space.grid
-    nodes = prior.grid.nodes
-    x_weights = np.full(xg.n_points, xg.spacing)
-    x_weights[[0, -1]] *= 0.5
-    mass = np.zeros(nodes.size)
-    for start in range(0, xg.n_points, _X_CHUNK):
-        rows = slice(start, start + _X_CHUNK)
-        xs = xg.nodes[rows]
-        logpdf = np.asarray(model.log_pdf(xs[:, None], nodes[None, :]), dtype=float)
-        pdf = np.exp(logpdf)
-        mass += x_weights[rows] @ pdf
-        yield rows, xs, logpdf, pdf
-    _check_outcome_mass(mass, nodes)
-
-
 def fisher_information(model: ConditionalModel, theta):
     """Conditional expectation of the squared score, E_x[score(x, theta)^2].
 
     Accepts a scalar or an ndarray of parameter values; sums over discrete
-    outcomes or integrates over the model's outcome grid.
+    outcomes or integrates over the model's outcome grid, and raises
+    :class:`UnnormalizedOutcomeSpaceError` if the outcome space does not
+    hold the conditional mass at some parameter value.
     """
-    space = model.outcome_space
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if isinstance(space, DiscreteOutcomes):
-        fi = np.zeros_like(th)
-        for x in space.outcomes:
-            p = np.exp(np.asarray(model.log_pdf(x, th), dtype=float))
-            s = np.asarray(model.score(x, th), dtype=float)
-            term = np.where(p > 0.0, p * s * s, 0.0)
-            if not np.all(np.isfinite(term)):
-                raise NonFiniteError("squared score diverges at a positive-probability outcome")
-            fi += term
-    else:
-        xg = space.grid
-        fi = np.empty_like(th)
-        mass = np.empty_like(th)
-        for i, t in enumerate(th):
-            pdf = np.exp(np.asarray(model.log_pdf(xg.nodes, t), dtype=float))
-            mass[i] = quadrature(pdf, xg)
-            s = np.asarray(model.score(xg.nodes, t), dtype=float)
-            fi[i] = quadrature(pdf * s * s, xg)
-        _check_outcome_mass(mass, th)
-    if np.ndim(theta) == 0:
+    th = np.asarray(theta, dtype=float)
+    fi = np.zeros(th.size)
+    for block in _joint_table(model, th.ravel(), score=True):
+        fi += _fisher_rows(block)
+    if th.ndim == 0:
         return float(fi[0])
-    return fi
-
-
-def _discrete_mutual_information(model: ConditionalModel, prior: Prior) -> float:
-    total = 0.0
-    for x in model.outcome_space.outcomes:
-        logpdf = np.asarray(model.log_pdf(x, prior.grid.nodes), dtype=float)
-        pdf = np.exp(logpdf)
-        px = quadrature(pdf * prior.density, prior.grid)
-        if px <= MARGINAL_FLOOR:
-            raise DegenerateMarginalError(f"marginal probability of {x!r} is degenerate")
-        # p log p -> 0 at zero-probability nodes.
-        integrand = np.where(
-            pdf > 0.0, prior.density * pdf * (logpdf - np.log(px)), 0.0
-        )
-        total += quadrature(integrand, prior.grid)
-    return float(total)
-
-
-def _continuous_mutual_information(model: ConditionalModel, prior: Prior) -> float:
-    xg = model.outcome_space.grid
-    g = np.empty(xg.n_points)
-    for rows, _xs, logpdf, pdf in outcome_grid_chunks(model, prior):
-        px = quadrature_rows(pdf * prior.density, prior.grid)
-        if np.any(px <= MARGINAL_FLOOR):
-            raise DegenerateMarginalError("marginal density is degenerate on the outcome grid")
-        integrand = np.where(
-            pdf > 0.0, prior.density * pdf * (logpdf - np.log(px)[:, None]), 0.0
-        )
-        g[rows] = quadrature_rows(integrand, prior.grid)
-    return float(quadrature(g, xg))
+    return fi.reshape(th.shape)
 
 
 def mutual_information(model: ConditionalModel, prior: Prior) -> float:
     """Ensemble average of the PMI over the joint distribution.
 
-    Nonnegative up to quadrature error. On a continuous outcome space,
-    raises :class:`UnnormalizedOutcomeSpaceError` if the outcome grid does
-    not hold the conditional mass at some prior node.
+    Nonnegative up to quadrature error. Raises
+    :class:`UnnormalizedOutcomeSpaceError` if the outcome space does not
+    hold the conditional mass at some prior node.
     """
-    if isinstance(model.outcome_space, DiscreteOutcomes):
-        return _discrete_mutual_information(model, prior)
-    return _continuous_mutual_information(model, prior)
+    total = 0.0
+    for block in _joint_table(model, prior.grid.nodes):
+        joint, px = _marginal_rows(block, prior)
+        total += block.weights @ _mi_rows(block, joint, px, prior)
+    return float(total)

@@ -202,9 +202,6 @@ class Prior:
     def density_at(self, theta: float) -> float:
         return interp_on_grid(self.grid, self.density, theta)
 
-    def derivative_at(self, theta: float) -> float:
-        return interp_on_grid(self.grid, self.derivative, theta)
-
 
 def uniform_prior(theta_min: float, theta_max: float, n_points: int = 2001) -> Prior:
     """Uniform density on [theta_min, theta_max]; the finite-support prior."""

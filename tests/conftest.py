@@ -9,12 +9,17 @@ import infobounds as ib
 
 
 @pytest.fixture(autouse=True)
-def _quiet_quantum_warnings():
+def _strict_numpy_warnings():
     # Zero-probability node exclusions and support-leak notices are expected
     # behavior in the qubit scenario; tests assert them explicitly where
-    # they matter.
+    # they matter. A floating-point warning from NumPy is a bug: it fails
+    # the test.
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.filterwarnings(
+            "error", r"(invalid value|divide by zero|overflow) encountered", RuntimeWarning
+        )
+        warnings.filterwarnings("ignore", r"outcome .* zero.probability", RuntimeWarning)
+        warnings.filterwarnings("ignore", r"POVM element .* outside the state support", RuntimeWarning)
         yield
 
 

@@ -295,6 +295,87 @@ def test_average_pointwise_bound_unnormalized_outcome_grid():
         ib.average_pointwise_bound(model, prior, ib.boxcar_weight(prior.grid))
 
 
+def test_mi_chain_values_match_their_functions(langevin_uniform, qubit):
+    # one pass, same sums: the chain agrees with its three functions bit for bit
+    model, prior = langevin_uniform
+    weight = ib.boxcar_weight(prior.grid)
+    assert ib.mi_chain_values(model, prior, weight) == (
+        ib.mutual_information(model, prior),
+        ib.average_pointwise_bound(model, prior, weight),
+        ib.mi_bound_average(model, prior, weight),
+    )
+    model, sens, prior = qubit
+    weight = ib.boxcar_weight(prior.grid)
+    assert ib.mi_chain_values(model, prior, weight, sens) == (
+        ib.mutual_information(model, prior),
+        ib.average_pointwise_bound(model, prior, weight, sens),
+        ib.mi_bound_average(model, prior, weight),
+    )
+
+
+def test_qubit_chain_masks_zero_probability_before_multiplying(qubit):
+    # theta = 0 is a zero-probability node of the "-" outcome
+    model, sens, prior = qubit
+    with np.errstate(all="raise"):
+        ib.mutual_information(model, prior)
+        ib.mi_chain_values(model, prior, ib.boxcar_weight(prior.grid), sens)
+
+
+def _counting(model):
+    """``model`` recording the result shape of each log_pdf and score call."""
+    shapes = {"log_pdf": [], "score": []}
+
+    def counted(name, fn):
+        def wrapped(x, theta):
+            out = fn(x, theta)
+            shapes[name].append(np.shape(out))
+            return out
+
+        return wrapped
+
+    wrapped = ib.ConditionalModel(
+        counted("log_pdf", model.log_pdf),
+        model.outcome_space,
+        score=counted("score", model.score),
+    )
+    return wrapped, shapes
+
+
+def test_mi_chain_evaluates_each_cell_once(langevin_uniform):
+    model, prior = langevin_uniform
+    counted, shapes = _counting(model)
+    ib.mi_chain_values(counted, prior, ib.boxcar_weight(prior.grid))
+    cells = model.outcome_space.n_x * prior.grid.n_points
+    assert sum(math.prod(s) for s in shapes["log_pdf"]) == cells
+    assert sum(math.prod(s) for s in shapes["score"]) == cells
+
+
+def test_bound_sweep_evaluates_one_grid_row_per_outcome(langevin_uniform):
+    model, prior = langevin_uniform
+    counted, shapes = _counting(model)
+    ib.bound_sweep(counted, prior, "theorem1", np.linspace(-2, 2, 3), np.linspace(0.6, 1.4, 4))
+    row = (prior.grid.n_points,)
+    # one grid row per outcome for the profile, one scalar per PMI
+    assert sorted(shapes["log_pdf"]) == [()] * 12 + [row] * 3
+    assert shapes["score"] == [row] * 3
+
+
+@pytest.mark.parametrize("case", ["boxcar", "prior"])
+def test_average_pointwise_bound_explicit_sensitivity_on_outcome_grid(
+    case, langevin_uniform, langevin_gaussian
+):
+    # the squared score as an explicit sensitivity reproduces the classical path
+    model, prior = langevin_uniform if case == "boxcar" else langevin_gaussian
+    weight = ib.boxcar_weight(prior.grid) if case == "boxcar" else ib.prior_weight(prior)
+
+    def squared_score(x, theta):
+        return np.square(model.score(x, theta))
+
+    classical = ib.average_pointwise_bound(model, prior, weight)
+    explicit = ib.average_pointwise_bound(model, prior, weight, squared_score)
+    assert explicit == pytest.approx(classical, rel=1e-10)
+
+
 def test_chain_holds_ordering():
     assert ib.chain_holds(0.1, 0.5, 0.6)
     assert not ib.chain_holds(0.5, 0.4, 0.6, 1e-9)

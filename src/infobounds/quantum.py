@@ -39,20 +39,51 @@ PROB_EPS = 1e-12
 SUPPORT_LEAK_TOL = 1e-8
 
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
+def _as_matrix(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """``a`` as a complex square matrix, or with ``stacked`` as an (n, d, d)
+    stack of them."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"{name} must be square, got shape {m.shape}")
-    if m.shape[0] > MAX_DIM:
-        raise DimensionMismatchError(f"{name} dimension {m.shape[0]} exceeds {MAX_DIM}")
+    shape = m.shape[1:] if stacked else m.shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionMismatchError(f"{name} must be square, got shape {shape}")
+    if shape[0] > MAX_DIM:
+        raise DimensionMismatchError(f"{name} dimension {shape[0]} exceeds {MAX_DIM}")
     return m
 
 
-def require_hermitian(a, name: str = "matrix", atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    m = _as_matrix(a, name)
-    if np.max(np.abs(m - m.conj().T)) > atol:
-        raise InfoBoundError(f"{name} is not Hermitian within {atol}")
+def require_hermitian(
+    a, name: str = "matrix", atol: float = HERMITICITY_ATOL, thetas=None
+) -> np.ndarray:
+    """``a`` as a matrix that is Hermitian within ``atol`` entrywise.
+
+    With ``thetas``, ``a`` is an (n, d, d) stack of the matrices at those n
+    parameter values, checked at once, and an error names the first
+    offending value. A non-finite entry raises :class:`NonFiniteError`.
+    """
+    m = _as_matrix(a, name, stacked=thetas is not None)
+    dev = np.abs(m - _dagger(m))
+    if not dev.max() <= atol:  # NaN fails too
+        if thetas is None:
+            where, worst = name, dev.max()
+        else:
+            per_node = dev.max(axis=(1, 2))
+            i = int(np.argmax(~(per_node <= atol)))
+            where, worst = f"{name}(theta={thetas[i]})", per_node[i]
+        if not np.isfinite(worst):
+            raise NonFiniteError(f"{where} has non-finite entries")
+        raise InfoBoundError(f"{where} is not Hermitian within {atol}")
     return m
+
+
+def _require_trace(m: np.ndarray, name: str, thetas, expected: int, atol: float) -> None:
+    """Check the trace of each matrix of an (n, d, d) stack."""
+    tr = np.einsum("nii->n", m).real
+    dev = np.abs(tr - expected)
+    if dev.max() > atol:
+        i = int(np.argmax(dev > atol))
+        raise InfoBoundError(
+            f"{name}(theta={thetas[i]}) has trace {float(tr[i])}, expected {expected}"
+        )
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
@@ -143,6 +174,10 @@ class StateFamily:
     Without an analytic derivative, central finite differences with
     Hermitian symmetrization are used (symmetrization keeps roundoff from
     breaking the Hermiticity invariants downstream).
+
+    The callables take one parameter value and return one matrix;
+    :meth:`states` evaluates them at many values and validates the
+    resulting stacks at once.
     """
 
     def __init__(
@@ -160,22 +195,60 @@ class StateFamily:
         return "analytic" if self._drho_of is not None else "finite_difference"
 
     def rho(self, theta: float) -> np.ndarray:
-        m = require_hermitian(self._rho_of(theta), "rho(theta)", atol=1e-10)
-        tr = float(np.real(np.trace(m)))
-        if abs(tr - 1.0) > STATE_ATOL:
-            raise InfoBoundError(f"rho(theta={theta}) has trace {tr}, expected 1")
-        return m
+        return self._rho((theta,))[0]
 
     def drho(self, theta: float) -> np.ndarray:
+        return self._drho((theta,))[0]
+
+    def states(self, thetas) -> tuple[np.ndarray, np.ndarray]:
+        """(n, d, d) stacks of rho and drho at a sequence of n parameter
+        values.
+
+        Each stack is validated at once: square matrices of dimension at
+        most ``MAX_DIM``, Hermitian within 1e-10, trace 1 within
+        ``STATE_ATOL`` for rho and trace 0 within 1e-8 for drho, and one
+        dimension for both. An error names the first offending value.
+        """
+        rho, drho = self._rho(thetas), self._drho(thetas)
+        if drho.shape != rho.shape:
+            raise DimensionMismatchError(
+                f"drho dimension {drho.shape[-1]} != rho dimension {rho.shape[-1]}"
+            )
+        return rho, drho
+
+    def _rho(self, thetas) -> np.ndarray:
+        m = require_hermitian(_evaluate(self._rho_of, thetas, "rho"), "rho", 1e-10, thetas)
+        _require_trace(m, "rho", thetas, 1, STATE_ATOL)
+        return m
+
+    def _drho(self, thetas) -> np.ndarray:
         if self._drho_of is not None:
-            m = require_hermitian(self._drho_of(theta), "drho(theta)", atol=1e-10)
+            m = _evaluate(self._drho_of, thetas, "drho")
         else:
             h = self.fd_step
-            m = hermitize((self._rho_of(theta + h) - self._rho_of(theta - h)) / (2.0 * h))
-        tr = abs(float(np.real(np.trace(m))))
-        if tr > 1e-8:
-            raise InfoBoundError(f"drho(theta={theta}) has trace {tr}, expected 0")
+            shifted = [t + h for t in thetas] + [t - h for t in thetas]
+            rho = _as_matrix(_evaluate(self._rho_of, shifted, "rho"), "rho", stacked=True)
+            m = hermitize((rho[: len(thetas)] - rho[len(thetas) :]) / (2.0 * h))
+        m = require_hermitian(m, "drho", 1e-10, thetas)
+        _require_trace(m, "drho", thetas, 0, 1e-8)
         return m
+
+
+def _evaluate(of: Callable[[float], np.ndarray], thetas, name: str) -> np.ndarray:
+    """``of`` at each parameter value, stacked as one complex array."""
+    mats = [of(t) for t in thetas]
+    try:
+        stack = np.array(mats, dtype=complex)
+    except ValueError:
+        first = np.shape(mats[0])
+        for theta, m in zip(thetas, mats):
+            if np.shape(m) != first:
+                raise DimensionMismatchError(
+                    f"{name}(theta={theta}) has shape {np.shape(m)}, "
+                    f"but {name}(theta={thetas[0]}) has shape {first}"
+                ) from None
+        raise
+    return stack
 
 
 def _eigh_state(rho: np.ndarray, eps_rank: float) -> tuple[np.ndarray, np.ndarray]:
@@ -229,9 +302,10 @@ def sld_residual(rho, drho, l_matrix) -> float:
 
 def qfi(family: StateFamily, theta: float) -> float:
     """Ensemble quantum sensitivity Tr(rho L^2)."""
-    rho = family.rho(theta)
-    l_matrix = sld(rho, family.drho(theta))
-    value = float(np.real(np.trace(rho @ l_matrix @ l_matrix)))
+    rho, drho = family.states((theta,))
+    w, v = _eigh_state(rho, RANK_EPS)
+    l_matrix = _sld_from_eig(w, v, drho, RANK_EPS)[0]
+    value = float(np.real(np.trace(rho[0] @ l_matrix @ l_matrix)))
     if not np.isfinite(value):
         raise NonFiniteError("QFI is not finite")
     return max(value, 0.0)
@@ -255,14 +329,14 @@ def _born_table(family: StateFamily, elements: np.ndarray, thetas: np.ndarray):
     """Tabulate a POVM on a state family at every parameter value.
 
     ``elements`` is a (K, d, d) stack and ``thetas`` a 1-D array of n
-    values. The n states are decomposed by one stacked ``eigh`` and share
-    one SLD computation. Returns (K, n) arrays: probabilities clamped into
-    [0, 1], their derivatives, per-outcome sensitivities (NaN where the
+    values. The n states come as one validated stack from
+    :meth:`StateFamily.states`, are decomposed by one stacked ``eigh`` and
+    share one SLD computation. Returns (K, n) arrays: probabilities clamped
+    into [0, 1], their derivatives, per-outcome sensitivities (NaN where the
     probability is at most ``PROB_EPS``, small negative values clamped to
     zero) and the POVM weight outside each state's support.
     """
-    rho = np.stack([family.rho(t) for t in thetas])
-    drho = np.stack([family.drho(t) for t in thetas])
+    rho, drho = family.states(thetas)
     if rho.shape[1:] != elements.shape[1:]:
         raise DimensionMismatchError("POVM dimension does not match the state")
     w, v = _eigh_state(rho, RANK_EPS)
@@ -316,7 +390,8 @@ class MeasuredStateFamily:
     per-outcome sensitivities of every outcome at once, from one stacked
     decomposition of the states; the adapter keeps the table of its most
     recent array query, so the outcomes and bounds of a grid sweep reuse
-    it. A scalar query is evaluated directly and not kept.
+    it. A query of one value, a scalar or an array of size 1, is evaluated
+    directly and not kept.
     """
 
     def __init__(self, family: StateFamily, povm: Povm, outcomes: tuple | None = None):
@@ -366,8 +441,9 @@ class MeasuredStateFamily:
     def _query(self, which: int, x, theta):
         i = self._index[x]
         th = np.asarray(theta, dtype=float)
-        if th.ndim == 0:
-            return float(self._tabulate(th.reshape(1))[which][i, 0])
+        if th.size == 1:  # a point query: evaluated directly, not kept
+            row = self._tabulate(th.reshape(1))[which][i]
+            return float(row[0]) if th.ndim == 0 else row.reshape(th.shape)
         if self._thetas is None or not np.array_equal(th, self._thetas):
             self._table = self._tabulate(th.ravel())
             self._thetas = th.copy()

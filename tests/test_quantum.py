@@ -412,3 +412,113 @@ def test_demon_check_evaluates_the_state_once():
         calls.clear()
         model.log_pdf("-", 0.7071)
         assert calls == [0.7071]
+
+
+def test_scalar_fisher_information_keeps_the_grid_table():
+    counted, calls = _counting(ib.qubit_phase_family())
+    model, sensitivity = ib.quantum_conditional_model(
+        counted, ib.sigma_x_povm(), outcomes=("+", "-")
+    )
+    prior = ib.uniform_prior(0.0, math.pi / 2)
+    weight = ib.boxcar_weight(prior.grid)
+    costs = []
+    for step in ("chain", "chain", "fisher", "chain"):
+        calls.clear()
+        if step == "chain":
+            ib.mi_chain_values(model, prior, weight, sensitivity)
+        else:
+            assert ib.fisher_information(model, 0.3) == pytest.approx(1.0, abs=1e-10)
+        costs.append(len(calls))
+    # A point query is not kept, so the Fisher information at one value
+    # costs one state per query: log_pdf and score of each outcome.
+    assert costs == [prior.grid.n_points, 0, 4, 0]
+    calls.clear()
+    one = model.log_pdf("+", np.array([0.3]))
+    assert one.shape == (1,) and one[0] == model.log_pdf("+", 0.3)
+    model.log_pdf("+", prior.grid.nodes)
+    assert calls == [0.3, 0.3]
+
+
+# ---------------------------------------------------------------------------
+# stacked state validation
+# ---------------------------------------------------------------------------
+
+
+GRID = np.linspace(0.0, 1.0, 5)
+
+
+def _grid_model(rho_of, drho_of=lambda t: np.zeros((2, 2), dtype=complex)):
+    model, _ = ib.quantum_conditional_model(ib.StateFamily(rho_of, drho_of), basis_povm(2))
+    return model
+
+
+def test_states_match_pointwise_rho_and_drho():
+    for fam in (three_level_family(), diagonal_family(), ib.qubit_phase_family()):
+        rho, drho = fam.states(GRID[1:4])
+        for j, theta in enumerate(GRID[1:4]):
+            assert np.array_equal(rho[j], fam.rho(theta))
+            assert np.array_equal(drho[j], fam.drho(theta))
+
+
+def test_scalar_rho_does_not_evaluate_the_derivative():
+    def drho_of(theta):
+        raise AssertionError("drho evaluated")
+
+    fam = ib.StateFamily(lambda t: np.diag([0.4, 0.6]).astype(complex), drho_of)
+    assert fam.rho(0.3)[0, 0] == 0.4
+
+
+def test_grid_query_names_the_node_with_a_bad_trace():
+    def rho_of(theta):
+        return np.diag([0.5, 0.6 if theta == 0.75 else 0.5]).astype(complex)
+
+    with pytest.raises(ib.InfoBoundError, match=r"rho\(theta=0\.75\) has trace 1\.1"):
+        _grid_model(rho_of).log_pdf(0, GRID)
+
+
+def test_grid_query_names_the_non_hermitian_node():
+    def rho_of(theta):
+        off = 0.2 if theta == 0.25 else 0.0
+        return np.array([[0.5, off], [0.0, 0.5]], dtype=complex)
+
+    with pytest.raises(ib.InfoBoundError, match=r"rho\(theta=0\.25\) is not Hermitian"):
+        _grid_model(rho_of).log_pdf(0, GRID)
+
+    def drho_of(theta):
+        off = 0.2j if theta == 0.5 else 0.0
+        return np.array([[0.0, off], [off, 0.0]], dtype=complex)
+
+    with pytest.raises(ib.InfoBoundError, match=r"drho\(theta=0\.5\) is not Hermitian"):
+        _grid_model(lambda t: np.eye(2, dtype=complex) / 2, drho_of).log_pdf(0, GRID)
+
+
+def test_grid_query_rejects_a_non_finite_state():
+    def rho_of(theta):
+        off = np.nan if theta == 1.0 else 0.0
+        return np.array([[0.5, off], [off, 0.5]], dtype=complex)
+
+    with pytest.raises(ib.NonFiniteError, match=r"rho\(theta=1\.0\)"):
+        _grid_model(rho_of).log_pdf(0, GRID)
+    with pytest.raises(ib.NonFiniteError):
+        _grid_model(rho_of).log_pdf(0, 1.0)
+
+
+def test_family_changing_dimension_raises_dimension_mismatch():
+    def rho_of(theta):
+        d = 2 if theta < 0.5 else 3
+        return np.eye(d, dtype=complex) / d
+
+    model = _grid_model(rho_of, lambda t: np.zeros((2, 2) if t < 0.5 else (3, 3)))
+    with pytest.raises(ib.DimensionMismatchError, match=r"rho\(theta=0\.5\) has shape \(3, 3\)"):
+        model.log_pdf(0, GRID)
+    with pytest.raises(ib.DimensionMismatchError):
+        model.log_pdf(0, 0.75)
+
+
+def test_derivative_dimension_differing_from_the_state_raises():
+    model = _grid_model(
+        lambda t: np.eye(2, dtype=complex) / 2, lambda t: np.zeros((3, 3), dtype=complex)
+    )
+    for theta in (GRID, 0.5):
+        with pytest.raises(ib.DimensionMismatchError, match="drho dimension 3 != rho dimension 2"):
+            model.log_pdf(0, theta)

@@ -83,8 +83,6 @@ from .quantum import (
 from .scenarios import (
     DemonCheck,
     DemonRecord,
-    LangevinScenario,
-    QubitPhaseScenario,
     demon_work_check,
     discrete_exponential_model,
     langevin_model,

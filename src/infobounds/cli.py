@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import (
-    BoundReport,
     SkippedPoint,
+    _weight_for_kind,
     bound_sweep,
     chain_holds,
     mi_chain_values,
@@ -34,8 +34,8 @@ from .models import (
 )
 from .scenarios import (
     QUBIT_THETA_MAX,
-    LangevinScenario,
     discrete_exponential_model,
+    langevin_model,
     qubit_measurement_model,
     sigma_x_povm,
     sigma_y_povm,
@@ -50,8 +50,16 @@ SCENARIOS = {
     "custom_discrete": "discrete exponential-family outcome model",
 }
 
-_POINTWISE_BOUNDS = ("theorem1", "theorem2", "theorem3", "general")
-_ALL_BOUNDS = _POINTWISE_BOUNDS + ("mi_average",)
+#: The library bound kind behind each configured bound; it also fixes the
+#: weight of every bound but "general", which names its own.
+_BOUND_KINDS = {
+    "theorem1": "theorem1",
+    "theorem2": "theorem2",
+    "theorem3": "theorem1",
+    "general": "general",
+    "mi_average": "theorem1",
+}
+_ALL_BOUNDS = tuple(_BOUND_KINDS)
 _PRIOR_KINDS = ("uniform", "gaussian", "gamma")
 _POVMS = {"sigma_x": sigma_x_povm, "sigma_y": sigma_y_povm, "sigma_z": sigma_z_povm}
 
@@ -223,23 +231,20 @@ class RunContext:
         self.sensitivity = None
 
         self.prior = self._build_prior()
+        params = cfg.get("scenario_params", {})
         if self.scenario == "langevin":
-            params = cfg.get("scenario_params", {})
-            scenario = LangevinScenario(float(params.get("diffusion", 1.0)), self.prior)
-            self.model = scenario.model()
+            self.model = langevin_model(float(params.get("diffusion", 1.0)), self.prior.grid.theta_min)
             x_min = float(sweep.get("x_min", -4.0))
             x_max = float(sweep.get("x_max", 4.0))
             x_count = int(sweep.get("x_count", 50))
             self.x_samples = list(np.linspace(x_min, x_max, x_count))
         elif self.scenario == "qubit_phase":
-            params = cfg.get("scenario_params", {})
             povm = _POVMS[params.get("povm", "sigma_x")]()
             self.model, quantum_sensitivity = qubit_measurement_model(povm)
             if self.bound == "theorem3":
                 self.sensitivity = quantum_sensitivity
             self.x_samples = list(self.model.outcome_space.outcomes)
         else:
-            params = cfg.get("scenario_params", {})
             self.model = discrete_exponential_model(
                 params["log_weights"], params["coefficients"]
             )
@@ -256,7 +261,8 @@ class RunContext:
                 f"prior grid [{grid.theta_min}, {grid.theta_max}]"
             )
         self.theta_samples = list(np.linspace(theta_min, theta_max, theta_count))
-        self.weight = self._build_weight()
+        self.sweep_kind = _BOUND_KINDS[self.bound]
+        self.weight = _weight_for_kind(self.prior, self.sweep_kind, self._config_weight())
 
     def _build_prior(self) -> Prior:
         cfg = self.cfg
@@ -283,27 +289,14 @@ class RunContext:
             )
         return gamma_prior(float(prior["shape"]), float(prior["scale"]), n)
 
-    def _build_weight(self) -> WeightFunction | None:
-        if self.bound == "general":
-            weight = self.cfg["weight"]
-            if weight["kind"] == "boxcar":
-                return boxcar_weight(self.prior.grid)
-            if weight["kind"] == "prior":
-                return prior_weight(self.prior)
-            return gaussian_weight(
-                self.prior.grid, float(weight["center"]), float(weight["width"])
-            )
-        if self.bound in ("theorem1", "theorem3", "mi_average"):
-            return boxcar_weight(self.prior.grid)
-        if self.bound == "theorem2":
-            return prior_weight(self.prior)
-        return None
-
-    @property
-    def sweep_kind(self) -> str:
-        return {"theorem1": "theorem1", "theorem3": "theorem1", "theorem2": "theorem2"}.get(
-            self.bound, "general"
-        )
+    def _config_weight(self) -> WeightFunction | None:
+        """The weight a "general" config names; other bounds have none."""
+        if self.bound != "general":
+            return None
+        weight = self.cfg["weight"]
+        if weight["kind"] == "gaussian":
+            return gaussian_weight(self.prior.grid, float(weight["center"]), float(weight["width"]))
+        return boxcar_weight(self.prior.grid) if weight["kind"] == "boxcar" else prior_weight(self.prior)
 
 
 # ---------------------------------------------------------------------------
@@ -311,66 +304,35 @@ class RunContext:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+#: Columns of a verify report row: the CSV header and the JSON row keys.
+_COLUMNS = (
+    "x", "theta", "pmi", "bound", "slack", "boundary_term", "integral_term", "penalty_term", "status",
+)
+_SUMMARY = ("n_evaluations", "n_skipped", "violations", "min_slack", "mean_slack", "tolerance")
+
+
+def _cell(value) -> str:
+    """A CSV cell; floats carry 17 significant digits, so they round-trip."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def _row_dict(row) -> dict:
+    """One report row by column; a skipped point has no numeric columns."""
+    x = row.x.item() if isinstance(row.x, np.generic) else row.x
+    if isinstance(row, SkippedPoint):
+        return {"x": x, "theta": row.theta, "status": f"skipped:{row.reason}"}
+    return {"x": x, **{c: getattr(row, c) for c in _COLUMNS[1:-1]}, "status": "ok"}
 
 
 def render_verify_csv(rows, summary) -> str:
-    lines = ["x,theta,pmi,bound,slack,boundary_term,integral_term,penalty_term,status"]
+    lines = [",".join(_COLUMNS)]
     for row in rows:
-        if isinstance(row, BoundReport):
-            lines.append(
-                ",".join(
-                    [
-                        _cell(row.x),
-                        _fmt(row.theta),
-                        _fmt(row.pmi),
-                        _fmt(row.bound),
-                        _fmt(row.slack),
-                        _fmt(row.boundary_term),
-                        _fmt(row.integral_term),
-                        _fmt(row.penalty_term),
-                        "ok",
-                    ]
-                )
-            )
-        else:
-            lines.append(
-                ",".join(
-                    [_cell(row.x), _fmt(row.theta), "", "", "", "", "", "", f"skipped:{row.reason}"]
-                )
-            )
-    lines += [
-        f"# n_evaluations={summary.n_evaluations}",
-        f"# n_skipped={summary.n_skipped}",
-        f"# violations={summary.violations}",
-        f"# min_slack={_fmt(summary.min_slack)}",
-        f"# mean_slack={_fmt(summary.mean_slack)}",
-        f"# tolerance={_fmt(summary.tolerance)}",
-    ]
+        cells = _row_dict(row)
+        lines.append(",".join(_cell(cells.get(c, "")) for c in _COLUMNS))
+    lines += [f"# {name}={_cell(getattr(summary, name))}" for name in _SUMMARY]
     return "\n".join(lines) + "\n"
-
-
-def _cell(x) -> str:
-    if isinstance(x, float):
-        return _fmt(x)
-    return str(x)
-
-
-def _row_dict(row):
-    if isinstance(row, BoundReport):
-        return {
-            "x": row.x if not isinstance(row.x, np.generic) else row.x.item(),
-            "theta": row.theta,
-            "pmi": row.pmi,
-            "bound": row.bound,
-            "slack": row.slack,
-            "boundary_term": row.boundary_term,
-            "integral_term": row.integral_term,
-            "penalty_term": row.penalty_term,
-            "status": "ok",
-        }
-    return {"x": row.x, "theta": row.theta, "status": f"skipped:{row.reason}"}
 
 
 def render_verify_json(rows, summary) -> str:
@@ -378,30 +340,13 @@ def render_verify_json(rows, summary) -> str:
         "schema_version": SCHEMA_VERSION,
         "kind": "verify",
         "rows": [_row_dict(r) for r in rows],
-        "summary": {
-            "n_evaluations": summary.n_evaluations,
-            "n_skipped": summary.n_skipped,
-            "violations": summary.violations,
-            "min_slack": summary.min_slack,
-            "mean_slack": summary.mean_slack,
-            "tolerance": summary.tolerance,
-        },
+        "summary": {name: getattr(summary, name) for name in _SUMMARY},
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
 def render_chain_csv(values: dict) -> str:
-    header = "mutual_information,avg_pointwise_bound,mi_bound_average,chain_ok,tolerance"
-    row = ",".join(
-        [
-            _fmt(values["mutual_information"]),
-            _fmt(values["avg_pointwise_bound"]),
-            _fmt(values["mi_bound_average"]),
-            "true" if values["chain_ok"] else "false",
-            _fmt(values["tolerance"]),
-        ]
-    )
-    return header + "\n" + row + "\n"
+    return ",".join(values) + "\n" + ",".join(map(_cell, values.values())) + "\n"
 
 
 def render_chain_json(values: dict) -> str:
@@ -409,7 +354,12 @@ def render_chain_json(values: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(cfg: dict, render_csv, render_json, *report) -> None:
+    """Render the report in the configured format to the configured path."""
+    output = cfg.get("output", {})
+    render = render_csv if output.get("format", "csv") == "csv" else render_json
+    text = render(*report)
+    path = output.get("path")
     if path is None:
         sys.stdout.write(text)
     else:
@@ -422,28 +372,35 @@ def _emit(text: str, path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _merge_rows(reports: list[BoundReport], skipped: list[SkippedPoint], ctx: RunContext):
-    """Deterministic row order: x-major over the configured samples."""
-    by_key: dict[tuple, object] = {}
-    for r in reports:
-        by_key[(ctx.x_samples.index(r.x), r.theta)] = r
-    for s in skipped:
-        by_key[(ctx.x_samples.index(s.x), s.theta)] = s
-    rows = []
-    for i, _x in enumerate(ctx.x_samples):
+def _sweep_rows(reports, skipped, ctx: RunContext) -> list:
+    """Every sweep point once, x-major over the configured samples.
+
+    ``bound_sweep`` returns both lists in that order and puts each point in
+    exactly one of them, so a point is skipped iff it heads the skipped list.
+    """
+    reports, skipped = iter(reports), iter(skipped)
+    rows, skip = [], next(skipped, None)
+    for x in ctx.x_samples:
         for theta in ctx.theta_samples:
-            key = (i, float(theta))
-            if key in by_key:
-                rows.append(by_key[key])
+            if skip is not None and (skip.x, skip.theta) == (x, float(theta)):
+                rows.append(skip)
+                skip = next(skipped, None)
+            else:
+                rows.append(next(reports))
     return rows
+
+
+def _config_errors(cfg: dict) -> bool:
+    """Print the config's schema errors; True iff there are any."""
+    errors = validate_config(cfg)
+    for e in errors:
+        print(f"config error: {e}", file=sys.stderr)
+    return bool(errors)
 
 
 def run_verify(cfg: dict) -> int:
     """Sweep the configured bound; exit 0 iff no violations."""
-    errors = validate_config(cfg)
-    if errors:
-        for e in errors:
-            print(f"config error: {e}", file=sys.stderr)
+    if _config_errors(cfg):
         return 2
     if cfg["bound"] == "mi_average":
         print("config error: bound: mi_average applies to the mi-chain command", file=sys.stderr)
@@ -451,23 +408,14 @@ def run_verify(cfg: dict) -> int:
     try:
         ctx = RunContext(cfg)
         reports, skipped = bound_sweep(
-            ctx.model,
-            ctx.prior,
-            ctx.sweep_kind,
-            ctx.x_samples,
-            ctx.theta_samples,
-            weight=ctx.weight if ctx.sweep_kind == "general" else None,
-            sensitivity=ctx.sensitivity,
+            ctx.model, ctx.prior, ctx.sweep_kind, ctx.x_samples, ctx.theta_samples,
+            weight=ctx.weight, sensitivity=ctx.sensitivity,
         )
         summary = summarize_sweep(reports, ctx.tolerance, n_skipped=len(skipped))
     except InfoBoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    rows = _merge_rows(reports, skipped, ctx)
-    output = cfg.get("output", {})
-    fmt = output.get("format", "csv")
-    text = render_verify_csv(rows, summary) if fmt == "csv" else render_verify_json(rows, summary)
-    _emit(text, output.get("path"))
+    _emit(cfg, render_verify_csv, render_verify_json, _sweep_rows(reports, skipped, ctx), summary)
     return 0 if summary.violations == 0 else 1
 
 
@@ -477,16 +425,10 @@ def _chain_values(ctx: RunContext) -> tuple[float, float, float]:
 
 def run_mi_chain(cfg: dict) -> int:
     """Check MI <= averaged pointwise bound <= ensemble bound."""
-    errors = validate_config(cfg)
-    if errors:
-        for e in errors:
-            print(f"config error: {e}", file=sys.stderr)
+    if _config_errors(cfg):
         return 2
     try:
         ctx = RunContext(cfg)
-        if ctx.weight is None:
-            print("config error: bound: mi chain needs a weight-generating bound", file=sys.stderr)
-            return 2
         mi, avg_bound, avg_limit = _chain_values(ctx)
     except InfoBoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -499,10 +441,7 @@ def run_mi_chain(cfg: dict) -> int:
         "chain_ok": bool(ok),
         "tolerance": ctx.tolerance,
     }
-    output = cfg.get("output", {})
-    fmt = output.get("format", "csv")
-    text = render_chain_csv(values) if fmt == "csv" else render_chain_json(values)
-    _emit(text, output.get("path"))
+    _emit(cfg, render_chain_csv, render_chain_json, values)
     return 0 if ok else 1
 
 

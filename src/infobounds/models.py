@@ -102,9 +102,6 @@ class ConditionalModel:
     def log_pdf(self, x, theta):
         return self._log_pdf(x, theta)
 
-    def pdf(self, x, theta):
-        return np.exp(self._log_pdf(x, theta))
-
     def score(self, x, theta):
         if self._score is not None:
             return self._score(x, theta)

@@ -238,17 +238,21 @@ def _evaluate(of: Callable[[float], np.ndarray], thetas, name: str) -> np.ndarra
     """``of`` at each parameter value, stacked as one complex array."""
     mats = [of(t) for t in thetas]
     try:
-        stack = np.array(mats, dtype=complex)
-    except ValueError:
-        first = np.shape(mats[0])
-        for theta, m in zip(thetas, mats):
-            if np.shape(m) != first:
-                raise DimensionMismatchError(
-                    f"{name}(theta={theta}) has shape {np.shape(m)}, "
-                    f"but {name}(theta={thetas[0]}) has shape {first}"
-                ) from None
-        raise
-    return stack
+        return np.array(mats, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        error = exc
+    shapes = []
+    for theta, m in zip(thetas, mats):
+        try:
+            shapes.append(np.asarray(m, dtype=complex).shape)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError(f"{name}(theta={theta}) is not a numeric array: {exc}") from None
+        if shapes[-1] != shapes[0]:
+            raise DimensionMismatchError(
+                f"{name}(theta={theta}) has shape {shapes[-1]}, "
+                f"but {name}(theta={thetas[0]}) has shape {shapes[0]}"
+            )
+    raise error
 
 
 def _eigh_state(rho: np.ndarray, eps_rank: float) -> tuple[np.ndarray, np.ndarray]:

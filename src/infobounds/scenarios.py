@@ -12,13 +12,7 @@ import numpy as np
 
 from .bounds import BoundReport, bound_theorem1
 from .errors import InvalidParameterError, NonPositiveDiffusionError
-from .models import (
-    ConditionalModel,
-    ContinuousOutcomes,
-    DiscreteOutcomes,
-    Prior,
-    uniform_prior,
-)
+from .models import ConditionalModel, ContinuousOutcomes, DiscreteOutcomes, Prior
 from .quantum import Povm, StateFamily, quantum_conditional_model
 
 #: Half-width of the outcome grid in units of the widest conditional sigma.
@@ -47,13 +41,13 @@ def langevin_model(
 
     with analytic score 1/(2 theta) - x^2/(2 D). The outcome grid spans
     ``LANGEVIN_GRID_SIGMAS`` standard deviations of the widest conditional
-    (the one at ``theta_min``), which keeps the unresolved tail mass far
-    below quadrature error.
+    (the one at ``theta_min``, the lower end of the stiffness prior), which
+    keeps the unresolved tail mass far below quadrature error.
     """
     if diffusion <= 0:
         raise NonPositiveDiffusionError(f"diffusion must be positive, got {diffusion}")
     if theta_min <= 0:
-        raise InvalidParameterError("theta_min must be positive")
+        raise InvalidParameterError("trap stiffness prior must be supported on theta > 0")
     d = float(diffusion)
     x_max = LANGEVIN_GRID_SIGMAS * math.sqrt(d / theta_min)
 
@@ -70,24 +64,6 @@ def langevin_model(
 
     space = ContinuousOutcomes(-x_max, x_max, n_x)
     return ConditionalModel(log_pdf, space, score=score)
-
-
-@dataclass(frozen=True, eq=False)
-class LangevinScenario:
-    """Trap-stiffness estimation setup: a diffusion constant and a prior."""
-
-    diffusion: float
-    prior: Prior
-    n_x: int = LANGEVIN_GRID_POINTS
-
-    def __post_init__(self):
-        if self.diffusion <= 0:
-            raise NonPositiveDiffusionError("diffusion must be positive")
-        if self.prior.grid.theta_min <= 0:
-            raise InvalidParameterError("trap stiffness prior must be supported on theta > 0")
-
-    def model(self) -> ConditionalModel:
-        return langevin_model(self.diffusion, self.prior.grid.theta_min, self.n_x)
 
 
 # ---------------------------------------------------------------------------
@@ -145,28 +121,6 @@ def qubit_phase_scenario(povm: Povm | None = None) -> tuple[StateFamily, Povm]:
     if povm.dim != 2:
         raise InvalidParameterError("qubit scenario needs a dimension-2 POVM")
     return qubit_phase_family(), povm
-
-
-@dataclass(frozen=True, eq=False)
-class QubitPhaseScenario:
-    """Phase window and measurement choice for the qubit probe."""
-
-    theta_min: float = 0.0
-    theta_max: float = QUBIT_THETA_MAX
-    povm: Povm | None = None
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta_min < self.theta_max <= QUBIT_THETA_MAX + 1e-12):
-            raise InvalidParameterError(
-                f"phase window must lie inside [0, {QUBIT_THETA_MAX}], "
-                f"got [{self.theta_min}, {self.theta_max}]"
-            )
-
-    def prior(self, n_points: int = 2001) -> Prior:
-        return uniform_prior(self.theta_min, self.theta_max, n_points)
-
-    def measurement(self, outcomes: tuple | None = None):
-        return qubit_measurement_model(self.povm, outcomes)
 
 
 def qubit_measurement_model(povm: Povm | None = None, outcomes: tuple | None = None):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -191,6 +192,57 @@ def test_verify_general_bound_with_gaussian_weight(tmp_path):
     # nonzero penalty column distinguishes the weighted bound from boxcar
     first = text.splitlines()[1].split(",")
     assert float(first[7]) != 0.0
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_verify_rows_are_x_major_and_csv_matches_json(tmp_path, descending):
+    reports = {}
+    for fmt in ("csv", "json"):
+        cfg = _qubit_cfg(str(tmp_path / f"report.{fmt}"), fmt=fmt)
+        if descending:
+            cfg["sweep"].update(theta_min=math.pi / 2, theta_max=0.0)
+        assert cli.main(["verify", "--config", _write(tmp_path, cfg)]) == 0
+        reports[fmt] = (tmp_path / f"report.{fmt}").read_text()
+    lines = reports["csv"].splitlines()
+    header, data = lines[0].split(","), [l for l in lines[1:] if not l.startswith("#")]
+    rows = json.loads(reports["json"])["rows"]
+    # all "+" rows, then all "-" rows, each in sweep order; the one skipped
+    # point is "-" at theta = 0, the first or the last theta of the sweep
+    assert [r["x"] for r in rows] == ["+"] * 41 + ["-"] * 41
+    skipped = [i + 1 for i, r in enumerate(rows) if r["status"] != "ok"]
+    assert skipped == [82 if descending else 42]
+    assert data[skipped[0] - 1].endswith(",skipped:ZeroLikelihoodError")
+    assert header == list(rows[0])
+    for line, row in zip(data, rows, strict=True):
+        for name, cell in zip(header, line.split(","), strict=True):
+            value = row.get(name)
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, float):
+                assert float(cell) == value
+            else:
+                assert cell == str(value)
+
+
+def test_verify_lists_every_point_of_a_repeated_sample(tmp_path):
+    out = tmp_path / "report.csv"
+    cfg = _langevin_cfg(str(out))
+    cfg["sweep"].update(x_min=1.0, x_max=1.0, x_count=3, theta_count=2)
+    assert cli.main(["verify", "--config", _write(tmp_path, cfg)]) == 0
+    lines = out.read_text().splitlines()
+    data = [l for l in lines[1:] if not l.startswith("#")]
+    assert "# n_evaluations=6" in lines and len(data) == 6
+    assert data[:2] == data[2:4] == data[4:]
+
+
+@pytest.mark.parametrize("command", ["verify", "mi-chain"])
+def test_qubit_prior_outside_the_phase_window_exits_two(tmp_path, capsys, command):
+    cfg = _qubit_cfg(str(tmp_path / "r.csv"))
+    cfg["prior"]["theta_max"] = 2.0
+    assert cli.main([command, "--config", _write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: prior.theta_min/theta_max:")
+    assert not (tmp_path / "r.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -522,3 +522,15 @@ def test_derivative_dimension_differing_from_the_state_raises():
     for theta in (GRID, 0.5):
         with pytest.raises(ib.DimensionMismatchError, match="drho dimension 3 != rho dimension 2"):
             model.log_pdf(0, theta)
+
+
+def test_non_numeric_state_raises_a_typed_error():
+    fam = ib.StateFamily(lambda t: "abc", lambda t: np.zeros((2, 2), dtype=complex))
+    with pytest.raises(ib.InvalidParameterError, match=r"rho\(theta=0\.1\) is not a numeric array"):
+        fam.rho(0.1)
+
+    def rho_of(theta):
+        return [[0.5, "x" if theta == 0.5 else 0.0], [0.0, 0.5]]
+
+    with pytest.raises(ib.InvalidParameterError, match=r"rho\(theta=0\.5\) is not a numeric array"):
+        _grid_model(rho_of).log_pdf(0, GRID)

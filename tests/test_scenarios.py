@@ -40,13 +40,14 @@ def test_langevin_rejects_bad_diffusion():
 
 
 def test_langevin_scenario_wiring():
+    # the outcome grid spans 8 sigma of the widest conditional, at the lower
+    # end of the stiffness prior; a prior reaching theta <= 0 is rejected
     prior = ib.gaussian_prior(1.0, 0.2, lower=1e-3)
-    scen = ib.LangevinScenario(1.0, prior)
-    model = scen.model()
+    model = ib.langevin_model(1.0, prior.grid.theta_min)
     half_width = model.outcome_space.x_max
     assert half_width == pytest.approx(8.0 * math.sqrt(1.0 / prior.grid.theta_min))
-    with pytest.raises(ValueError):
-        ib.LangevinScenario(1.0, ib.uniform_prior(-0.5, 0.5))
+    with pytest.raises(ib.InvalidParameterError, match="supported on theta > 0"):
+        ib.langevin_model(1.0, ib.uniform_prior(-0.5, 0.5).grid.theta_min)
 
 
 def test_langevin_theorem1_sweep_invariant(langevin_uniform):
@@ -88,19 +89,6 @@ def test_qubit_scenario_rejects_wrong_dimension():
     eye3 = np.eye(3, dtype=complex)
     with pytest.raises(ValueError):
         ib.qubit_phase_scenario(ib.Povm((eye3 / 3, eye3 / 3, eye3 / 3)))
-
-
-def test_qubit_phase_scenario_window():
-    scen = ib.QubitPhaseScenario()
-    prior = scen.prior(501)
-    assert (prior.grid.theta_min, prior.grid.theta_max) == (0.0, math.pi / 2)
-    model, sensitivity = scen.measurement()
-    assert model.outcome_space.outcomes == ("+", "-")
-    assert float(sensitivity("+", 0.3)) == pytest.approx(1.0, abs=1e-8)
-    with pytest.raises(ValueError):
-        ib.QubitPhaseScenario(theta_min=-0.1)
-    with pytest.raises(ValueError):
-        ib.QubitPhaseScenario(theta_max=2.0)
 
 
 def test_qubit_theorem3_sweep_invariant(qubit):

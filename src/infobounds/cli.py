@@ -59,159 +59,188 @@ _BOUND_KINDS = {
     "general": "general",
     "mi_average": "theorem1",
 }
-_ALL_BOUNDS = tuple(_BOUND_KINDS)
-_PRIOR_KINDS = ("uniform", "gaussian", "gamma")
 _POVMS = {"sigma_x": sigma_x_povm, "sigma_y": sigma_y_povm, "sigma_z": sigma_z_povm}
 
 #: Smallest admissible trap stiffness when a Gaussian prior is clipped to
 #: the positive axis.
 _MIN_STIFFNESS = 1e-3
 
+#: The default of a field that must be given.
+_REQUIRED = object()
+
 
 # ---------------------------------------------------------------------------
-# Config validation
+# Config reading
 # ---------------------------------------------------------------------------
 
 
-def _err(errors: list[str], path: str, message: str) -> None:
-    errors.append(f"{path}: {message}")
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _get_number(cfg: dict, path: str, key: str, errors: list[str], default=None):
-    if key not in cfg:
-        if default is None:
-            _err(errors, f"{path}.{key}", "missing required field")
-        return default
-    value = cfg[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        _err(errors, f"{path}.{key}", f"expected a number, got {value!r}")
-        return default
+def _number(value) -> float:
+    if not _is_number(value):
+        raise ValueError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def _positive(value) -> float:
+    value = _number(value)
+    if value <= 0:
+        raise ValueError("must be positive")
+    return value
+
+
+def _integer(minimum: int):
+    def check(value) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ValueError(f"expected an integer >= {minimum}, got {value!r}")
+        return value
+
+    return check
+
+
+def _one_of(choices):
+    def check(value) -> str:
+        if not isinstance(value, str) or value not in choices:
+            raise ValueError(f"expected one of {sorted(choices)}, got {value!r}")
+        return value
+
+    return check
+
+
+def _numeric_list(value) -> list:
+    if not isinstance(value, list) or len(value) < 2 or not all(map(_is_number, value)):
+        raise ValueError("must be a numeric list, length >= 2")
+    return value
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError("must be an object")
+    return value
+
+
+def _or_null(check):
+    return lambda value: None if value is None else check(value)
+
+
+class _Reader:
+    """Reads config fields by path ("prior.sigma") into ``settings``; every
+    field that fails its check adds one error that names its path."""
+
+    def __init__(self, cfg: dict):
+        self.cfg, self.settings, self.errors = cfg, {}, []
+
+    def error(self, path: str, message: str) -> None:
+        self.errors.append(f"{path}: {message}")
+
+    def read(self, path: str, check=_number, default=_REQUIRED):
+        """The checked value at ``path``, its default when absent, or None
+        after an error; a section that failed its check has no fields."""
+        section, _, key = path.rpartition(".")
+        obj = (self.settings.get(section) or {}) if section else self.cfg
+        try:
+            if key in obj:
+                value = check(obj[key])
+            elif default is _REQUIRED:
+                raise ValueError("missing required field")
+            else:
+                value = default
+        except ValueError as exc:
+            self.error(path, str(exc))
+            return None
+        self.settings[path] = value
+        return value
+
+
+def _read_config(cfg) -> tuple[dict, list[str]]:
+    """Every field of a config, read once: type check, default, range check
+    and an error naming the field's path. Returns the resolved settings by
+    field path and the errors; the settings are complete iff there are none.
+    """
+    if not isinstance(cfg, dict):
+        return {}, ["config: expected a JSON object"]
+    r = _Reader(cfg)
+    if cfg.get("schema_version") != SCHEMA_VERSION:
+        r.error("schema_version", f"expected {SCHEMA_VERSION}")
+    scenario = r.read("scenario", _one_of(SCENARIOS))
+    bound = r.read("bound", _one_of(_BOUND_KINDS))
+    qubit = scenario == "qubit_phase"
+
+    if r.read("prior", _object) is not None:
+        kind = r.read("prior.kind", _one_of(("uniform", "gaussian", "gamma")))
+        if kind == "uniform":
+            lo = r.read("prior.theta_min", default=0.0 if qubit else _REQUIRED)
+            hi = r.read("prior.theta_max", default=QUBIT_THETA_MAX if qubit else _REQUIRED)
+            if qubit and None not in (lo, hi) and not 0.0 <= lo < hi <= QUBIT_THETA_MAX + 1e-12:
+                r.error(
+                    "prior.theta_min/theta_max",
+                    f"qubit phase support must lie inside [0, {QUBIT_THETA_MAX}]",
+                )
+        elif kind == "gaussian":
+            r.read("prior.mean")
+            r.read("prior.sigma", _positive)
+            lower = r.read("prior.lower", _or_null(_number), default=None)
+            if scenario == "langevin":
+                r.settings["prior.lower"] = max(lower or _MIN_STIFFNESS, _MIN_STIFFNESS)
+        elif kind == "gamma":
+            r.read("prior.shape", _positive)
+            r.read("prior.scale", _positive)
+        r.read("prior.grid_points", _integer(3), default=2001)
+        if bound in ("theorem1", "theorem3") and kind in ("gaussian", "gamma"):
+            r.error(
+                "prior.kind",
+                f"bound {bound!r} requires a finite-support prior, but {kind!r} has infinite support",
+            )
+    if bound == "theorem3" and scenario not in ("qubit_phase", None):
+        r.error("bound", "theorem3 requires scenario 'qubit_phase'")
+
+    r.read("scenario_params", _object, default={})
+    if scenario == "langevin":
+        r.read("scenario_params.diffusion", _positive, default=1.0)
+    elif qubit:
+        r.read("scenario_params.povm", _one_of(_POVMS), default="sigma_x")
+    elif scenario == "custom_discrete":
+        lw = r.read("scenario_params.log_weights", _numeric_list)
+        co = r.read("scenario_params.coefficients", _numeric_list)
+        if lw is not None and co is not None and len(lw) != len(co):
+            r.error("scenario_params.coefficients", "length must match log_weights")
+
+    sweep = r.read("sweep", _object, default={}) or {}
+    r.read("sweep.tolerance", _positive, default=1e-6)
+    r.read("sweep.theta_min", default=None)  # None: the prior grid's end
+    r.read("sweep.theta_max", default=None)
+    r.read("sweep.theta_count", _integer(1), default=41 if qubit else 50)
+    if scenario in ("qubit_phase", "custom_discrete"):
+        for key in ("x_min", "x_max", "x_count"):
+            if key in sweep:
+                r.error(f"sweep.{key}", "not applicable to discrete outcome scenarios")
+    else:
+        r.read("sweep.x_min", default=-4.0)
+        r.read("sweep.x_max", default=4.0)
+        r.read("sweep.x_count", _integer(1), default=50)
+
+    if bound == "general" and r.read("weight", _object) is not None:
+        if r.read("weight.kind", _one_of(("boxcar", "prior", "gaussian"))) == "gaussian":
+            r.read("weight.center")
+            r.read("weight.width", _positive)
+
+    r.read("output", _object, default={})
+    r.read("output.format", _one_of(("csv", "json")), default="csv")
+    r.read("output.path", _or_null(_string), default=None)
+    return r.settings, r.errors
 
 
 def validate_config(cfg: dict) -> list[str]:
     """Schema and cross-field checks; returns error messages with field paths."""
-    errors: list[str] = []
-    if not isinstance(cfg, dict):
-        return ["config: expected a JSON object"]
-    if cfg.get("schema_version") != SCHEMA_VERSION:
-        _err(errors, "schema_version", f"expected {SCHEMA_VERSION}")
-    scenario = cfg.get("scenario")
-    if scenario not in SCENARIOS:
-        _err(errors, "scenario", f"expected one of {sorted(SCENARIOS)}, got {scenario!r}")
-    bound = cfg.get("bound")
-    if bound not in _ALL_BOUNDS:
-        _err(errors, "bound", f"expected one of {_ALL_BOUNDS}, got {bound!r}")
-
-    prior = cfg.get("prior")
-    prior_kind = None
-    if not isinstance(prior, dict):
-        _err(errors, "prior", "missing or not an object")
-    else:
-        prior_kind = prior.get("kind")
-        if prior_kind not in _PRIOR_KINDS:
-            _err(errors, "prior.kind", f"expected one of {_PRIOR_KINDS}, got {prior_kind!r}")
-        elif prior_kind == "uniform":
-            # The qubit scenario defaults its phase window; others must say.
-            for key in ("theta_min", "theta_max"):
-                if scenario != "qubit_phase" or key in prior:
-                    _get_number(prior, "prior", key, errors)
-        elif prior_kind == "gaussian":
-            _get_number(prior, "prior", "mean", errors)
-            sigma = _get_number(prior, "prior", "sigma", errors)
-            if sigma is not None and sigma <= 0:
-                _err(errors, "prior.sigma", "must be positive")
-            if prior.get("lower") is not None:
-                _get_number(prior, "prior", "lower", errors)
-        elif prior_kind == "gamma":
-            shape = _get_number(prior, "prior", "shape", errors)
-            scale = _get_number(prior, "prior", "scale", errors)
-            if shape is not None and shape <= 0:
-                _err(errors, "prior.shape", "must be positive")
-            if scale is not None and scale <= 0:
-                _err(errors, "prior.scale", "must be positive")
-        n = prior.get("grid_points", 2001)
-        if not isinstance(n, int) or n < 3:
-            _err(errors, "prior.grid_points", "must be an integer >= 3")
-
-    if bound in ("theorem1", "theorem3") and prior_kind not in ("uniform", None):
-        _err(
-            errors,
-            "prior.kind",
-            f"bound {bound!r} requires a finite-support prior, "
-            f"but {prior_kind!r} has infinite support",
-        )
-    if bound == "theorem3" and scenario not in ("qubit_phase", None):
-        _err(errors, "bound", "theorem3 requires scenario 'qubit_phase'")
-
-    params = cfg.get("scenario_params", {})
-    if not isinstance(params, dict):
-        _err(errors, "scenario_params", "must be an object")
-        params = {}
-    if scenario == "langevin":
-        d = _get_number(params, "scenario_params", "diffusion", errors, default=1.0)
-        if d is not None and d <= 0:
-            _err(errors, "scenario_params.diffusion", "must be positive")
-    elif scenario == "qubit_phase":
-        povm = params.get("povm", "sigma_x")
-        if povm not in _POVMS:
-            _err(errors, "scenario_params.povm", f"expected one of {sorted(_POVMS)}")
-    elif scenario == "custom_discrete":
-        for key in ("log_weights", "coefficients"):
-            seq = params.get(key)
-            if not isinstance(seq, list) or len(seq) < 2 or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in seq
-            ):
-                _err(errors, f"scenario_params.{key}", "must be a numeric list, length >= 2")
-        lw, co = params.get("log_weights"), params.get("coefficients")
-        if isinstance(lw, list) and isinstance(co, list) and len(lw) != len(co):
-            _err(errors, "scenario_params.coefficients", "length must match log_weights")
-
-    sweep = cfg.get("sweep", {})
-    if not isinstance(sweep, dict):
-        _err(errors, "sweep", "must be an object")
-        sweep = {}
-    tol = _get_number(sweep, "sweep", "tolerance", errors, default=1e-6)
-    if tol is not None and tol <= 0:
-        _err(errors, "sweep.tolerance", "must be positive")
-    for key in ("theta_count", "x_count"):
-        if key in sweep and (not isinstance(sweep[key], int) or sweep[key] < 1):
-            _err(errors, f"sweep.{key}", "must be a positive integer")
-    numeric = ["theta_min", "theta_max"]
-    if scenario in ("qubit_phase", "custom_discrete"):
-        for key in ("x_min", "x_max", "x_count"):
-            if key in sweep:
-                _err(errors, f"sweep.{key}", "not applicable to discrete outcome scenarios")
-    else:
-        numeric += ["x_min", "x_max"]
-    for key in numeric:
-        if key in sweep:
-            _get_number(sweep, "sweep", key, errors)
-
-    if bound == "general":
-        weight = cfg.get("weight")
-        if not isinstance(weight, dict):
-            _err(errors, "weight", "bound 'general' requires a weight object")
-        else:
-            kind = weight.get("kind")
-            if kind not in ("boxcar", "prior", "gaussian"):
-                _err(errors, "weight.kind", "expected boxcar, prior or gaussian")
-            elif kind == "gaussian":
-                _get_number(weight, "weight", "center", errors)
-                width = _get_number(weight, "weight", "width", errors)
-                if width is not None and width <= 0:
-                    _err(errors, "weight.width", "must be positive")
-
-    output = cfg.get("output", {})
-    if not isinstance(output, dict):
-        _err(errors, "output", "must be an object")
-    else:
-        if output.get("format", "csv") not in ("csv", "json"):
-            _err(errors, "output.format", "expected 'csv' or 'json'")
-        path = output.get("path")
-        if path is not None and not isinstance(path, str):
-            _err(errors, "output.path", f"expected a string, got {path!r}")
-    return errors
+    return _read_config(cfg)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -220,83 +249,66 @@ def validate_config(cfg: dict) -> list[str]:
 
 
 class RunContext:
-    """Everything a run needs: model, prior, samples, weight, sensitivity."""
+    """Everything a run needs: model, prior, samples, weight, sensitivity.
+
+    Built from the resolved settings of the config; a config with errors
+    raises them all as one :class:`ConfigError`, one error per line.
+    """
 
     def __init__(self, cfg: dict):
-        self.cfg = cfg
-        self.scenario = cfg["scenario"]
-        self.bound = cfg["bound"]
-        sweep = cfg.get("sweep", {})
-        self.tolerance = float(sweep.get("tolerance", 1e-6))
+        s, errors = _read_config(cfg)
+        if errors:
+            raise ConfigError("\n".join(errors))
+        self.settings = s
+        self.scenario, self.bound = s["scenario"], s["bound"]
+        self.tolerance = s["sweep.tolerance"]
         self.sensitivity = None
 
-        self.prior = self._build_prior()
-        params = cfg.get("scenario_params", {})
+        self.prior = _build_prior(s)
+        grid = self.prior.grid
         if self.scenario == "langevin":
-            self.model = langevin_model(float(params.get("diffusion", 1.0)), self.prior.grid.theta_min)
-            x_min = float(sweep.get("x_min", -4.0))
-            x_max = float(sweep.get("x_max", 4.0))
-            x_count = int(sweep.get("x_count", 50))
-            self.x_samples = list(np.linspace(x_min, x_max, x_count))
+            self.model = langevin_model(s["scenario_params.diffusion"], grid.theta_min)
+            self.x_samples = list(np.linspace(s["sweep.x_min"], s["sweep.x_max"], s["sweep.x_count"]))
         elif self.scenario == "qubit_phase":
-            povm = _POVMS[params.get("povm", "sigma_x")]()
+            povm = _POVMS[s["scenario_params.povm"]]()
             self.model, quantum_sensitivity = qubit_measurement_model(povm)
             if self.bound == "theorem3":
                 self.sensitivity = quantum_sensitivity
-            self.x_samples = list(self.model.outcome_space.outcomes)
         else:
-            self.model = discrete_exponential_model(
-                params["log_weights"], params["coefficients"]
-            )
+            weights, coefficients = s["scenario_params.log_weights"], s["scenario_params.coefficients"]
+            self.model = discrete_exponential_model(weights, coefficients)
+        if self.scenario != "langevin":
             self.x_samples = list(self.model.outcome_space.outcomes)
 
-        grid = self.prior.grid
-        theta_min = float(sweep.get("theta_min", grid.theta_min))
-        theta_max = float(sweep.get("theta_max", grid.theta_max))
-        default_count = 41 if self.scenario == "qubit_phase" else 50
-        theta_count = int(sweep.get("theta_count", default_count))
+        theta_min = grid.theta_min if s["sweep.theta_min"] is None else s["sweep.theta_min"]
+        theta_max = grid.theta_max if s["sweep.theta_max"] is None else s["sweep.theta_max"]
         if not (grid.contains(theta_min) and grid.contains(theta_max)):
             raise ConfigError(
                 f"sweep.theta_min/theta_max: [{theta_min}, {theta_max}] outside the "
                 f"prior grid [{grid.theta_min}, {grid.theta_max}]"
             )
-        self.theta_samples = list(np.linspace(theta_min, theta_max, theta_count))
+        self.theta_samples = list(np.linspace(theta_min, theta_max, s["sweep.theta_count"]))
         self.sweep_kind = _BOUND_KINDS[self.bound]
-        self.weight = _weight_for_kind(self.prior, self.sweep_kind, self._config_weight())
+        self.weight = _weight_for_kind(self.prior, self.sweep_kind, _config_weight(s, self.prior))
 
-    def _build_prior(self) -> Prior:
-        cfg = self.cfg
-        prior = cfg["prior"]
-        n = int(prior.get("grid_points", 2001))
-        kind = prior["kind"]
-        if kind == "uniform":
-            if self.scenario == "qubit_phase":
-                lo = float(prior.get("theta_min", 0.0))
-                hi = float(prior.get("theta_max", QUBIT_THETA_MAX))
-                if not (0.0 <= lo < hi <= QUBIT_THETA_MAX + 1e-12):
-                    raise ConfigError(
-                        "prior.theta_min/theta_max: qubit phase support must lie "
-                        f"inside [0, {QUBIT_THETA_MAX}]"
-                    )
-                return uniform_prior(lo, hi, n)
-            return uniform_prior(float(prior["theta_min"]), float(prior["theta_max"]), n)
-        if kind == "gaussian":
-            lower = prior.get("lower")
-            if self.scenario == "langevin":
-                lower = max(float(lower) if lower is not None else _MIN_STIFFNESS, _MIN_STIFFNESS)
-            return gaussian_prior(
-                float(prior["mean"]), float(prior["sigma"]), n, lower=lower
-            )
-        return gamma_prior(float(prior["shape"]), float(prior["scale"]), n)
 
-    def _config_weight(self) -> WeightFunction | None:
-        """The weight a "general" config names; other bounds have none."""
-        if self.bound != "general":
-            return None
-        weight = self.cfg["weight"]
-        if weight["kind"] == "gaussian":
-            return gaussian_weight(self.prior.grid, float(weight["center"]), float(weight["width"]))
-        return boxcar_weight(self.prior.grid) if weight["kind"] == "boxcar" else prior_weight(self.prior)
+def _build_prior(s: dict) -> Prior:
+    n, kind = s["prior.grid_points"], s["prior.kind"]
+    if kind == "uniform":
+        return uniform_prior(s["prior.theta_min"], s["prior.theta_max"], n)
+    if kind == "gaussian":
+        return gaussian_prior(s["prior.mean"], s["prior.sigma"], n, lower=s["prior.lower"])
+    return gamma_prior(s["prior.shape"], s["prior.scale"], n)
+
+
+def _config_weight(s: dict, prior: Prior) -> WeightFunction | None:
+    """The weight a "general" config names; other bounds have none."""
+    kind = s.get("weight.kind")
+    if kind == "gaussian":
+        return gaussian_weight(prior.grid, s["weight.center"], s["weight.width"])
+    if kind == "boxcar":
+        return boxcar_weight(prior.grid)
+    return prior_weight(prior) if kind == "prior" else None
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +366,19 @@ def render_chain_json(values: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _emit(cfg: dict, render_csv, render_json, *report) -> None:
+def _emit(ctx: RunContext, render_csv, render_json, *report) -> None:
     """Render the report in the configured format to the configured path."""
-    output = cfg.get("output", {})
-    render = render_csv if output.get("format", "csv") == "csv" else render_json
+    render = render_csv if ctx.settings["output.format"] == "csv" else render_json
     text = render(*report)
-    path = output.get("path")
+    path = ctx.settings["output.path"]
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
-        print(f"wrote {path}")
+    except OSError as exc:
+        raise ConfigError(f"output.path: cannot write {path!r}: {exc.strerror}") from exc
+    print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -390,32 +404,17 @@ def _sweep_rows(reports, skipped, ctx: RunContext) -> list:
     return rows
 
 
-def _config_errors(cfg: dict) -> bool:
-    """Print the config's schema errors; True iff there are any."""
-    errors = validate_config(cfg)
-    for e in errors:
-        print(f"config error: {e}", file=sys.stderr)
-    return bool(errors)
-
-
 def run_verify(cfg: dict) -> int:
-    """Sweep the configured bound; exit 0 iff no violations."""
-    if _config_errors(cfg):
-        return 2
-    if cfg["bound"] == "mi_average":
-        print("config error: bound: mi_average applies to the mi-chain command", file=sys.stderr)
-        return 2
-    try:
-        ctx = RunContext(cfg)
-        reports, skipped = bound_sweep(
-            ctx.model, ctx.prior, ctx.sweep_kind, ctx.x_samples, ctx.theta_samples,
-            weight=ctx.weight, sensitivity=ctx.sensitivity,
-        )
-        summary = summarize_sweep(reports, ctx.tolerance, n_skipped=len(skipped))
-    except InfoBoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    _emit(cfg, render_verify_csv, render_verify_json, _sweep_rows(reports, skipped, ctx), summary)
+    """Sweep the configured bound; exit 0 iff no violations. Raises InfoBoundError."""
+    ctx = RunContext(cfg)
+    if ctx.bound == "mi_average":
+        raise ConfigError("bound: mi_average applies to the mi-chain command")
+    reports, skipped = bound_sweep(
+        ctx.model, ctx.prior, ctx.sweep_kind, ctx.x_samples, ctx.theta_samples,
+        weight=ctx.weight, sensitivity=ctx.sensitivity,
+    )
+    summary = summarize_sweep(reports, ctx.tolerance, n_skipped=len(skipped))
+    _emit(ctx, render_verify_csv, render_verify_json, _sweep_rows(reports, skipped, ctx), summary)
     return 0 if summary.violations == 0 else 1
 
 
@@ -424,15 +423,9 @@ def _chain_values(ctx: RunContext) -> tuple[float, float, float]:
 
 
 def run_mi_chain(cfg: dict) -> int:
-    """Check MI <= averaged pointwise bound <= ensemble bound."""
-    if _config_errors(cfg):
-        return 2
-    try:
-        ctx = RunContext(cfg)
-        mi, avg_bound, avg_limit = _chain_values(ctx)
-    except InfoBoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    """Check MI <= averaged pointwise bound <= ensemble bound. Raises InfoBoundError."""
+    ctx = RunContext(cfg)
+    mi, avg_bound, avg_limit = _chain_values(ctx)
     ok = chain_holds(mi, avg_bound, avg_limit, ctx.tolerance)
     values = {
         "mutual_information": mi,
@@ -441,7 +434,7 @@ def run_mi_chain(cfg: dict) -> int:
         "chain_ok": bool(ok),
         "tolerance": ctx.tolerance,
     }
-    _emit(cfg, render_chain_csv, render_chain_json, values)
+    _emit(ctx, render_chain_csv, render_chain_json, values)
     return 0 if ok else 1
 
 
@@ -464,16 +457,15 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config: expected a JSON object")
-    if overrides.output is not None:
-        cfg.setdefault("output", {})["path"] = overrides.output
-    if overrides.format is not None:
-        cfg.setdefault("output", {})["format"] = overrides.format
-    if overrides.tolerance is not None:
-        cfg.setdefault("sweep", {})["tolerance"] = overrides.tolerance
-    if overrides.grid is not None:
-        cfg.setdefault("prior", {})["grid_points"] = overrides.grid
+    for section, key, value in (
+        ("output", "path", overrides.output),
+        ("output", "format", overrides.format),
+        ("sweep", "tolerance", overrides.tolerance),
+        ("prior", "grid_points", overrides.grid),
+    ):
+        # A config or section that is not an object is left for the reader to report.
+        if value is not None and isinstance(cfg, dict) and isinstance(cfg.setdefault(section, {}), dict):
+            cfg[section][key] = value
     return cfg
 
 
@@ -501,12 +493,11 @@ def main(argv: list[str] | None = None) -> int:
         return run_scenario_list()
     try:
         cfg = _load_config(args.config, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        return run_verify(cfg) if args.command == "verify" else run_mi_chain(cfg)
+    except InfoBoundError as exc:
+        for line in str(exc).splitlines():
+            print(f"config error: {line}", file=sys.stderr)
         return 2
-    if args.command == "verify":
-        return run_verify(cfg)
-    return run_mi_chain(cfg)
 
 
 if __name__ == "__main__":

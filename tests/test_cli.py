@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import infobounds.cli as cli
@@ -95,35 +96,62 @@ def test_verify_unknown_fields_and_paths(tmp_path, capsys):
         assert path in err
 
 
-#: One malformed config per row: a valid config and the edits merged into it.
+#: One malformed config per row: a valid config, the edits merged into it,
+#: and the field path its error names (None: the library's error names none).
 _MALFORMED = {
-    "sweep-theta-min-not-a-number": (_langevin_cfg, {"sweep": {"theta_min": "abc"}}),
-    "sweep-x-min-not-a-number": (_langevin_cfg, {"sweep": {"x_min": "q"}}),
-    "langevin-uniform-prior-nonpositive": (_langevin_cfg, {"prior": {"theta_min": 0.0}}),
-    "uniform-prior-inverted": (_langevin_cfg, {"prior": {"theta_min": 2.0, "theta_max": 1.0}}),
+    "sweep-theta-min-not-a-number": (_langevin_cfg, {"sweep": {"theta_min": "abc"}}, "sweep.theta_min"),
+    "sweep-x-min-not-a-number": (_langevin_cfg, {"sweep": {"x_min": "q"}}, "sweep.x_min"),
+    "langevin-uniform-prior-nonpositive": (_langevin_cfg, {"prior": {"theta_min": 0.0}}, None),
+    "uniform-prior-inverted": (_langevin_cfg, {"prior": {"theta_min": 2.0, "theta_max": 1.0}}, None),
     "gaussian-prior-clipped-empty": (
         _langevin_cfg,
         {"bound": "theorem2", "prior": {"kind": "gaussian", "mean": -5.0, "sigma": 0.1}},
+        None,
     ),
     "gaussian-prior-lower-not-a-number": (
         _langevin_cfg,
         {"bound": "theorem2", "prior": {"kind": "gaussian", "mean": 1, "sigma": 1, "lower": "x"}},
+        "prior.lower",
     ),
-    "qubit-prior-theta-min-not-a-number": (_qubit_cfg, {"prior": {"theta_min": "abc"}}),
-    "output-path-not-a-string": (_langevin_cfg, {"output": {"path": 5}}),
+    "qubit-prior-theta-min-not-a-number": (_qubit_cfg, {"prior": {"theta_min": "abc"}}, "prior.theta_min"),
+    "output-path-not-a-string": (_langevin_cfg, {"output": {"path": 5}}, "output.path"),
+    "scenario-not-a-string": (_langevin_cfg, {"scenario": ["langevin"]}, "scenario"),
+    "povm-not-a-string": (_qubit_cfg, {"scenario_params": {"povm": ["sigma_x"]}}, "scenario_params.povm"),
+    "sweep-theta-count-boolean": (_langevin_cfg, {"sweep": {"theta_count": True}}, "sweep.theta_count"),
+    "sweep-x-count-boolean": (_langevin_cfg, {"sweep": {"x_count": True}}, "sweep.x_count"),
+    "prior-grid-points-boolean": (_langevin_cfg, {"prior": {"grid_points": True}}, "prior.grid_points"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_MALFORMED))
 @pytest.mark.parametrize("command", ["verify", "mi-chain"])
 def test_malformed_config_exits_two(tmp_path, capsys, name, command):
-    base, edits = _MALFORMED[name]
+    base, edits, path = _MALFORMED[name]
     cfg = base(str(tmp_path / "r.csv"))
     for key, edit in edits.items():
         cfg[key] = {**cfg[key], **edit} if isinstance(edit, dict) else edit
     assert cli.main([command, "--config", _write(tmp_path, cfg)]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    if path is not None:
+        assert f"config error: {path}: " in err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "mi-chain"])
+def test_output_path_in_a_missing_directory_exits_two(tmp_path, capsys, command):
+    out = tmp_path / "absent" / "r.csv"
+    cfg = _write(tmp_path, _langevin_cfg(str(out)))
+    assert cli.main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: output.path: ")
+    assert not out.parent.exists()
+
+
+def test_override_into_a_section_that_is_not_an_object_exits_two(tmp_path, capsys):
+    cfg = _langevin_cfg(str(tmp_path / "r.csv"))
+    cfg["sweep"] = 3
+    assert cli.main(["verify", "--config", _write(tmp_path, cfg), "--tolerance", "1e-3"]) == 2
+    assert capsys.readouterr().err == "config error: sweep: must be an object\n"
 
 
 def test_verify_missing_config_file(tmp_path, capsys):
@@ -324,3 +352,53 @@ def test_validate_config_general_needs_weight():
     assert any("weight" in e for e in errors)
     cfg["weight"] = {"kind": "gaussian", "center": 1.0, "width": 0.08}
     assert cli.validate_config(cfg) == []
+
+
+@pytest.mark.parametrize("kind", ["beta", ["uniform"]], ids=["beta", "list"])
+def test_validate_config_unknown_prior_kind_is_one_error(kind):
+    cfg = _langevin_cfg("r.csv", prior={"kind": kind})
+    errors = [e for e in cli.validate_config(cfg) if e.startswith("prior.kind:")]
+    assert len(errors) == 1 and "expected one of" in errors[0], errors
+
+
+def _same_context(a, b):
+    assert (a.x_samples, a.theta_samples, a.tolerance) == (b.x_samples, b.theta_samples, b.tolerance)
+    assert (a.sweep_kind, a.settings["output.format"]) == (b.sweep_kind, b.settings["output.format"])
+    assert np.array_equal(a.prior.grid.nodes, b.prior.grid.nodes)
+    assert np.array_equal(a.prior.density, b.prior.density)
+    assert a.weight.kind == b.weight.kind
+    theta = a.theta_samples[len(a.theta_samples) // 2]
+    for x in a.x_samples:
+        assert a.model.log_pdf(x, theta) == b.model.log_pdf(x, theta)
+        if a.sensitivity is not None:
+            assert a.sensitivity(x, theta) == b.sensitivity(x, theta)
+    assert (a.sensitivity is None) == (b.sensitivity is None)
+
+
+def test_config_defaults_match_the_spelled_out_config():
+    required = {"schema_version": 1, "bound": "theorem1"}
+    lang_prior = {"kind": "uniform", "theta_min": 0.5, "theta_max": 1.5}
+    langevin = {**required, "scenario": "langevin", "prior": lang_prior}
+    spelled = {
+        **langevin,
+        "scenario_params": {"diffusion": 1.0},
+        "prior": {**lang_prior, "grid_points": 2001},
+        "sweep": {"x_min": -4.0, "x_max": 4.0, "x_count": 50, "theta_count": 50, "tolerance": 1e-6},
+        "output": {"format": "csv"},
+    }
+    qubit = {**required, "scenario": "qubit_phase", "bound": "theorem3", "prior": {"kind": "uniform"}}
+    qubit_spelled = {
+        **qubit,
+        "scenario_params": {"povm": "sigma_x"},
+        "prior": {"kind": "uniform", "theta_min": 0.0, "theta_max": math.pi / 2, "grid_points": 2001},
+        "sweep": {"theta_count": 41, "tolerance": 1e-6},
+    }
+    custom = _custom_cfg(None, [-1.0, 0.0, 1.0])
+    del custom["prior"]["grid_points"], custom["sweep"], custom["output"]
+    custom_spelled = {**custom, "prior": {**custom["prior"], "grid_points": 2001}, "sweep": {"theta_count": 50}}
+    for short, full in ((langevin, spelled), (qubit, qubit_spelled), (custom, custom_spelled)):
+        _same_context(cli.RunContext(short), cli.RunContext(full))
+    ctx = cli.RunContext(langevin)
+    assert ctx.x_samples == list(np.linspace(-4.0, 4.0, 50)) and len(ctx.theta_samples) == 50
+    assert ctx.tolerance == 1e-6 and ctx.prior.grid.n_points == 2001
+    assert len(cli.RunContext(qubit).theta_samples) == 41

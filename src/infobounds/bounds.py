@@ -20,7 +20,7 @@ it pointwise.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,10 +31,11 @@ from .errors import (
     InvalidWeightError,
     NegativeLambdaError,
     NonFiniteError,
+    OutsideSupportError,
     ThetaOutsideSupportError,
     ZeroWeightError,
 )
-from .grids import quadrature
+from .grids import _on_grid, quadrature
 from .information import (
     _Block,
     _fisher_rows,
@@ -42,10 +43,9 @@ from .information import (
     _marginal_rows,
     _mi_rows,
     _on_positive,
-    _pmi_given_marginal,
+    _pmi_row,
     _table_rows,
     fisher_information,
-    surprisal,
 )
 from .models import (
     BOXCAR,
@@ -210,63 +210,72 @@ def _bound_rows(block: _Block, prior: Prior, weight: WeightFunction, px: np.ndar
     return np.zeros_like(px), integral
 
 
-class _OutcomeProfile:
-    """Per-outcome pieces of a bound that do not depend on the query theta."""
-
-    __slots__ = ("px", "boundary_term", "integral_term")
-
-    def __init__(self, model, prior, weight, x, sensitivity):
-        block = _table_rows(model, (x,), x, prior.grid.nodes, score=True, sensitivity=sensitivity)
-        _, px = _marginal_rows(block, prior)
-        if block.positive is not None:
-            zeros = int(block.pdf.size - np.count_nonzero(block.positive))
-            warnings.warn(
-                f"outcome {x!r}: {zeros} zero-probability grid nodes "
-                "excluded from the bound integral",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        boundary, integral = _bound_rows(block, prior, weight, px)
-        self.px = float(px[0])
-        self.boundary_term = float(boundary[0])
-        self.integral_term = float(integral[0])
-
-
-def _penalty(prior: Prior, weight: WeightFunction, theta: float) -> float:
+def _theta_terms(prior: Prior, weight: WeightFunction, thetas: list) -> tuple[np.ndarray, list]:
+    """Each theta sample's penalty -log f(theta), and the error that rules it out (or None)."""
+    grid, th = prior.grid, np.array(thetas, dtype=float)
+    support = f"[{grid.theta_min}, {grid.theta_max}]"
     if weight.kind == BOXCAR:
-        return 0.0
-    if weight.kind == PRIOR_MATCHED:
-        return surprisal(prior, theta)
-    f_theta = weight.value_at(theta)
-    if f_theta <= 0.0:
-        raise ZeroWeightError(f"weight vanishes at theta={theta}")
-    return float(-np.log(f_theta))
+        inside = grid.contains(th, slop=1e-12 * max(1.0, grid.span))
+        return np.zeros(th.size), [
+            None if ok else ThetaOutsideSupportError(f"theta={t} outside the finite support {support}")
+            for t, ok in zip(thetas, inside)
+        ]
+    on_grid = _on_grid(grid, th)
+    f = np.interp(th, grid.nodes, prior.density if weight.kind == PRIOR_MATCHED else weight.values)
+    usable = on_grid & (f > 0.0)
+    errors = [None] * th.size
+    for i in np.flatnonzero(~usable):
+        if not on_grid[i]:
+            errors[i] = OutsideSupportError(f"theta={thetas[i]} outside grid {support}")
+        elif weight.kind == PRIOR_MATCHED:
+            errors[i] = OutsideSupportError(f"prior density vanishes at theta={thetas[i]}")
+        else:
+            errors[i] = ZeroWeightError(f"weight vanishes at theta={thetas[i]}")
+    return -np.log(np.where(usable, f, 1.0)), errors
 
 
-def _assemble(model, prior, weight, x, theta, profile) -> BoundReport:
-    if weight.kind == BOXCAR and not prior.grid.contains(theta, slop=1e-12 * max(1.0, prior.grid.span)):
-        raise ThetaOutsideSupportError(
-            f"theta={theta} outside the finite support "
-            f"[{prior.grid.theta_min}, {prior.grid.theta_max}]"
-        )
-    penalty = _penalty(prior, weight, theta)
-    total = profile.boundary_term + profile.integral_term
-    if total <= 0.0:
-        raise NonFiniteError("bound argument is nonpositive; the weight is degenerate")
-    bound = float(np.log(total)) + penalty
-    if not np.isfinite(bound):
-        raise NonFiniteError("bound value is not finite")
-    pmi_val = _pmi_given_marginal(model, x, theta, profile.px)
-    return BoundReport(
-        x=x,
-        theta=float(theta),
-        pmi=pmi_val,
-        bound=bound,
-        slack=bound - pmi_val,
-        boundary_term=profile.boundary_term,
-        integral_term=profile.integral_term,
-        penalty_term=penalty,
-    )
+def _evaluate(model, prior, weight, outcomes: list, thetas: list, sensitivity) -> list[list]:
+    """One row per outcome of each point's :class:`BoundReport`, or of the
+    :class:`InfoBoundError` that rules the point out: the first error of its
+    outcome's grid row, its theta sample, its bound and its likelihood.
+
+    p(x) and the boundary and integral terms are evaluated once per outcome,
+    the penalty once per theta sample; only the likelihood needs both, one
+    theta row per outcome at the points that passed every other check.
+    """
+    penalty, theta_errors = _theta_terms(prior, weight, thetas)
+    profiles = []
+    for x in outcomes:  # every grid row first: the quantum adapter keeps one table
+        try:
+            block = _table_rows(model, (x,), x, prior.grid.nodes, score=True, sensitivity=sensitivity)
+            _, px = _marginal_rows(block, prior)
+            boundary, integral = _bound_rows(block, prior, weight, px)
+            profiles.append((px[0], float(boundary[0]), float(integral[0])))
+        except InfoBoundError as exc:
+            profiles.append(exc)
+    rows = []
+    for x, profile in zip(outcomes, profiles):
+        if isinstance(profile, InfoBoundError):
+            rows.append([profile] * len(thetas))
+            continue
+        px, boundary, integral = profile
+        if boundary + integral <= 0.0:
+            degenerate = NonFiniteError("bound argument is nonpositive; the weight is degenerate")
+            rows.append([e or degenerate for e in theta_errors])
+            continue
+        bounds = (float(np.log(boundary + integral)) + penalty).tolist()
+        row = [e or (None if math.isfinite(b) else NonFiniteError("bound value is not finite"))
+               for e, b in zip(theta_errors, bounds)]
+        todo = [i for i, e in enumerate(row) if e is None]
+        if todo:
+            pmi, pmi_errors = _pmi_row(model, x, [thetas[i] for i in todo], px)
+            for i, value, error in zip(todo, pmi.tolist(), pmi_errors):
+                row[i] = error or BoundReport(
+                    x, float(thetas[i]), value, bounds[i], bounds[i] - value,
+                    boundary, integral, float(penalty[i]),
+                )
+        rows.append(row)
+    return rows
 
 
 def bound_general(
@@ -289,8 +298,10 @@ def bound_general(
         averaged over a continuous outcome grid.
     """
     _check_weight(prior, weight)
-    profile = _OutcomeProfile(model, prior, weight, x, sensitivity)
-    return _assemble(model, prior, weight, x, theta, profile)
+    ((point,),) = _evaluate(model, prior, weight, [x], [theta], sensitivity)
+    if isinstance(point, InfoBoundError):
+        raise point
+    return point
 
 
 def bound_theorem1(
@@ -468,20 +479,14 @@ def bound_sweep(
     """
     wt = _weight_for_kind(prior, bound_kind, weight)
     _check_weight(prior, wt)
-    reports: list[BoundReport] = []
-    skipped: list[SkippedPoint] = []
-    for x in x_samples:
-        try:
-            profile = _OutcomeProfile(model, prior, wt, x, sensitivity)
-        except InfoBoundError as exc:
-            for theta in theta_samples:
-                skipped.append(SkippedPoint(x, float(theta), type(exc).__name__))
-            continue
-        for theta in theta_samples:
-            try:
-                reports.append(_assemble(model, prior, wt, x, theta, profile))
-            except InfoBoundError as exc:
-                skipped.append(SkippedPoint(x, float(theta), type(exc).__name__))
+    outcomes, thetas = list(x_samples), list(theta_samples)
+    reports, skipped = [], []
+    for x, row in zip(outcomes, _evaluate(model, prior, wt, outcomes, thetas, sensitivity)):
+        for theta, point in zip(thetas, row):
+            if isinstance(point, BoundReport):
+                reports.append(point)
+            else:
+                skipped.append(SkippedPoint(x, float(theta), type(point).__name__))
     return reports, skipped
 
 
@@ -490,7 +495,7 @@ def summarize_sweep(
     tolerance: float = DEFAULT_SLACK_TOL,
     n_skipped: int = 0,
 ) -> SweepSummary:
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise InfoBoundError("tolerance must be positive")
     if not reports:
         raise InfoBoundError("sweep produced no successful evaluations")

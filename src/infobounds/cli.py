@@ -75,12 +75,14 @@ _REQUIRED = object()
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # False for JSON's NaN and Infinity, and for an integer beyond the float range
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return ok and abs(value) <= sys.float_info.max
 
 
 def _number(value) -> float:
     if not _is_number(value):
-        raise ValueError(f"expected a number, got {value!r}")
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -111,7 +113,7 @@ def _one_of(choices):
 
 def _numeric_list(value) -> list:
     if not isinstance(value, list) or len(value) < 2 or not all(map(_is_number, value)):
-        raise ValueError("must be a numeric list, length >= 2")
+        raise ValueError("must be a list of finite numbers, length >= 2")
     return value
 
 
@@ -455,7 +457,9 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
         cfg = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}")
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
         raise ConfigError(f"config is not valid JSON: {exc}")
     for section, key, value in (
         ("output", "path", overrides.output),

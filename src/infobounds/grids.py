@@ -77,8 +77,8 @@ class ParameterGrid:
             raise InvalidParameterError("nodes are not uniformly spaced")
         return cls(float(arr[0]), float(arr[-1]), int(arr.size))
 
-    def contains(self, theta: float, *, slop: float = 0.0) -> bool:
-        return self.theta_min - slop <= theta <= self.theta_max + slop
+    def contains(self, theta, *, slop: float = 0.0):
+        return (self.theta_min - slop <= theta) & (theta <= self.theta_max + slop)
 
 
 def quadrature(values, grid: ParameterGrid):
@@ -108,14 +108,19 @@ def quadrature(values, grid: ParameterGrid):
 quadrature_rows = quadrature
 
 
+def _on_grid(grid: ParameterGrid, theta):
+    """Whether :func:`interp_on_grid` accepts ``theta``; elementwise."""
+    slop = UNIFORM_SPACING_RTOL * max(1.0, abs(grid.theta_min), abs(grid.theta_max))
+    return grid.contains(theta, slop=slop)
+
+
 def interp_on_grid(grid: ParameterGrid, values: np.ndarray, theta: float) -> float:
     """Linear interpolation of node values at an off-node parameter point.
 
     Consistent with the trapezoid rule, which integrates exactly this
     piecewise-linear interpolant.
     """
-    slop = UNIFORM_SPACING_RTOL * max(1.0, abs(grid.theta_min), abs(grid.theta_max))
-    if not grid.contains(theta, slop=slop):
+    if not _on_grid(grid, theta):
         raise OutsideSupportError(
             f"theta={theta} outside grid [{grid.theta_min}, {grid.theta_max}]"
         )

@@ -10,6 +10,7 @@ block, each cell once.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -168,14 +169,19 @@ def marginal(model: ConditionalModel, prior: Prior, x) -> float:
     return float(_marginal_rows(block, prior)[1][0])
 
 
-def _pmi_given_marginal(model: ConditionalModel, x, theta: float, px: float) -> float:
-    """log p(x|theta) - log p(x) for a marginal ``px`` already in hand."""
-    log_cond = float(model.log_pdf(x, theta))
-    if np.isneginf(log_cond):
-        raise ZeroLikelihoodError(f"p({x!r} | theta={theta}) is zero")
-    if not np.isfinite(log_cond):
-        raise NonFiniteError("conditional log-density is not finite")
-    return log_cond - float(np.log(px))
+def _pmi_row(model: ConditionalModel, x, thetas: list, px: float) -> tuple[np.ndarray, list]:
+    """log p(x|theta) - log p(x) at each theta sample, from one ``log_pdf``
+    call and a marginal ``px`` in hand, and the error of each sample whose
+    likelihood is zero or not finite (None for the others)."""
+    th = np.array(thetas, dtype=float)
+    log_cond = np.full(th.shape, model.log_pdf(x, th), dtype=float)  # a model may ignore theta
+    errors = [None] * th.size
+    for i, value in enumerate(log_cond.tolist()):
+        if value == -math.inf:
+            errors[i] = ZeroLikelihoodError(f"p({x!r} | theta={thetas[i]}) is zero")
+        elif not math.isfinite(value):
+            errors[i] = NonFiniteError("conditional log-density is not finite")
+    return log_cond - float(np.log(px)), errors
 
 
 def pmi(model: ConditionalModel, prior: Prior, x, theta: float) -> float:
@@ -184,7 +190,10 @@ def pmi(model: ConditionalModel, prior: Prior, x, theta: float) -> float:
     Sign-indefinite: a single realization can be misleading about the
     parameter, in which case the PMI is negative.
     """
-    return _pmi_given_marginal(model, x, theta, marginal(model, prior, x))
+    values, (error,) = _pmi_row(model, x, [theta], marginal(model, prior, x))
+    if error is not None:
+        raise error
+    return float(values[0])
 
 
 def sfi(model: ConditionalModel, x, theta: float) -> float:

@@ -113,18 +113,24 @@ class ConditionalModel:
         return out
 
 
-def discrete_probability_matrix(model: ConditionalModel, thetas) -> np.ndarray:
-    """Stack p(x | theta) for every outcome: shape (n_outcomes, len(thetas))."""
-    space = model.outcome_space
-    if not isinstance(space, DiscreteOutcomes):
-        raise LengthMismatchError("model does not have a discrete outcome space")
-    th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    return np.stack([np.exp(model.log_pdf(x, th)) for x in space.outcomes])
-
-
 # ---------------------------------------------------------------------------
 # Priors
 # ---------------------------------------------------------------------------
+
+
+def _freeze_on_grid(obj, owner: str, names: tuple) -> None:
+    """Replace the arrays ``names`` of ``obj`` by read-only float copies with one
+    finite value per node of ``obj.grid``, the first of them nonnegative."""
+    for name in names:
+        arr = np.array(getattr(obj, name), dtype=float)
+        if arr.shape != (obj.grid.n_points,):
+            raise LengthMismatchError(f"{owner} {name} must have one value per node, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteError(f"{owner} {name} contains NaN or infinity")
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+    if getattr(obj, names[0]).min() < 0.0:
+        raise InvalidParameterError(f"{owner} {names[0]} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -170,18 +176,8 @@ class Prior:
     support: SupportKind
 
     def __post_init__(self):
-        dens = np.asarray(self.density, dtype=float).copy()
-        deriv = np.asarray(self.derivative, dtype=float).copy()
-        for name, arr in (("density", dens), ("derivative", deriv)):
-            if arr.shape != (self.grid.n_points,):
-                raise LengthMismatchError(
-                    f"{name} must have one value per node, got shape {arr.shape}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise NonFiniteError(f"prior {name} contains NaN or infinity")
-        if dens.min() < 0.0:
-            raise InvalidParameterError("prior density must be nonnegative")
-        mass = quadrature(dens, self.grid)
+        _freeze_on_grid(self, "prior", ("density", "derivative"))
+        mass = quadrature(self.density, self.grid)
         if abs(mass - 1.0) > NORMALIZATION_TOL:
             raise InvalidParameterError(f"prior density integrates to {mass!r}, not 1")
         if isinstance(self.support, FiniteSupport):
@@ -191,10 +187,6 @@ class Prior:
                 or abs(self.support.upper - self.grid.theta_max) > slop
             ):
                 raise InvalidParameterError("finite support must coincide with the grid interval")
-        dens.setflags(write=False)
-        deriv.setflags(write=False)
-        object.__setattr__(self, "density", dens)
-        object.__setattr__(self, "derivative", deriv)
 
     def density_at(self, theta: float) -> float:
         return interp_on_grid(self.grid, self.density, theta)
@@ -300,24 +292,7 @@ class WeightFunction:
     def __post_init__(self):
         if self.kind not in _WEIGHT_KINDS:
             raise InvalidParameterError(f"unknown weight kind {self.kind!r}")
-        vals = np.asarray(self.values, dtype=float).copy()
-        deriv = np.asarray(self.derivative, dtype=float).copy()
-        for name, arr in (("values", vals), ("derivative", deriv)):
-            if arr.shape != (self.grid.n_points,):
-                raise LengthMismatchError(
-                    f"weight {name} must have one value per node, got {arr.shape}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise NonFiniteError(f"weight {name} contains NaN or infinity")
-        if vals.min() < 0.0:
-            raise InvalidParameterError("weight values must be nonnegative")
-        vals.setflags(write=False)
-        deriv.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "derivative", deriv)
-
-    def value_at(self, theta: float) -> float:
-        return interp_on_grid(self.grid, self.values, theta)
+        _freeze_on_grid(self, "weight", ("values", "derivative"))
 
 
 def boxcar_weight(grid: ParameterGrid) -> WeightFunction:

@@ -18,7 +18,7 @@ def _strict_numpy_warnings():
         warnings.filterwarnings(
             "error", r"(invalid value|divide by zero|overflow) encountered", RuntimeWarning
         )
-        warnings.filterwarnings("ignore", r"outcome .* zero.probability", RuntimeWarning)
+        warnings.filterwarnings("ignore", r"outcome .* has zero probability at theta=", RuntimeWarning)
         warnings.filterwarnings("ignore", r"POVM element .* outside the state support", RuntimeWarning)
         yield
 

@@ -207,7 +207,9 @@ def test_general_weight_support_checks(langevin_uniform):
         ib.bound_general(model, prior, wide, 0.0, 1.0)
 
 
-def test_general_zero_weight_at_theta():
+def _hat_problem():
+    """A hat prior on [0.25, 0.75] and a wider hat weight on [0.125, 0.875],
+    both on the grid [0, 1]."""
     grid = ib.ParameterGrid(0.0, 1.0, 401)
     hat = np.clip(1.0 - np.abs(grid.nodes - 0.5) / 0.25, 0.0, None)
     dens = 4.0 * hat  # integrates to 1
@@ -217,8 +219,61 @@ def test_general_zero_weight_at_theta():
     wderiv = np.where(np.abs(grid.nodes - 0.5) < 0.375, -np.sign(grid.nodes - 0.5) / 0.375, 0.0)
     weight = ib.WeightFunction(grid, wide_hat, wderiv, "custom")
     model = ib.discrete_exponential_model(np.log([0.5, 0.5]), [0.3, -0.3])
+    return model, prior, weight
+
+
+def test_general_zero_weight_at_theta():
+    model, prior, weight = _hat_problem()
     with pytest.raises(ib.ZeroWeightError):
         ib.bound_general(model, prior, weight, 0, 0.05)
+
+
+#: theta samples from below the grid, through the region where the weight
+#: (and, nearer the centre, the prior) vanishes, to the inside and beyond.
+_HAT_THETAS = (-0.1, 0.05, 0.2, 0.3, 0.5, 0.8, 0.9, 1.1)
+
+
+@pytest.mark.parametrize(
+    "kind, reasons",
+    [
+        (
+            "general",
+            ["OutsideSupportError", "ZeroWeightError", "ok", "ok", "ok", "ok", "ZeroWeightError",
+             "OutsideSupportError"],
+        ),
+        (
+            "theorem2",  # the prior-matched weight vanishes where the prior does
+            ["OutsideSupportError", "OutsideSupportError", "OutsideSupportError", "ok", "ok",
+             "OutsideSupportError", "OutsideSupportError", "OutsideSupportError"],
+        ),
+    ],
+)
+def test_sweep_skip_reasons_follow_the_point_order(kind, reasons):
+    model, prior, weight = _hat_problem()
+    wt = weight if kind == "general" else ib.prior_weight(prior)
+    reports, skipped = ib.bound_sweep(model, prior, kind, [0, 1], _HAT_THETAS, weight=weight)
+    by_point = {(r.x, r.theta): r for r in reports}
+    by_point.update({(s.x, s.theta): s.reason for s in skipped})
+    for x in (0, 1):
+        got = [by_point[x, t] for t in _HAT_THETAS]
+        assert [p if isinstance(p, str) else "ok" for p in got] == reasons
+        for theta, point in zip(_HAT_THETAS, got):
+            if isinstance(point, str):
+                with pytest.raises(getattr(ib, point)):
+                    ib.bound_general(model, prior, wt, x, theta)
+            else:
+                assert point == ib.bound_general(model, prior, wt, x, theta)
+
+
+def test_theorem1_sweep_skips_theta_outside_the_support(langevin_uniform):
+    # theta <= 0 is never handed to the model, whose log-density would warn there
+    model, prior = langevin_uniform
+    thetas = [-0.5, 0.3, 0.5, 1.0, 1.5, 1.5 + 1e-9]
+    reports, skipped = ib.bound_sweep(model, prior, "theorem1", [0.0, 1.0], thetas)
+    assert [(r.x, r.theta) for r in reports] == [(x, t) for x in (0.0, 1.0) for t in (0.5, 1.0, 1.5)]
+    assert [(s.x, s.theta, s.reason) for s in skipped] == [
+        (x, t, "ThetaOutsideSupportError") for x in (0.0, 1.0) for t in (-0.5, 0.3, 1.5 + 1e-9)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +410,8 @@ def test_bound_sweep_evaluates_one_grid_row_per_outcome(langevin_uniform):
     counted, shapes = _counting(model)
     ib.bound_sweep(counted, prior, "theorem1", np.linspace(-2, 2, 3), np.linspace(0.6, 1.4, 4))
     row = (prior.grid.n_points,)
-    # one grid row per outcome for the profile, one scalar per PMI
-    assert sorted(shapes["log_pdf"]) == [()] * 12 + [row] * 3
+    # one grid row per outcome for the bound's terms, one theta row per outcome for the PMI
+    assert sorted(shapes["log_pdf"]) == [(4,)] * 3 + [row] * 3
     assert shapes["score"] == [row] * 3
 
 
@@ -419,12 +474,29 @@ def test_sweep_deterministic_order(langevin_uniform):
     assert [(r.x, r.theta) for r in r1] == [(float(x), float(t)) for x in xs for t in ts]
 
 
+def test_sweep_matches_scalar_evaluation_bitwise(langevin_gaussian):
+    # the theta rows reproduce one scalar log_pdf and one scalar interpolation per point
+    model, prior = langevin_gaussian
+    reports, skipped = ib.bound_sweep(
+        model, prior, "theorem2", [-1.5, 0.0, 2.5], np.linspace(0.6, 1.6, 7)
+    )
+    assert len(reports) == 21 and not skipped
+    for r in reports:
+        log_px = float(np.log(ib.marginal(model, prior, r.x)))
+        assert r.pmi == float(model.log_pdf(r.x, r.theta)) - log_px
+        assert r.penalty_term == ib.surprisal(prior, r.theta)
+        assert r.bound == float(np.log(r.boundary_term + r.integral_term)) + r.penalty_term
+
+
 def test_summarize_sweep_validation():
     with pytest.raises(ib.InfoBoundError):
         ib.summarize_sweep([], 1e-6)
     report = ib.BoundReport(0, 0.5, 0.1, 0.2, 0.1, 0.0, 1.0, 0.0)
     with pytest.raises(ib.InfoBoundError):
         ib.summarize_sweep([report], 0.0)
+    violating = ib.BoundReport(0, 0.5, 0.1, 0.0, -0.1, 0.0, 1.0, 0.0)
+    with pytest.raises(ib.InfoBoundError):
+        ib.summarize_sweep([violating], math.nan)
     s = ib.summarize_sweep([report], 1e-6, n_skipped=2)
     assert s.n_evaluations == 1 and s.n_skipped == 2 and s.violations == 0
 

@@ -120,6 +120,8 @@ _MALFORMED = {
     "sweep-theta-count-boolean": (_langevin_cfg, {"sweep": {"theta_count": True}}, "sweep.theta_count"),
     "sweep-x-count-boolean": (_langevin_cfg, {"sweep": {"x_count": True}}, "sweep.x_count"),
     "prior-grid-points-boolean": (_langevin_cfg, {"prior": {"grid_points": True}}, "prior.grid_points"),
+    "sweep-tolerance-nan": (_langevin_cfg, {"sweep": {"tolerance": math.nan}}, "sweep.tolerance"),
+    "prior-theta-max-infinity": (_langevin_cfg, {"prior": {"theta_max": math.inf}}, "prior.theta_max"),
 }
 
 
@@ -157,6 +159,27 @@ def test_override_into_a_section_that_is_not_an_object_exits_two(tmp_path, capsy
 def test_verify_missing_config_file(tmp_path, capsys):
     assert cli.main(["verify", "--config", str(tmp_path / "absent.json")]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_nan_tolerance_flag_exits_two(tmp_path, capsys):
+    cfg = _write(tmp_path, _langevin_cfg(str(tmp_path / "r.csv")))
+    assert cli.main(["verify", "--config", cfg, "--tolerance", "nan"]) == 2
+    assert capsys.readouterr().err.startswith("config error: sweep.tolerance: ")
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_config_that_is_a_directory_exits_two(tmp_path, capsys):
+    assert cli.main(["verify", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read config ")
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"scenario": ' + b"1" * 5000 + b"}"])
+def test_config_that_cannot_be_decoded_exits_two(tmp_path, capsys, content):
+    # a file that is not UTF-8, and an integer beyond Python's digit limit
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert cli.main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config is not valid JSON: ")
 
 
 def test_verify_csv_report_is_byte_identical(tmp_path):

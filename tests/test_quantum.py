@@ -414,6 +414,21 @@ def test_demon_check_evaluates_the_state_once():
         assert calls == [0.7071]
 
 
+def test_cold_qubit_sweep_evaluates_the_grid_and_the_samples_once():
+    counted, calls = _counting(ib.qubit_phase_family())
+    model, sensitivity = ib.quantum_conditional_model(
+        counted, ib.sigma_x_povm(), outcomes=("+", "-")
+    )
+    prior = ib.uniform_prior(0.0, math.pi / 2)
+    thetas = np.linspace(0.0, math.pi / 2, 41)
+    reports, skipped = ib.bound_sweep(
+        model, prior, "theorem1", ["+", "-"], thetas, sensitivity=sensitivity
+    )
+    assert len(reports) + len(skipped) == 82
+    # both outcomes' grid rows from one table, then both PMI rows from one
+    assert len(calls) == prior.grid.n_points + thetas.size
+
+
 def test_scalar_fisher_information_keeps_the_grid_table():
     counted, calls = _counting(ib.qubit_phase_family())
     model, sensitivity = ib.quantum_conditional_model(

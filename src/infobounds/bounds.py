@@ -40,6 +40,7 @@ from .information import (
     _Block,
     _fisher_rows,
     _joint_table,
+    _kept,
     _marginal_rows,
     _mi_rows,
     _on_positive,
@@ -234,23 +235,30 @@ def _theta_terms(prior: Prior, weight: WeightFunction, thetas: list) -> tuple[np
     return -np.log(np.where(usable, f, 1.0)), errors
 
 
+def _outcome_terms(model, prior, weight, sensitivity, x) -> tuple[float, float, float]:
+    """p(x) and the boundary and integral terms of the bound at outcome x,
+    from one grid row; none of them depends on theta."""
+    block = _table_rows(model, (x,), x, prior.grid.nodes, score=True, sensitivity=sensitivity)
+    _, px = _marginal_rows(block, prior)
+    boundary, integral = _bound_rows(block, prior, weight, px)
+    return px[0], float(boundary[0]), float(integral[0])
+
+
 def _evaluate(model, prior, weight, outcomes: list, thetas: list, sensitivity) -> list[list]:
     """One row per outcome of each point's :class:`BoundReport`, or of the
     :class:`InfoBoundError` that rules the point out: the first error of its
     outcome's grid row, its theta sample, its bound and its likelihood.
 
-    p(x) and the boundary and integral terms are evaluated once per outcome,
-    the penalty once per theta sample; only the likelihood needs both, one
-    theta row per outcome at the points that passed every other check.
+    The outcome terms are evaluated once per outcome and kept for repeat
+    calls (see :func:`information._kept`), the penalty once per theta
+    sample; only the likelihood needs both, one theta row per outcome at the
+    points that passed every other check.
     """
     penalty, theta_errors = _theta_terms(prior, weight, thetas)
     profiles = []
-    for x in outcomes:  # every grid row first: the quantum adapter keeps one table
+    for x in outcomes:  # every grid row first: the quantum adapter keeps one array table
         try:
-            block = _table_rows(model, (x,), x, prior.grid.nodes, score=True, sensitivity=sensitivity)
-            _, px = _marginal_rows(block, prior)
-            boundary, integral = _bound_rows(block, prior, weight, px)
-            profiles.append((px[0], float(boundary[0]), float(integral[0])))
+            profiles.append(_kept(_outcome_terms, model, prior, weight, sensitivity, x))
         except InfoBoundError as exc:
             profiles.append(exc)
     rows = []

@@ -11,7 +11,8 @@ block, each cell once.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from functools import lru_cache
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +34,49 @@ OUTCOME_MASS_TOL = 1e-3
 
 #: Cells (outcomes x parameter values) of the joint table evaluated at once.
 _BLOCK_CELLS = 1 << 15
+
+#: Outcome rows :func:`_kept` holds; each entry references its model, prior,
+#: weight and sensitivity, so this bounds the memory the memo can pin.
+_KEPT_ROWS = 64
+
+
+class _Same:
+    """An argument of :func:`_kept` that hashes and compares by identity."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self):
+        return id(self.obj)
+
+    def __eq__(self, other):
+        return self.obj is other.obj
+
+
+@lru_cache(maxsize=_KEPT_ROWS, typed=True)
+def _kept_call(fn: Callable, refs: tuple, x):
+    return fn(*(ref.obj for ref in refs), x)
+
+
+def _kept(fn: Callable, *args):
+    """``fn(*args)`` for an outcome row, the last argument being the outcome
+    label, from a bounded memo shared by every row function.
+
+    The other arguments (model, prior, weight, sensitivity) are keyed by
+    identity, the label by value and type; an unhashable label bypasses the
+    memo. Only results are kept: a call that raises raises again each time.
+    This relies on the contract that models, priors, weights and
+    sensitivities are immutable and their callables pure, so a kept row is
+    the value a fresh evaluation would return.
+    """
+    *objs, x = args
+    try:
+        hash(x)
+    except TypeError:
+        return fn(*args)
+    return _kept_call(fn, tuple(_Same(obj) for obj in objs), x)
 
 
 class _Block(NamedTuple):
@@ -156,8 +200,16 @@ def _fisher_rows(block: _Block) -> np.ndarray:
     return block.weights @ term
 
 
+def _marginal_row(model: ConditionalModel, prior: Prior, x) -> float:
+    block = _table_rows(model, (x,), x, prior.grid.nodes)
+    return float(_marginal_rows(block, prior)[1][0])
+
+
 def marginal(model: ConditionalModel, prior: Prior, x) -> float:
     """Marginal outcome probability p(x), the prior-weighted conditional.
+
+    Evaluated from one grid row of the model, which is kept for repeat
+    calls with the same model, prior and outcome.
 
     Raises
     ------
@@ -165,8 +217,7 @@ def marginal(model: ConditionalModel, prior: Prior, x) -> float:
         If the result is at or below ``MARGINAL_FLOOR``; every downstream
         log ratio divides by p(x).
     """
-    block = _table_rows(model, (x,), x, prior.grid.nodes)
-    return float(_marginal_rows(block, prior)[1][0])
+    return _kept(_marginal_row, model, prior, x)
 
 
 def _pmi_row(model: ConditionalModel, x, thetas: list, px: float) -> tuple[np.ndarray, list]:

@@ -81,6 +81,12 @@ class ConditionalModel:
 
     Both callables must accept a scalar outcome together with a scalar or
     ndarray ``theta`` and broadcast accordingly; grid sweeps rely on this.
+
+    Both must also be pure: the same arguments give the same values for the
+    life of the model, and neither the model nor its callables change after
+    construction. The bound evaluators rely on this to keep each outcome's
+    theta-independent terms, keyed by the model's identity, for repeat
+    calls.
     """
 
     def __init__(
@@ -212,7 +218,9 @@ def gaussian_prior(
 
     ``lower`` / ``upper`` clip the truncation window further (for example to
     keep a positivity constraint on the parameter); the extra discarded mass
-    is folded into the recorded ``tail_mass_bound``.
+    is folded into the recorded ``tail_mass_bound``. The density is not
+    renormalised, so a cut that discards more than ``NORMALIZATION_TOL`` of
+    the mass raises :class:`InvalidParameterError` naming the cut.
     """
     if sigma <= 0:
         raise InvalidParameterError("sigma must be positive")
@@ -220,10 +228,13 @@ def gaussian_prior(
         raise InvalidParameterError("tail_mass must lie in (0, 0.5)")
     lo = NormalDist(mean, sigma).inv_cdf(tail_mass)
     hi = mean + (mean - lo)
-    if lower is not None:
-        lo = max(lo, float(lower))
-    if upper is not None:
-        hi = min(hi, float(upper))
+    cuts = []
+    if lower is not None and float(lower) > lo:
+        lo = float(lower)
+        cuts.append(f"lower={lo}")
+    if upper is not None and float(upper) < hi:
+        hi = float(upper)
+        cuts.append(f"upper={hi}")
     if not lo < hi:
         raise InvalidParameterError("truncation window is empty")
     grid = ParameterGrid(lo, hi, n_points)
@@ -235,6 +246,11 @@ def gaussian_prior(
     lower_tail = math.erfc((mean - lo) / root2_sigma)
     upper_tail = math.erfc((hi - mean) / root2_sigma)
     discarded = 0.5 * (lower_tail + upper_tail)
+    if cuts and abs(quadrature(dens, grid) - 1.0) > NORMALIZATION_TOL:
+        raise InvalidParameterError(
+            f"gaussian prior cut {' and '.join(cuts)} discards {discarded:.6g} of the mass, "
+            f"more than NORMALIZATION_TOL={NORMALIZATION_TOL}; the cut density is not renormalised"
+        )
     return Prior(grid, dens, deriv, TruncatedInfinite(discarded))
 
 
@@ -295,15 +311,35 @@ class WeightFunction:
         _freeze_on_grid(self, "weight", ("values", "derivative"))
 
 
+def _once_per(owner, name: str, build: Callable):
+    """``build()``, made once per ``owner`` object and kept on it, as
+    ``functools.cached_property`` keeps its value."""
+    kept = owner.__dict__.get(name)
+    if kept is None:
+        kept = owner.__dict__[name] = build()
+    return kept
+
+
 def boxcar_weight(grid: ParameterGrid) -> WeightFunction:
-    """Indicator weight: 1 on the grid interval, 0 outside."""
+    """Indicator weight: 1 on the grid interval, 0 outside.
+
+    One object per grid object: repeat calls return the same weight.
+    """
     n = grid.n_points
-    return WeightFunction(grid, np.ones(n), np.zeros(n), BOXCAR)
+    return _once_per(
+        grid, "_boxcar_weight", lambda: WeightFunction(grid, np.ones(n), np.zeros(n), BOXCAR)
+    )
 
 
 def prior_weight(prior: Prior) -> WeightFunction:
-    """Weight matched to the prior density itself."""
-    return WeightFunction(prior.grid, prior.density, prior.derivative, PRIOR_MATCHED)
+    """Weight matched to the prior density itself.
+
+    One object per prior: repeat calls return the same weight.
+    """
+    return _once_per(
+        prior, "_prior_weight",
+        lambda: WeightFunction(prior.grid, prior.density, prior.derivative, PRIOR_MATCHED),
+    )
 
 
 def gaussian_weight(grid: ParameterGrid, center: float, width: float) -> WeightFunction:

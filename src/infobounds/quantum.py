@@ -390,12 +390,14 @@ def cqfi(family: StateFamily, povm: Povm, x_index: int, theta: float) -> float:
 class MeasuredStateFamily:
     """Born-rule conditional model of a POVM on a state family.
 
-    An array query tabulates probabilities, their derivatives and the
-    per-outcome sensitivities of every outcome at once, from one stacked
-    decomposition of the states; the adapter keeps the table of its most
-    recent array query, so the outcomes and bounds of a grid sweep reuse
-    it. A query of one value, a scalar or an array of size 1, is evaluated
-    directly and not kept.
+    A query tabulates probabilities, their derivatives and the per-outcome
+    sensitivities of every outcome at once, from one stacked decomposition
+    of the states. The adapter keeps two tables, each for its most recent
+    query of that kind: one for arrays of several values, so the outcomes
+    and bounds of a grid sweep reuse it, and one for a single value (a
+    scalar or an array of size 1), so the log-density, score and
+    sensitivity of every outcome at one point share one state evaluation
+    without evicting the array table. Each is reused only for equal values.
     """
 
     def __init__(self, family: StateFamily, povm: Povm, outcomes: tuple | None = None):
@@ -411,8 +413,8 @@ class MeasuredStateFamily:
         self.outcomes = tuple(outcomes)
         self._index = {x: i for i, x in enumerate(self.outcomes)}
         self._elements = np.stack(povm.elements)
-        self._thetas: np.ndarray | None = None
-        self._table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # (thetas, table) of the latest query of several values and of one value
+        self._kept: list = [(None, None), (None, None)]
         self._warned_zero_prob = False
         self._warned_leak: set = set()
 
@@ -445,13 +447,14 @@ class MeasuredStateFamily:
     def _query(self, which: int, x, theta):
         i = self._index[x]
         th = np.asarray(theta, dtype=float)
-        if th.size == 1:  # a point query: evaluated directly, not kept
-            row = self._tabulate(th.reshape(1))[which][i]
-            return float(row[0]) if th.ndim == 0 else row.reshape(th.shape)
-        if self._thetas is None or not np.array_equal(th, self._thetas):
-            self._table = self._tabulate(th.ravel())
-            self._thetas = th.copy()
-        return self._table[which][i].reshape(th.shape)
+        flat = th.ravel()
+        slot = int(flat.size == 1)
+        thetas, table = self._kept[slot]
+        if thetas is None or not np.array_equal(flat, thetas):
+            table = self._tabulate(flat)
+            self._kept[slot] = (flat.copy(), table)
+        row = table[which][i]
+        return float(row[0]) if th.ndim == 0 else row.reshape(th.shape)
 
     def log_pdf(self, x, theta):
         return self._query(0, x, theta)

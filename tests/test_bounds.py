@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -509,3 +510,101 @@ def test_grid_refinement_stability(langevin_uniform):
         coarse = ib.bound_theorem1(model, prior, x, theta).bound
         fine = ib.bound_theorem1(model, fine_prior, x, theta).bound
         assert abs(fine - coarse) / max(1.0, abs(coarse)) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# kept outcome terms
+# ---------------------------------------------------------------------------
+
+
+def _kept_rows():
+    return ib.information._kept_call.cache_info()
+
+
+def _kept_case(case: str, finite: bool):
+    """(model, sensitivity, prior, points) of a scenario, on a finite-support
+    prior or a decaying one."""
+    if case == "langevin":
+        prior = ib.uniform_prior(0.5, 1.5) if finite else ib.gaussian_prior(1.0, 0.2, lower=1e-3)
+        return ib.langevin_model(1.0), None, prior, [(0.3, 0.9), (-1.7, 1.2)]
+    if case == "qubit":
+        model, sensitivity = ib.qubit_measurement_model()
+        points = [("+", 0.7), ("-", 0.81)]
+        if finite:
+            return model, sensitivity, ib.uniform_prior(0.0, math.pi / 2), points
+        # the smooth weights run on the squared score
+        return model, None, ib.gaussian_prior(math.pi / 4, math.pi / 20), points
+    model = ib.discrete_exponential_model(np.log([0.2, 0.3, 0.5]), [-1.0, 0.0, 1.0])
+    prior = ib.uniform_prior(0.0, 1.0) if finite else ib.gaussian_prior(0.5, 0.1)
+    return model, None, prior, [(0, 0.4), (2, 0.45)]
+
+
+@pytest.mark.parametrize("case", ["langevin", "qubit", "discrete"])
+@pytest.mark.parametrize("kind", ["theorem1", "theorem2", "general"])
+def test_kept_outcome_terms_give_the_cold_report_bit_for_bit(case, kind):
+    model, sens, prior, points = _kept_case(case, finite=kind == "theorem1")
+    weight = {
+        "theorem1": ib.boxcar_weight(prior.grid),
+        "theorem2": ib.prior_weight(prior),
+        "general": ib.gaussian_weight(prior.grid, prior.grid.nodes.mean(), prior.grid.span / 10),
+    }[kind]
+    for x, theta in points:
+        # a new model object over the same callables: no kept row applies
+        fresh = ib.ConditionalModel(model.log_pdf, model.outcome_space, score=model.score)
+        cold = repr(ib.bound_general(fresh, prior, weight, x, theta, sens))
+        hits = _kept_rows().hits
+        first = repr(ib.bound_general(model, prior, weight, x, theta, sens))
+        warm = repr(ib.bound_general(model, prior, weight, x, theta, sens))
+        assert _kept_rows().hits == hits + 1
+        assert first == warm == cold
+
+
+def test_failing_outcome_row_raises_again_on_each_call():
+    # outcome 1 never occurs, so its marginal is degenerate
+    def log_pdf(x, theta):
+        return (0.0 if x == 0 else -np.inf) + 0.0 * np.asarray(theta)
+
+    def score(x, theta):
+        return 0.0 * np.asarray(theta)
+
+    model = ib.ConditionalModel(log_pdf, ib.DiscreteOutcomes((0, 1)), score=score)
+    prior = ib.uniform_prior(0.0, 1.0, 101)
+    counted, shapes = _counting(model)
+    messages = []
+    for _ in range(3):
+        with pytest.raises(ib.DegenerateMarginalError) as err:
+            ib.bound_theorem1(counted, prior, 1, 0.5)
+        messages.append(str(err.value))
+    assert messages == ["marginal probability of 1 is degenerate"] * 3
+    assert shapes["log_pdf"] == [(prior.grid.n_points,)] * 3
+
+
+def test_kept_outcome_rows_stay_bounded():
+    model, prior = ib.langevin_model(1.0), ib.uniform_prior(0.5, 1.5, 201)
+    weight = ib.boxcar_weight(prior.grid)
+    for x in np.linspace(-3.0, 3.0, 3 * ib.information._KEPT_ROWS):
+        ib.bound_general(model, prior, weight, float(x), 1.0)
+        assert _kept_rows().currsize <= ib.information._KEPT_ROWS
+    # a label that cannot be hashed bypasses the memo and gives the same report
+    before = _kept_rows()
+    report = ib.bound_general(model, prior, weight, np.array(0.5), 1.0)
+    after = _kept_rows()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    hashed = ib.bound_general(model, prior, weight, 0.5, 1.0)
+    assert repr(dataclasses.replace(report, x=0.5)) == repr(hashed)
+
+
+def test_warm_demon_record_and_pmi_make_one_point_query(langevin_uniform):
+    model, prior = langevin_uniform
+    counted, shapes = _counting(model)
+    record = ib.DemonRecord(1.0, 0.1, 0.0, 0.4, 0.8)
+    cold = ib.demon_work_check(record, counted, prior)
+    ib.pmi(counted, prior, 0.4, 0.8)
+    for _ in range(2):
+        for values in shapes.values():
+            values.clear()
+        assert ib.demon_work_check(record, counted, prior) == cold
+        assert shapes == {"log_pdf": [(1,)], "score": []}
+        shapes["log_pdf"].clear()
+        assert ib.pmi(counted, prior, 0.4, 0.8) == cold.pmi
+        assert shapes == {"log_pdf": [(1,)], "score": []}

@@ -81,6 +81,16 @@ def test_verify_theorem1_infinite_prior_exits_two(tmp_path, capsys):
     assert "finite-support" in err and "prior.kind" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "mi-chain"])
+def test_gaussian_prior_cut_that_breaks_normalisation_exits_two(tmp_path, capsys, command):
+    prior = {"kind": "gaussian", "mean": 1.0, "sigma": 0.2, "lower": 0.5}
+    cfg = _write(tmp_path, _langevin_cfg(str(tmp_path / "r.csv"), bound="theorem2", prior=prior))
+    assert cli.main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: gaussian prior cut lower=0.5 discards 0.00620967 ")
+    assert "NORMALIZATION_TOL=1e-06" in err
+
+
 def test_verify_rejects_mi_average(tmp_path, capsys):
     cfg_dict = _langevin_cfg(str(tmp_path / "r.csv"), bound="mi_average")
     cfg = _write(tmp_path, cfg_dict)

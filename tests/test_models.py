@@ -62,6 +62,22 @@ def test_gaussian_prior_lower_clip_records_extra_mass():
 
 
 @pytest.mark.parametrize(
+    "cut, named",
+    [
+        ({"lower": 0.5}, "lower=0.5"),
+        ({"upper": 1.2}, "upper=1.2"),
+        ({"lower": 0.9, "upper": 1.1}, "lower=0.9 and upper=1.1"),
+    ],
+)
+def test_gaussian_prior_cut_that_breaks_normalisation_names_the_cut(cut, named):
+    with pytest.raises(ib.InvalidParameterError) as err:
+        ib.gaussian_prior(1.0, 0.2, **cut)
+    message = str(err.value)
+    assert f"cut {named} discards " in message
+    assert "NORMALIZATION_TOL=1e-06" in message and "integrates to" not in message
+
+
+@pytest.mark.parametrize(
     "mean, sigma, lower",
     [(1.0, 0.2, 1e-3), (0.0, 1.0, None), (math.pi / 4, math.pi / 20, None)],
 )
@@ -197,6 +213,7 @@ def test_boxcar_weight_shape():
     w = ib.boxcar_weight(grid)
     assert np.all(w.values == 1.0) and np.all(w.derivative == 0.0)
     assert w.kind == "boxcar"
+    assert ib.boxcar_weight(grid) is w  # one weight object per grid
 
 
 def test_prior_weight_shares_prior_tables():
@@ -204,6 +221,7 @@ def test_prior_weight_shares_prior_tables():
     w = ib.prior_weight(prior)
     assert np.array_equal(w.values, prior.density)
     assert np.array_equal(w.derivative, prior.derivative)
+    assert ib.prior_weight(prior) is w  # one weight object per prior
 
 
 def test_gaussian_weight_derivative_consistent():

@@ -408,10 +408,14 @@ def test_demon_check_evaluates_the_state_once():
         model.score(x, nodes)
         sensitivity(x, nodes)
     assert calls == []
-    for _ in range(3):
+    for _ in range(3):  # the point table of 0.7071 outlives the grid queries
         calls.clear()
         model.log_pdf("-", 0.7071)
-        assert calls == [0.7071]
+        assert calls == []
+    for theta in (0.9, 0.3, 0.9):  # a record at a new theta: one state evaluation
+        calls.clear()
+        ib.demon_work_check(ib.DemonRecord(1.0, 0.1, 0.0, "-", theta), model, prior, sensitivity)
+        assert calls == [theta]
 
 
 def test_cold_qubit_sweep_evaluates_the_grid_and_the_samples_once():
@@ -444,14 +448,14 @@ def test_scalar_fisher_information_keeps_the_grid_table():
         else:
             assert ib.fisher_information(model, 0.3) == pytest.approx(1.0, abs=1e-10)
         costs.append(len(calls))
-    # A point query is not kept, so the Fisher information at one value
-    # costs one state per query: log_pdf and score of each outcome.
-    assert costs == [prior.grid.n_points, 0, 4, 0]
+    # The Fisher information at one value costs one state: log_pdf and
+    # score of each outcome share the point table.
+    assert costs == [prior.grid.n_points, 0, 1, 0]
     calls.clear()
     one = model.log_pdf("+", np.array([0.3]))
     assert one.shape == (1,) and one[0] == model.log_pdf("+", 0.3)
     model.log_pdf("+", prior.grid.nodes)
-    assert calls == [0.3, 0.3]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,11 @@ class SweepSummary:
 
 
 def _check_weight(prior: Prior, weight: WeightFunction) -> None:
+    """Check that ``weight`` is admissible for ``prior``. A pair that passes
+    is remembered on the weight, so repeat calls skip the grid scan; an
+    invalid pair raises on every call."""
+    if weight.__dict__.get("_checked_prior") is prior:
+        return
     if weight.grid != prior.grid:
         raise InvalidWeightError("weight and prior must share one grid")
     covered = prior.density > 0.0
@@ -191,15 +196,14 @@ def _check_weight(prior: Prior, weight: WeightFunction) -> None:
     if weight.kind == BOXCAR:
         if not isinstance(prior.support, FiniteSupport):
             raise InvalidWeightError("boxcar weight requires a finite-support prior")
-        return
-    # The derivation integrates d(p*f)/dtheta over the whole axis, so a
-    # smooth weight must have decayed at the truncation boundary.
-    peak = weight.values.max()
-    if max(weight.values[0], weight.values[-1]) > BOUNDARY_DECAY_RTOL * peak:
+    elif max(weight.values[0], weight.values[-1]) > BOUNDARY_DECAY_RTOL * weight.values.max():
+        # The derivation integrates d(p*f)/dtheta over the whole axis, so a
+        # smooth weight must have decayed at the truncation boundary.
         raise InvalidWeightError(
             "weight does not vanish at the grid boundaries; "
             "use a boxcar weight for non-decaying support"
         )
+    weight.__dict__["_checked_prior"] = prior
 
 
 def _bound_rows(block: _Block, prior: Prior, weight: WeightFunction, px: np.ndarray):

@@ -4,6 +4,8 @@ that lets the bound family run on measured quantum state families."""
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -37,6 +39,9 @@ PROB_EPS = 1e-12
 
 #: POVM weight outside the state's support beyond this triggers a warning.
 SUPPORT_LEAK_TOL = 1e-8
+
+#: Warnings are attributed to the first caller outside this directory.
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 def _as_matrix(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
@@ -320,49 +325,53 @@ def _traces(elements: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return np.einsum("kab,nba->kn", elements, mats).real
 
 
-def _support_leak(elements: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Weight of each element outside the support of each state, (K, n)."""
-    off = w <= RANK_EPS
-    if not np.any(off):
-        return np.zeros((elements.shape[0], w.shape[0]))
-    diag = np.einsum("nai,kab,nbi->kni", v.conj(), elements, v).real
-    return np.sum(diag * off, axis=-1)
-
-
 def _born_table(family: StateFamily, elements: np.ndarray, thetas: np.ndarray):
     """Tabulate a POVM on a state family at every parameter value.
 
     ``elements`` is a (K, d, d) stack and ``thetas`` a 1-D array of n
     values. The n states come as one validated stack from
-    :meth:`StateFamily.states`, are decomposed by one stacked ``eigh`` and
-    share one SLD computation. Returns (K, n) arrays: probabilities clamped
-    into [0, 1], their derivatives, per-outcome sensitivities (NaN where the
-    probability is at most ``PROB_EPS``, small negative values clamped to
-    zero) and the POVM weight outside each state's support.
+    :meth:`StateFamily.states` and are decomposed by one stacked ``eigh``.
+    Returns (K, n) probabilities clamped into [0, 1] and their derivatives,
+    and the stacks ``(rho, drho, w, v)`` that :func:`_sensitivities` needs.
     """
     rho, drho = family.states(thetas)
     if rho.shape[1:] != elements.shape[1:]:
         raise DimensionMismatchError("POVM dimension does not match the state")
     w, v = _eigh_state(rho, RANK_EPS)
-    l_matrix = _sld_from_eig(w, v, drho, RANK_EPS)
     probs = np.clip(_traces(elements, rho), 0.0, 1.0)
-    dprobs = _traces(elements, drho)
-    positive = probs > PROB_EPS
+    return probs, _traces(elements, drho), (rho, drho, w, v)
+
+
+def _sensitivities(elements, probs, states, labels, warned: set) -> np.ndarray:
+    """Read-only (K, n) per-outcome sensitivities of a :func:`_born_table`,
+    from one SLD computation: NaN where the probability is at most
+    ``PROB_EPS``, small negative values clamped to zero. Warns once for each
+    outcome of ``labels`` not in ``warned`` whose element has weight outside
+    the support of a state where its probability is positive."""
+    rho, drho, w, v = states
+    l_matrix = _sld_from_eig(w, v, drho, RANK_EPS)
     with np.errstate(divide="ignore", invalid="ignore"):
         sens = _traces(elements, l_matrix @ l_matrix @ rho) / probs
     sens[(sens < 0.0) & (sens >= -STATE_ATOL)] = 0.0
-    sens[~positive] = np.nan
-    return probs, dprobs, sens, _support_leak(elements, w, v)
+    sens[~(probs > PROB_EPS)] = np.nan
+    sens.setflags(write=False)
+    off = w <= RANK_EPS  # eigenvectors outside each state's support
+    if np.any(off):
+        leak = np.sum(np.einsum("nai,kab,nbi->kni", v.conj(), elements, v).real * off, axis=-1)
+        for x, p, out in zip(labels, probs, leak):
+            if x not in warned and np.any((p > PROB_EPS) & (out > SUPPORT_LEAK_TOL)):
+                warned.add(x)  # a stable message lets the default filter deduplicate
+                _warn(f"POVM element {x!r} has weight outside the state support; "
+                      "the support-restricted SLD convention applies there")
+    return sens
 
 
-def _warn_support_leak(x, stacklevel: int) -> None:
-    # Stable message so the default warning filter deduplicates repeats.
-    warnings.warn(
-        f"POVM element {x!r} has weight outside the state support; "
-        "the support-restricted SLD convention applies there",
-        RuntimeWarning,
-        stacklevel=stacklevel + 1,
-    )
+def _warn(message: str) -> None:
+    """A RuntimeWarning attributed to the first caller outside this package."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
 def cqfi(family: StateFamily, povm: Povm, x_index: int, theta: float) -> float:
@@ -371,14 +380,13 @@ def cqfi(family: StateFamily, povm: Povm, x_index: int, theta: float) -> float:
     A random variable over outcomes that averages to the QFI under the
     Born distribution for any complete POVM.
     """
-    element = povm.elements[x_index]
-    probs, _, sens, leak = _born_table(family, element[None], np.array([float(theta)]))
+    elements = povm.elements[x_index][None]
+    probs, _, states = _born_table(family, elements, np.array([float(theta)]))
     if probs[0, 0] <= PROB_EPS:
         raise ZeroOutcomeProbabilityError(
             f"outcome {x_index} has probability {probs[0, 0]:.3e} at theta={theta}"
         )
-    if leak[0, 0] > SUPPORT_LEAK_TOL:
-        _warn_support_leak(x_index, stacklevel=2)
+    sens = _sensitivities(elements, probs, states, (x_index,), set())
     return float(sens[0, 0])
 
 
@@ -390,9 +398,10 @@ def cqfi(family: StateFamily, povm: Povm, x_index: int, theta: float) -> float:
 class MeasuredStateFamily:
     """Born-rule conditional model of a POVM on a state family.
 
-    A query tabulates probabilities, their derivatives and the per-outcome
-    sensitivities of every outcome at once, from one stacked decomposition
-    of the states. The adapter keeps two tables, each for its most recent
+    A query tabulates probabilities and their derivatives of every outcome
+    at once, from one stacked decomposition of the states; the per-outcome
+    sensitivities of that table are built from the same decomposition on
+    their first query. The adapter keeps two tables, each for its most recent
     query of that kind: one for arrays of several values, so the outcomes
     and bounds of a grid sweep reuse it, and one for a single value (a
     scalar or an array of size 1), so the log-density, score and
@@ -418,31 +427,24 @@ class MeasuredStateFamily:
         self._warned_zero_prob = False
         self._warned_leak: set = set()
 
-    def _tabulate(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (K, n) log-probabilities, scores and sensitivities."""
-        probs, dprobs, sens, leak = _born_table(self.family, self._elements, thetas)
+    def _tabulate(self, thetas: np.ndarray) -> list:
+        """Read-only (K, n) log-probabilities and scores, and the input of
+        :func:`_sensitivities` until the first sensitivity query."""
+        probs, dprobs, states = _born_table(self.family, self._elements, thetas)
         positive = probs > PROB_EPS
-        for i, x in enumerate(self.outcomes):
-            if x not in self._warned_leak and np.any(
-                positive[i] & (leak[i] > SUPPORT_LEAK_TOL)
-            ):
-                self._warned_leak.add(x)
-                _warn_support_leak(x, stacklevel=4)
         if not self._warned_zero_prob and not np.all(positive):
             self._warned_zero_prob = True
             node = int(np.argmax(~np.all(positive, axis=0)))
             x = self.outcomes[int(np.argmin(positive[:, node]))]
-            warnings.warn(
+            _warn(
                 f"outcome {x!r} has zero probability at "
-                f"theta={float(thetas[node])}; such nodes are excluded from integrals",
-                RuntimeWarning,
-                stacklevel=4,
+                f"theta={float(thetas[node])}; such nodes are excluded from integrals"
             )
         with np.errstate(divide="ignore", invalid="ignore"):
-            table = (np.log(probs), np.where(probs > 0.0, dprobs / probs, np.nan), sens)
+            table = [np.log(probs), np.where(probs > 0.0, dprobs / probs, np.nan)]
         for a in table:
             a.setflags(write=False)
-        return table
+        return table + [(probs, states)]
 
     def _query(self, which: int, x, theta):
         i = self._index[x]
@@ -453,6 +455,8 @@ class MeasuredStateFamily:
         if thetas is None or not np.array_equal(flat, thetas):
             table = self._tabulate(flat)
             self._kept[slot] = (flat.copy(), table)
+        if which == 2 and isinstance(table[2], tuple):  # built once, then the stacks go
+            table[2] = _sensitivities(self._elements, *table[2], self.outcomes, self._warned_leak)
         row = table[which][i]
         return float(row[0]) if th.ndim == 0 else row.reshape(th.shape)
 

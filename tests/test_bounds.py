@@ -608,3 +608,23 @@ def test_warm_demon_record_and_pmi_make_one_point_query(langevin_uniform):
         shapes["log_pdf"].clear()
         assert ib.pmi(counted, prior, 0.4, 0.8) == cold.pmi
         assert shapes == {"log_pdf": [(1,)], "score": []}
+
+
+def test_weight_check_is_kept_per_prior_and_weight(langevin_uniform, monkeypatch):
+    model, prior = langevin_uniform
+    weight = ib.gaussian_weight(prior.grid, 1.0, 0.08)
+    ib.bound_general(model, prior, weight, 0.0, 1.0)
+    # with no decay allowed a fresh check fails; the pair that passed is not checked again
+    monkeypatch.setattr(ib.bounds, "BOUNDARY_DECAY_RTOL", 0.0)
+    ib.bound_general(model, prior, weight, 0.3, 1.1)
+    same = ib.gaussian_weight(prior.grid, 1.0, 0.08)
+    for _ in range(2):  # a failing pair raises on every call
+        with pytest.raises(ib.InvalidWeightError, match="does not vanish"):
+            ib.bound_general(model, prior, same, 0.0, 1.0)
+    # the kept check belongs to one prior: the same weight and grid under another prior
+    unbounded = dataclasses.replace(prior, support=ib.models.TruncatedInfinite(0.0))
+    boxcar = ib.boxcar_weight(prior.grid)
+    ib.bound_general(model, prior, boxcar, 0.0, 1.0)
+    for _ in range(2):
+        with pytest.raises(ib.InvalidWeightError, match="finite-support prior"):
+            ib.bound_general(model, unbounded, boxcar, 0.0, 1.0)

@@ -458,6 +458,87 @@ def test_scalar_fisher_information_keeps_the_grid_table():
     assert calls == []
 
 
+def _counting_sld(monkeypatch):
+    """A list that grows by one per SLD computation."""
+    calls = []
+    sld_from_eig = ib.quantum._sld_from_eig
+
+    def counted(*args):
+        calls.append(1)
+        return sld_from_eig(*args)
+
+    monkeypatch.setattr(ib.quantum, "_sld_from_eig", counted)
+    return calls
+
+
+def test_sensitivity_column_is_built_on_its_first_query(monkeypatch):
+    sld_calls = _counting_sld(monkeypatch)
+    counted, calls = _counting(ib.qubit_phase_family())
+    model, sensitivity = ib.quantum_conditional_model(
+        counted, ib.sigma_x_povm(), outcomes=("+", "-")
+    )
+    prior = ib.uniform_prior(0.0, math.pi / 2)
+    model.log_pdf("+", prior.grid.nodes)
+    calls.clear()
+    for theta in (0.7071, np.array([0.7071])):  # warm point queries
+        for x in ("+", "-"):
+            model.log_pdf(x, theta)
+            model.score(x, theta)
+    assert (calls, sld_calls) == ([0.7071], [])
+    calls.clear()
+    warm = [sensitivity(x, 0.7071) for x in ("+", "-")]
+    assert (calls, sld_calls) == ([], [1])
+    sld_calls.clear()
+    assert [sensitivity(x, 0.7071) for x in ("+", "-")] == warm
+    assert sld_calls == []
+    _, fresh = ib.quantum_conditional_model(
+        ib.qubit_phase_family(), ib.sigma_x_povm(), outcomes=("+", "-")
+    )
+    assert [fresh(x, 0.7071) for x in ("+", "-")] == warm
+    # the same holds for the array table
+    sld_calls.clear()
+    grid_sens = sensitivity("-", prior.grid.nodes)
+    assert np.array_equal(grid_sens, fresh("-", prior.grid.nodes), equal_nan=True)
+    assert sld_calls == [1, 1]  # once on each adapter
+    sensitivity("+", prior.grid.nodes)
+    assert sld_calls == [1, 1] and calls == []
+
+
+def test_support_leak_warns_with_the_first_sensitivity():
+    model, sensitivity = ib.qubit_measurement_model()
+    thetas = np.linspace(0.1, 1.2, 11)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for x in ("+", "-"):
+            model.log_pdf(x, thetas)
+            model.score(x, 0.3)
+        assert caught == []
+        sensitivity("-", 0.3)
+        assert sorted(str(w.message)[:17] for w in caught) == [
+            "POVM element '+' ",
+            "POVM element '-' ",
+        ]
+        for x in ("+", "-"):
+            sensitivity(x, thetas)
+            sensitivity(x, 0.9)
+        assert len(caught) == 2
+
+
+def test_adapter_warnings_name_the_callers_file():
+    model, sensitivity = ib.qubit_measurement_model()
+    prior = ib.uniform_prior(0.0, math.pi / 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model.log_pdf("-", 0.0)  # zero probability, from the probability stage
+        sensitivity("+", 0.3)  # support leak, from the sensitivity stage
+        ib.cqfi(ib.qubit_phase_family(), ib.sigma_x_povm(), 0, 0.3)
+        deep, deep_sensitivity = ib.qubit_measurement_model()
+        ib.bound_theorem1(deep, prior, "+", 0.3, deep_sensitivity)
+    kinds = [str(w.message).split(" ")[0] for w in caught]
+    assert kinds == ["outcome", "POVM", "POVM", "POVM", "outcome", "POVM", "POVM"]
+    assert {w.filename for w in caught} == {__file__}
+
+
 # ---------------------------------------------------------------------------
 # stacked state validation
 # ---------------------------------------------------------------------------
@@ -507,8 +588,9 @@ def test_grid_query_names_the_non_hermitian_node():
         off = 0.2j if theta == 0.5 else 0.0
         return np.array([[0.0, off], [off, 0.0]], dtype=complex)
 
-    with pytest.raises(ib.InfoBoundError, match=r"drho\(theta=0\.5\) is not Hermitian"):
-        _grid_model(lambda t: np.eye(2, dtype=complex) / 2, drho_of).log_pdf(0, GRID)
+    for theta in (GRID, 0.5):
+        with pytest.raises(ib.InfoBoundError, match=r"drho\(theta=0\.5\) is not Hermitian"):
+            _grid_model(lambda t: np.eye(2, dtype=complex) / 2, drho_of).log_pdf(0, theta)
 
 
 def test_grid_query_rejects_a_non_finite_state():

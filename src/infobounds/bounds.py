@@ -39,14 +39,15 @@ from .grids import _on_grid, quadrature
 from .information import (
     _Block,
     _fisher_rows,
-    _joint_table,
+    _fisher_sum,
     _kept,
+    _likelihood_error,
     _marginal_rows,
     _mi_rows,
     _on_positive,
-    _pmi_row,
-    _table_rows,
-    fisher_information,
+    _outcome_row,
+    _prior_table,
+    _summed,
 )
 from .models import (
     BOXCAR,
@@ -128,7 +129,7 @@ def _sqrt_lambda(block: _Block, weight: WeightFunction) -> np.ndarray:
 
 def sqrt_lambda_nodes(model: ConditionalModel, weight: WeightFunction, x, sensitivity=None):
     """sqrt(Lambda) at every grid node for one outcome; see :func:`_sqrt_lambda`."""
-    block = _table_rows(model, (x,), x, weight.grid.nodes, score=True, sensitivity=sensitivity)
+    block = _outcome_row(model, weight.grid, x, score=True, sensitivity=sensitivity)
     return _sqrt_lambda(block, weight)[0]
 
 
@@ -242,7 +243,7 @@ def _theta_terms(prior: Prior, weight: WeightFunction, thetas: list) -> tuple[np
 def _outcome_terms(model, prior, weight, sensitivity, x) -> tuple[float, float, float]:
     """p(x) and the boundary and integral terms of the bound at outcome x,
     from one grid row; none of them depends on theta."""
-    block = _table_rows(model, (x,), x, prior.grid.nodes, score=True, sensitivity=sensitivity)
+    block = _outcome_row(model, prior.grid, x, score=True, sensitivity=sensitivity)
     _, px = _marginal_rows(block, prior)
     boundary, integral = _bound_rows(block, prior, weight, px)
     return px[0], float(boundary[0]), float(integral[0])
@@ -253,40 +254,39 @@ def _evaluate(model, prior, weight, outcomes: list, thetas: list, sensitivity) -
     :class:`InfoBoundError` that rules the point out: the first error of its
     outcome's grid row, its theta sample, its bound and its likelihood.
 
-    The outcome terms are evaluated once per outcome and kept for repeat
-    calls (see :func:`information._kept`), the penalty once per theta
-    sample; only the likelihood needs both, one theta row per outcome at the
-    points that passed every other check.
+    The outcome terms are evaluated once per outcome and kept (see
+    :func:`information._kept`), the penalty once per theta sample, and the
+    likelihood as one table of the points that passed every other check.
     """
     penalty, theta_errors = _theta_terms(prior, weight, thetas)
-    profiles = []
-    for x in outcomes:  # every grid row first: the quantum adapter keeps one array table
+    rows, terms = [], {}
+    for k, x in enumerate(outcomes):
         try:
-            profiles.append(_kept(_outcome_terms, model, prior, weight, sensitivity, x))
+            px, boundary, integral = _kept(_outcome_terms, model, prior, weight, sensitivity, x)
         except InfoBoundError as exc:
-            profiles.append(exc)
-    rows = []
-    for x, profile in zip(outcomes, profiles):
-        if isinstance(profile, InfoBoundError):
-            rows.append([profile] * len(thetas))
+            rows.append([exc] * len(thetas))
             continue
-        px, boundary, integral = profile
         if boundary + integral <= 0.0:
             degenerate = NonFiniteError("bound argument is nonpositive; the weight is degenerate")
             rows.append([e or degenerate for e in theta_errors])
             continue
         bounds = (float(np.log(boundary + integral)) + penalty).tolist()
-        row = [e or (None if math.isfinite(b) else NonFiniteError("bound value is not finite"))
-               for e, b in zip(theta_errors, bounds)]
-        todo = [i for i, e in enumerate(row) if e is None]
-        if todo:
-            pmi, pmi_errors = _pmi_row(model, x, [thetas[i] for i in todo], px)
-            for i, value, error in zip(todo, pmi.tolist(), pmi_errors):
-                row[i] = error or BoundReport(
-                    x, float(thetas[i]), value, bounds[i], bounds[i] - value,
-                    boundary, integral, float(penalty[i]),
+        rows.append([e or (None if math.isfinite(b) else NonFiniteError("bound value is not finite"))
+                     for e, b in zip(theta_errors, bounds)])
+        terms[k] = (float(np.log(px)), boundary, integral, bounds)
+    todo = [k for k in terms if None in rows[k]]
+    if not todo:
+        return rows
+    columns = sorted({i for k in todo for i, e in enumerate(rows[k]) if e is None})
+    table = model.table([outcomes[k] for k in todo], np.array([thetas[i] for i in columns], dtype=float))
+    for k, values in zip(todo, table[0]):
+        log_px, boundary, integral, bounds = terms[k]
+        row, x = rows[k], outcomes[k]
+        for i, value, pmi in zip(columns, values.tolist(), (values - log_px).tolist()):
+            if row[i] is None:
+                row[i] = _likelihood_error(x, thetas[i], value) or BoundReport(
+                    x, float(thetas[i]), pmi, bounds[i], bounds[i] - pmi, boundary, integral, float(penalty[i])
                 )
-        rows.append(row)
     return rows
 
 
@@ -387,7 +387,7 @@ def mi_bound_average(model: ConditionalModel, prior: Prior, weight: WeightFuncti
     f), so the value is log(2 + integral of sqrt(F)).
     """
     _check_weight(prior, weight)
-    return _ensemble_bound(prior, weight, fisher_information(model, prior.grid.nodes))
+    return _ensemble_bound(prior, weight, _fisher_sum(_prior_table(model, prior.grid, score=True)))
 
 
 def _average_rows(block: _Block, prior: Prior, weight: WeightFunction, px: np.ndarray):
@@ -417,9 +417,9 @@ def average_pointwise_bound(
     """
     _check_weight(prior, weight)
     total = 0.0
-    for block in _joint_table(model, prior.grid.nodes, score=True, sensitivity=sensitivity):
+    for block in _prior_table(model, prior.grid, True, sensitivity):
         _, px = _marginal_rows(block, prior)
-        total += block.weights @ _average_rows(block, prior, weight, px)
+        total = _summed(total, block, _average_rows(block, prior, weight, px))
     return float(total) + _average_penalty(prior, weight)
 
 
@@ -435,13 +435,12 @@ def mi_chain_values(
     is evaluated once; each value equals that of its own function.
     """
     _check_weight(prior, weight)
-    mi = avg = 0.0
-    fi = np.zeros(prior.grid.n_points)
-    for block in _joint_table(model, prior.grid.nodes, score=True, sensitivity=sensitivity):
+    mi = avg = fi = 0.0
+    for block in _prior_table(model, prior.grid, True, sensitivity):
         joint, px = _marginal_rows(block, prior)
-        mi += block.weights @ _mi_rows(block, joint, px, prior)
-        avg += block.weights @ _average_rows(block, prior, weight, px)
-        fi += _fisher_rows(block)
+        mi = _summed(mi, block, _mi_rows(block, joint, px, prior))
+        avg = _summed(avg, block, _average_rows(block, prior, weight, px))
+        fi = _summed(fi, block, _fisher_rows(block))
     return (
         float(mi),
         float(avg) + _average_penalty(prior, weight),

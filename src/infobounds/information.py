@@ -3,9 +3,9 @@
 All integrals over the parameter run on the prior's grid with the trapezoid
 rule; integrals over a continuous outcome run on the model's outcome grid.
 Every ensemble quantity, here and in :mod:`infobounds.bounds`, is an
-outcome-weighted sum over one joint table of ``log p(x|theta)``, the score
-and optionally a sensitivity, which :func:`_joint_table` evaluates block by
-block, each cell once.
+outcome sum over one joint table of ``log p(x|theta)``, the score and
+optionally a sensitivity, which :func:`_joint_table` evaluates block by
+block through :meth:`ConditionalModel.table`, each cell once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
     UnnormalizedOutcomeSpaceError,
     ZeroLikelihoodError,
 )
-from .grids import quadrature
+from .grids import ParameterGrid, quadrature
 from .models import ConditionalModel, DiscreteOutcomes, Prior
 
 #: Marginals at or below this value make the log ratio meaningless.
@@ -35,58 +35,40 @@ OUTCOME_MASS_TOL = 1e-3
 #: Cells (outcomes x parameter values) of the joint table evaluated at once.
 _BLOCK_CELLS = 1 << 15
 
-#: Outcome rows :func:`_kept` holds; each entry references its model, prior,
-#: weight and sensitivity, so this bounds the memory the memo can pin.
+#: Entries :func:`_kept` holds, each at most one block of the joint table and
+#: its model, prior, weight and sensitivity: the memory the memo can pin.
 _KEPT_ROWS = 64
 
 
-class _Same:
-    """An argument of :func:`_kept` that hashes and compares by identity."""
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj):
-        self.obj = obj
-
-    def __hash__(self):
-        return id(self.obj)
-
-    def __eq__(self, other):
-        return self.obj is other.obj
-
-
 @lru_cache(maxsize=_KEPT_ROWS, typed=True)
-def _kept_call(fn: Callable, refs: tuple, x):
-    return fn(*(ref.obj for ref in refs), x)
+def _kept_call(fn: Callable, *args):
+    return fn(*args)
 
 
 def _kept(fn: Callable, *args):
-    """``fn(*args)`` for an outcome row, the last argument being the outcome
-    label, from a bounded memo shared by every row function.
+    """``fn(*args)`` from a bounded memo shared by the table and row functions.
 
-    The other arguments (model, prior, weight, sensitivity) are keyed by
-    identity, the label by value and type; an unhashable label bypasses the
-    memo. Only results are kept: a call that raises raises again each time.
-    This relies on the contract that models, priors, weights and
-    sensitivities are immutable and their callables pure, so a kept row is
-    the value a fresh evaluation would return.
-    """
-    *objs, x = args
+    Arguments are keyed by hash, equality and type: models, priors and
+    weights by identity, grids and labels by value, a sensitivity by ``==``
+    (a bound method is a new object on each access); an unhashable argument
+    bypasses the memo. Only results are kept, so a call that raises raises
+    each time. Models and their callables are pure (see ConditionalModel)."""
     try:
-        hash(x)
+        hash(args)
     except TypeError:
         return fn(*args)
-    return _kept_call(fn, tuple(_Same(obj) for obj in objs), x)
+    return _kept_call(fn, *args)
 
 
 class _Block(NamedTuple):
     """Rows of the joint table, one outcome per row, against an array of
-    parameter values. ``positive`` marks the cells of nonzero probability,
-    and is None when every cell has it; ``score`` and ``sensitivity`` are
-    None unless they were asked for."""
+    parameter values. ``weights`` are the trapezoid weights of a continuous
+    outcome grid's rows (None on a discrete space); ``positive`` marks the
+    cells of nonzero probability (None when all are); ``score`` and
+    ``sensitivity`` are None unless they were asked for."""
 
     outcomes: Sequence
-    weights: np.ndarray
+    weights: np.ndarray | None
     logpdf: np.ndarray
     pdf: np.ndarray
     positive: np.ndarray | None
@@ -94,66 +76,53 @@ class _Block(NamedTuple):
     sensitivity: np.ndarray | None
 
 
-def _table_rows(model, outcomes, x, thetas, weights=None, score=False, sensitivity=None) -> _Block:
-    """Evaluate the model at ``x``, one outcome label or a column of grid
-    outcomes, against ``thetas``, as (len(outcomes), thetas.size) arrays.
-    The outcome weights default to 1."""
-    shape = (len(outcomes), thetas.size)
-
-    def table(fn):
-        values = np.asarray(fn(x, thetas), dtype=float)
-        if values.shape in (shape, shape[1:]):
-            return values.reshape(shape)
-        return np.broadcast_to(values, shape)
-
-    logpdf = table(model.log_pdf)
+def _table_rows(model, outcomes, thetas, weights=None, score=False, sensitivity=None) -> _Block:
+    """One :meth:`ConditionalModel.table` block of ``outcomes`` against the
+    1-D ``thetas``, with its probabilities, which must be finite."""
+    logpdf, scores, sens = model.table(outcomes, thetas, score, sensitivity)
     pdf = np.exp(logpdf)
     finite = np.isfinite(pdf)
     if not np.all(finite):
         bad = outcomes[int(np.argmin(finite.all(axis=1)))]
         raise NonFiniteError(f"conditional density is not finite for outcome {bad!r}")
     positive = pdf > 0.0
-    return _Block(
-        outcomes,
-        np.ones(len(outcomes)) if weights is None else weights,
-        logpdf,
-        pdf,
-        None if positive.all() else positive,
-        table(model.score) if score else None,
-        None if sensitivity is None else table(sensitivity),
-    )
+    return _Block(outcomes, weights, logpdf, pdf, None if positive.all() else positive, scores, sens)
+
+
+def _summed(total, block: _Block, rows):
+    """``total`` plus the block's outcome sum of ``rows``: trapezoid-weighted
+    on an outcome grid, label by label on a discrete space, so that a
+    discrete sum does not depend on the blocking."""
+    if block.weights is not None:
+        return total + block.weights @ rows
+    for row in rows:
+        total = total + row
+    return total
 
 
 def _joint_table(model: ConditionalModel, thetas: np.ndarray, score=False, sensitivity=None):
     """Yield the joint table of ``model`` against the 1-D ``thetas`` as
-    :class:`_Block`\\ s of outcome rows.
+    :class:`_Block`\\ s of at most ``_BLOCK_CELLS`` cells or one outcome.
 
-    The outcome weights are 1 on a discrete space and the trapezoid weights
-    of the outcome grid on a continuous one, so ``weights @ rows`` sums a
-    block over its outcomes. A continuous block holds about
-    ``_BLOCK_CELLS`` cells; a discrete one holds one outcome, since model
-    callables take one outcome label at a time. The conditional outcome
-    mass at each parameter value is summed from the blocks and checked
-    after the last one, so a truncated outcome grid raises
-    :class:`UnnormalizedOutcomeSpaceError` instead of silently lowering
-    every sum over the outcome.
+    The conditional outcome mass at each parameter value is summed from the
+    blocks and checked after the last one, so a truncated outcome grid
+    raises :class:`UnnormalizedOutcomeSpaceError` instead of silently
+    lowering every sum over the outcome.
     """
     space = model.outcome_space
     if isinstance(space, DiscreteOutcomes):
-        rows = [((x,), x, thetas, None) for x in space.outcomes]
+        outcomes, weights = space.outcomes, None
     else:
         xg = space.grid
+        outcomes = xg.nodes.tolist()
         weights = np.full(xg.n_points, xg.spacing)
         weights[[0, -1]] *= 0.5
-        step = max(1, _BLOCK_CELLS // thetas.size)
-        rows = [
-            (xg.nodes[r].tolist(), xg.nodes[r, None], thetas[None, :], weights[r])
-            for r in (slice(i, i + step) for i in range(0, xg.n_points, step))
-        ]
-    mass = np.zeros(thetas.size)
-    for outcomes, x, row_thetas, row_weights in rows:
-        block = _table_rows(model, outcomes, x, row_thetas, row_weights, score, sensitivity)
-        mass += block.weights @ block.pdf
+    step = max(1, _BLOCK_CELLS // thetas.size)
+    mass = 0.0
+    for i in range(0, len(outcomes), step):
+        rows = None if weights is None else weights[i : i + step]
+        block = _table_rows(model, outcomes[i : i + step], thetas, rows, score, sensitivity)
+        mass = _summed(mass, block, block.pdf)
         yield block
     deviation = np.abs(mass - 1.0)
     worst = int(np.argmax(deviation))
@@ -162,6 +131,39 @@ def _joint_table(model: ConditionalModel, thetas: np.ndarray, score=False, sensi
             f"conditional mass over the outcome space is {float(mass[worst])!r} "
             f"at theta={float(thetas[worst])}"
         )
+
+
+def _grid_block(model: ConditionalModel, grid: ParameterGrid, sensitivity) -> _Block:
+    (block,) = _joint_table(model, grid.nodes, True, sensitivity)
+    for values in block[2:]:  # every caller gets the same arrays
+        if values is not None:
+            values.setflags(write=False)
+    return block
+
+
+def _kept_table(model: ConditionalModel, grid: ParameterGrid, sensitivity=None) -> _Block | None:
+    """The table of a discrete ``model`` against the nodes of ``grid``, with
+    the score, if it fits in one block (else None), kept by model, grid and
+    sensitivity so that every evaluator of the model on the grid reads it."""
+    space = model.outcome_space
+    if isinstance(space, DiscreteOutcomes) and len(space.outcomes) * grid.n_points <= _BLOCK_CELLS:
+        return _kept(_grid_block, model, grid, sensitivity)
+
+
+def _prior_table(model: ConditionalModel, grid: ParameterGrid, score=False, sensitivity=None):
+    """The joint table against the nodes of ``grid``: the kept one, or blocks."""
+    kept = _kept_table(model, grid, sensitivity)
+    return _joint_table(model, grid.nodes, score, sensitivity) if kept is None else (kept,)
+
+
+def _outcome_row(model: ConditionalModel, grid: ParameterGrid, x, score=False, sensitivity=None) -> _Block:
+    """Outcome ``x`` against the nodes of ``grid``: a row of the kept table,
+    or a table of its own."""
+    kept = _kept_table(model, grid, sensitivity)
+    if kept is None:
+        return _table_rows(model, (x,), grid.nodes, None, score, sensitivity)
+    i = model.outcome_space.index(x)
+    return _Block((x,), None, *(None if a is None else a[i : i + 1] for a in kept[2:]))
 
 
 def _on_positive(values: np.ndarray, positive: np.ndarray | None) -> np.ndarray:
@@ -192,17 +194,24 @@ def _mi_rows(block: _Block, joint: np.ndarray, px: np.ndarray, prior: Prior) -> 
 
 
 def _fisher_rows(block: _Block) -> np.ndarray:
-    """The block's outcome sum of p(x|theta) score^2 at each parameter value."""
+    """p(x|theta) score^2 at each cell of the block."""
     score = _on_positive(block.score, block.positive)
     term = block.pdf * score * score
     if not np.all(np.isfinite(term)):
         raise NonFiniteError("squared score diverges at a positive-probability outcome")
-    return block.weights @ term
+    return term
+
+
+def _fisher_sum(blocks) -> np.ndarray:
+    """The Fisher information at each parameter value of the blocks."""
+    fi = 0.0
+    for block in blocks:
+        fi = _summed(fi, block, _fisher_rows(block))
+    return fi
 
 
 def _marginal_row(model: ConditionalModel, prior: Prior, x) -> float:
-    block = _table_rows(model, (x,), x, prior.grid.nodes)
-    return float(_marginal_rows(block, prior)[1][0])
+    return float(_marginal_rows(_outcome_row(model, prior.grid, x), prior)[1][0])
 
 
 def marginal(model: ConditionalModel, prior: Prior, x) -> float:
@@ -220,19 +229,13 @@ def marginal(model: ConditionalModel, prior: Prior, x) -> float:
     return _kept(_marginal_row, model, prior, x)
 
 
-def _pmi_row(model: ConditionalModel, x, thetas: list, px: float) -> tuple[np.ndarray, list]:
-    """log p(x|theta) - log p(x) at each theta sample, from one ``log_pdf``
-    call and a marginal ``px`` in hand, and the error of each sample whose
-    likelihood is zero or not finite (None for the others)."""
-    th = np.array(thetas, dtype=float)
-    log_cond = np.full(th.shape, model.log_pdf(x, th), dtype=float)  # a model may ignore theta
-    errors = [None] * th.size
-    for i, value in enumerate(log_cond.tolist()):
-        if value == -math.inf:
-            errors[i] = ZeroLikelihoodError(f"p({x!r} | theta={thetas[i]}) is zero")
-        elif not math.isfinite(value):
-            errors[i] = NonFiniteError("conditional log-density is not finite")
-    return log_cond - float(np.log(px)), errors
+def _likelihood_error(x, theta, log_likelihood: float):
+    """The error of a log-likelihood that is -inf or not finite, or None."""
+    if log_likelihood == -math.inf:
+        return ZeroLikelihoodError(f"p({x!r} | theta={theta}) is zero")
+    if not math.isfinite(log_likelihood):
+        return NonFiniteError("conditional log-density is not finite")
+    return None
 
 
 def pmi(model: ConditionalModel, prior: Prior, x, theta: float) -> float:
@@ -241,10 +244,12 @@ def pmi(model: ConditionalModel, prior: Prior, x, theta: float) -> float:
     Sign-indefinite: a single realization can be misleading about the
     parameter, in which case the PMI is negative.
     """
-    values, (error,) = _pmi_row(model, x, [theta], marginal(model, prior, x))
+    px = marginal(model, prior, x)
+    log_likelihood = model.table((x,), np.array([theta], dtype=float))[0][0, 0]
+    error = _likelihood_error(x, theta, log_likelihood)
     if error is not None:
         raise error
-    return float(values[0])
+    return float(log_likelihood - float(np.log(px)))
 
 
 def sfi(model: ConditionalModel, x, theta: float) -> float:
@@ -253,7 +258,7 @@ def sfi(model: ConditionalModel, x, theta: float) -> float:
     The per-realization sensitivity whose conditional average is the Fisher
     information.
     """
-    s = float(model.score(x, theta))
+    s = float(model.table((x,), np.array([theta], dtype=float), score=True)[1][0, 0])
     if not np.isfinite(s):
         raise NonFiniteError(f"score at ({x!r}, {theta}) is not finite")
     return s * s
@@ -280,12 +285,8 @@ def fisher_information(model: ConditionalModel, theta):
     hold the conditional mass at some parameter value.
     """
     th = np.asarray(theta, dtype=float)
-    fi = np.zeros(th.size)
-    for block in _joint_table(model, th.ravel(), score=True):
-        fi += _fisher_rows(block)
-    if th.ndim == 0:
-        return float(fi[0])
-    return fi.reshape(th.shape)
+    fi = _fisher_sum(_joint_table(model, th.ravel(), score=True))
+    return float(fi[0]) if th.ndim == 0 else fi.reshape(th.shape)
 
 
 def mutual_information(model: ConditionalModel, prior: Prior) -> float:
@@ -296,7 +297,7 @@ def mutual_information(model: ConditionalModel, prior: Prior) -> float:
     hold the conditional mass at some prior node.
     """
     total = 0.0
-    for block in _joint_table(model, prior.grid.nodes):
+    for block in _prior_table(model, prior.grid):
         joint, px = _marginal_rows(block, prior)
-        total += block.weights @ _mi_rows(block, joint, px, prior)
+        total = _summed(total, block, _mi_rows(block, joint, px, prior))
     return float(total)

@@ -11,7 +11,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import InvalidParameterError, LengthMismatchError, NonFiniteError
+from .errors import InvalidParameterError, LengthMismatchError, NonFiniteError, OutsideSupportError
 from .grids import ParameterGrid, interp_on_grid, quadrature
 
 #: Allowed deviation of the grid quadrature of a prior density from 1.
@@ -41,8 +41,12 @@ class DiscreteOutcomes:
         if len(set(self.outcomes)) != len(self.outcomes):
             raise InvalidParameterError("outcome list contains duplicates")
 
-    def __contains__(self, x):
-        return x in self.outcomes
+    def index(self, x) -> int:
+        """The position of label ``x``, or :class:`OutsideSupportError`."""
+        try:
+            return self.outcomes.index(x)
+        except ValueError:
+            raise OutsideSupportError(f"outcome {x!r} is not in the outcome space") from None
 
 
 @dataclass(frozen=True)
@@ -80,13 +84,14 @@ class ConditionalModel:
     differences with a scale-aware step are used.
 
     Both callables must accept a scalar outcome together with a scalar or
-    ndarray ``theta`` and broadcast accordingly; grid sweeps rely on this.
+    ndarray ``theta`` and broadcast accordingly, on a continuous outcome
+    space also a column of outcomes against a row of ``theta``.
 
-    Both must also be pure: the same arguments give the same values for the
-    life of the model, and neither the model nor its callables change after
-    construction. The bound evaluators rely on this to keep each outcome's
-    theta-independent terms, keyed by the model's identity, for repeat
-    calls.
+    Every evaluator reads the model through :meth:`table`, which a subclass
+    may override to evaluate a block at once, as the quantum adapter does.
+    Model and callables must be pure and unchanging: the evaluators keep,
+    keyed by the model's identity, each outcome's theta-independent bound
+    terms and, on a discrete space, the table against a prior grid.
     """
 
     def __init__(
@@ -117,6 +122,28 @@ class ConditionalModel:
         if np.ndim(theta) == 0:
             return float(out)
         return out
+
+    def table(self, outcomes, thetas: np.ndarray, score: bool = False, sensitivity: Callable | None = None):
+        """``(log_pdf, score, sensitivity)`` of ``outcomes`` against the 1-D
+        ``thetas`` as (len(outcomes), thetas.size) arrays, the last two None
+        unless asked for; ``sensitivity`` is a callable like ``log_pdf``.
+        Calls each callable once per label on a discrete space, where a label
+        outside it raises :class:`OutsideSupportError`, and once with a
+        column of the outcomes on a continuous one."""
+        if isinstance(self.outcome_space, DiscreteOutcomes):
+            for x in outcomes:
+                self.outcome_space.index(x)
+        columns = (self.log_pdf, self.score if score else None, sensitivity)
+        return tuple(None if fn is None else self._rows(fn, outcomes, thetas) for fn in columns)
+
+    def _rows(self, fn: Callable, outcomes, thetas: np.ndarray) -> np.ndarray:
+        """``fn`` at each outcome against ``thetas``, broadcast to one row per outcome."""
+        shape = (len(outcomes), thetas.size)
+        if isinstance(self.outcome_space, DiscreteOutcomes):
+            rows = (np.asarray(fn(x, thetas), dtype=float) for x in outcomes)
+            return np.array([np.broadcast_to(row, shape[1:]) for row in rows])
+        values = fn(np.asarray(outcomes, dtype=float)[:, None], thetas[None, :])
+        return np.broadcast_to(np.asarray(values, dtype=float), shape)
 
 
 # ---------------------------------------------------------------------------

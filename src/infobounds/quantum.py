@@ -343,7 +343,7 @@ def _born_table(family: StateFamily, elements: np.ndarray, thetas: np.ndarray):
 
 
 def _sensitivities(elements, probs, states, labels, warned: set) -> np.ndarray:
-    """Read-only (K, n) per-outcome sensitivities of a :func:`_born_table`,
+    """(K, n) per-outcome sensitivities of a :func:`_born_table`,
     from one SLD computation: NaN where the probability is at most
     ``PROB_EPS``, small negative values clamped to zero. Warns once for each
     outcome of ``labels`` not in ``warned`` whose element has weight outside
@@ -354,7 +354,6 @@ def _sensitivities(elements, probs, states, labels, warned: set) -> np.ndarray:
         sens = _traces(elements, l_matrix @ l_matrix @ rho) / probs
     sens[(sens < 0.0) & (sens >= -STATE_ATOL)] = 0.0
     sens[~(probs > PROB_EPS)] = np.nan
-    sens.setflags(write=False)
     off = w <= RANK_EPS  # eigenvectors outside each state's support
     if np.any(off):
         leak = np.sum(np.einsum("nai,kab,nbi->kni", v.conj(), elements, v).real * off, axis=-1)
@@ -367,11 +366,14 @@ def _sensitivities(elements, probs, states, labels, warned: set) -> np.ndarray:
 
 
 def _warn(message: str) -> None:
-    """A RuntimeWarning attributed to the first caller outside this package."""
-    frame, level = sys._getframe(1), 2
-    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+    """A RuntimeWarning attributed to the first caller outside this package
+    with a source file, else (as under ``python -m``) to its outermost frame."""
+    frame, level, outermost = sys._getframe(1), 2, 2
+    while frame is not None and frame.f_code.co_filename.startswith((_PACKAGE_DIR, "<")):
+        if frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+            outermost = level
         frame, level = frame.f_back, level + 1
-    warnings.warn(message, RuntimeWarning, stacklevel=level)
+    warnings.warn(message, RuntimeWarning, stacklevel=outermost if frame is None else level)
 
 
 def cqfi(family: StateFamily, povm: Povm, x_index: int, theta: float) -> float:
@@ -395,97 +397,68 @@ def cqfi(family: StateFamily, povm: Povm, x_index: int, theta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-class MeasuredStateFamily:
+class MeasuredStateFamily(ConditionalModel):
     """Born-rule conditional model of a POVM on a state family.
 
-    A query tabulates probabilities and their derivatives of every outcome
-    at once, from one stacked decomposition of the states; the per-outcome
-    sensitivities of that table are built from the same decomposition on
-    their first query. The adapter keeps two tables, each for its most recent
-    query of that kind: one for arrays of several values, so the outcomes
-    and bounds of a grid sweep reuse it, and one for a single value (a
-    scalar or an array of size 1), so the log-density, score and
-    sensitivity of every outcome at one point share one state evaluation
-    without evicting the array table. Each is reused only for equal values.
+    Each :meth:`table` evaluates the states once for every outcome, and
+    computes the SLD only for the adapter's own :meth:`sensitivity`; the
+    scalar callables are one-outcome tables. The adapter keeps nothing
+    between queries: the evaluators keep the tables they reuse.
     """
+
+    score_kind = "analytic"
 
     def __init__(self, family: StateFamily, povm: Povm, outcomes: tuple | None = None):
         failures = validate_povm(povm)
         if failures:
             raise InfoBoundError("invalid POVM: " + "; ".join(failures))
-        if outcomes is None:
-            outcomes = tuple(range(len(povm)))
+        outcomes = tuple(range(len(povm))) if outcomes is None else tuple(outcomes)
         if len(outcomes) != len(povm):
             raise DimensionMismatchError("one outcome label per POVM element required")
         self.family = family
-        self.povm = povm
-        self.outcomes = tuple(outcomes)
-        self._index = {x: i for i, x in enumerate(self.outcomes)}
+        self.outcome_space = DiscreteOutcomes(outcomes)
         self._elements = np.stack(povm.elements)
-        # (thetas, table) of the latest query of several values and of one value
-        self._kept: list = [(None, None), (None, None)]
         self._warned_zero_prob = False
         self._warned_leak: set = set()
 
-    def _tabulate(self, thetas: np.ndarray) -> list:
-        """Read-only (K, n) log-probabilities and scores, and the input of
-        :func:`_sensitivities` until the first sensitivity query."""
+    def table(self, outcomes, thetas: np.ndarray, score: bool = False, sensitivity: Callable | None = None):
+        rows = [self.outcome_space.index(x) for x in outcomes]
         probs, dprobs, states = _born_table(self.family, self._elements, thetas)
         positive = probs > PROB_EPS
         if not self._warned_zero_prob and not np.all(positive):
             self._warned_zero_prob = True
             node = int(np.argmax(~np.all(positive, axis=0)))
-            x = self.outcomes[int(np.argmin(positive[:, node]))]
-            _warn(
-                f"outcome {x!r} has zero probability at "
-                f"theta={float(thetas[node])}; such nodes are excluded from integrals"
-            )
+            x = self.outcome_space.outcomes[int(np.argmin(positive[:, node]))]
+            _warn(f"outcome {x!r} has zero probability at theta={float(thetas[node])}; "
+                  "such nodes are excluded from integrals")
         with np.errstate(divide="ignore", invalid="ignore"):
-            table = [np.log(probs), np.where(probs > 0.0, dprobs / probs, np.nan)]
-        for a in table:
-            a.setflags(write=False)
-        return table + [(probs, states)]
+            logpdf = np.log(probs)[rows]
+            scores = np.where(probs > 0.0, dprobs / probs, np.nan)[rows] if score else None
+        if sensitivity is None or sensitivity != self.sensitivity:
+            return logpdf, scores, None if sensitivity is None else self._rows(sensitivity, outcomes, thetas)
+        sens = _sensitivities(self._elements, probs, states, self.outcome_space.outcomes, self._warned_leak)
+        return logpdf, scores, sens[rows]
 
-    def _query(self, which: int, x, theta):
-        i = self._index[x]
+    def _point(self, column: int, x, theta):
         th = np.asarray(theta, dtype=float)
-        flat = th.ravel()
-        slot = int(flat.size == 1)
-        thetas, table = self._kept[slot]
-        if thetas is None or not np.array_equal(flat, thetas):
-            table = self._tabulate(flat)
-            self._kept[slot] = (flat.copy(), table)
-        if which == 2 and isinstance(table[2], tuple):  # built once, then the stacks go
-            table[2] = _sensitivities(self._elements, *table[2], self.outcomes, self._warned_leak)
-        row = table[which][i]
+        own = self.sensitivity if column == 2 else None
+        row = self.table((x,), th.ravel(), score=column == 1, sensitivity=own)[column][0]
         return float(row[0]) if th.ndim == 0 else row.reshape(th.shape)
 
     def log_pdf(self, x, theta):
-        return self._query(0, x, theta)
+        return self._point(0, x, theta)
 
     def score(self, x, theta):
-        return self._query(1, x, theta)
+        return self._point(1, x, theta)
 
     def sensitivity(self, x, theta):
         """Per-outcome quantum sensitivity; NaN at zero-probability nodes."""
-        return self._query(2, x, theta)
+        return self._point(2, x, theta)
 
 
-def quantum_conditional_model(
-    family: StateFamily,
-    povm: Povm,
-    outcomes: tuple | None = None,
-) -> tuple[ConditionalModel, Callable]:
-    """Adapt a measured state family into a conditional model plus its
-    per-outcome sensitivity provider.
-
-    The returned sensitivity callable slots into the bound evaluators in
-    place of the squared score.
-    """
-    measured = MeasuredStateFamily(family, povm, outcomes)
-    model = ConditionalModel(
-        log_pdf=measured.log_pdf,
-        outcome_space=DiscreteOutcomes(measured.outcomes),
-        score=measured.score,
-    )
-    return model, measured.sensitivity
+def quantum_conditional_model(family: StateFamily, povm: Povm, outcomes: tuple | None = None):
+    """The adapter of a measured state family, which is its conditional
+    model, and its per-outcome sensitivity, which slots into the bound
+    evaluators in place of the squared score."""
+    adapter = MeasuredStateFamily(family, povm, outcomes)
+    return adapter, adapter.sensitivity

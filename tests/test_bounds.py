@@ -406,13 +406,29 @@ def test_mi_chain_evaluates_each_cell_once(langevin_uniform):
     assert sum(math.prod(s) for s in shapes["score"]) == cells
 
 
+@pytest.mark.parametrize("case", ["boxcar", "prior"])
+def test_discrete_chain_does_not_depend_on_the_blocking(case, monkeypatch):
+    # 20 outcomes on 2001 nodes take two blocks; the outcome sums run label
+    # by label, so one outcome per block and one block for all agree bit for bit
+    rng = np.random.default_rng(20)
+    model = ib.discrete_exponential_model(rng.normal(size=20), rng.normal(size=20))
+    prior = ib.uniform_prior(-1.0, 1.0) if case == "boxcar" else ib.gaussian_prior(0.0, 0.3)
+    weight = ib.boxcar_weight(prior.grid) if case == "boxcar" else ib.prior_weight(prior)
+    values = {ib.mi_chain_values(model, prior, weight)}
+    for cells in (prior.grid.n_points, 20 * prior.grid.n_points):
+        monkeypatch.setattr(ib.information, "_BLOCK_CELLS", cells)
+        values.add(ib.mi_chain_values(model, prior, weight))
+    assert len(values) == 1
+
+
 def test_bound_sweep_evaluates_one_grid_row_per_outcome(langevin_uniform):
     model, prior = langevin_uniform
     counted, shapes = _counting(model)
     ib.bound_sweep(counted, prior, "theorem1", np.linspace(-2, 2, 3), np.linspace(0.6, 1.4, 4))
-    row = (prior.grid.n_points,)
-    # one grid row per outcome for the bound's terms, one theta row per outcome for the PMI
-    assert sorted(shapes["log_pdf"]) == [(4,)] * 3 + [row] * 3
+    row = (1, prior.grid.n_points)
+    # one grid row per outcome for the bound's terms, one block of the
+    # outcomes against the theta samples for the PMI
+    assert shapes["log_pdf"] == [row] * 3 + [(3, 4)]
     assert shapes["score"] == [row] * 3
 
 
@@ -552,10 +568,11 @@ def test_kept_outcome_terms_give_the_cold_report_bit_for_bit(case, kind):
         # a new model object over the same callables: no kept row applies
         fresh = ib.ConditionalModel(model.log_pdf, model.outcome_space, score=model.score)
         cold = repr(ib.bound_general(fresh, prior, weight, x, theta, sens))
-        hits = _kept_rows().hits
         first = repr(ib.bound_general(model, prior, weight, x, theta, sens))
+        before = _kept_rows()
         warm = repr(ib.bound_general(model, prior, weight, x, theta, sens))
-        assert _kept_rows().hits == hits + 1
+        # a warm call reads its outcome's kept terms and nothing else
+        assert (_kept_rows().hits, _kept_rows().misses) == (before.hits + 1, before.misses)
         assert first == warm == cold
 
 
@@ -576,7 +593,9 @@ def test_failing_outcome_row_raises_again_on_each_call():
             ib.bound_theorem1(counted, prior, 1, 0.5)
         messages.append(str(err.value))
     assert messages == ["marginal probability of 1 is degenerate"] * 3
-    assert shapes["log_pdf"] == [(prior.grid.n_points,)] * 3
+    # the grid table is kept after the first call, and the row of outcome 1
+    # raises again from it on each call
+    assert shapes["log_pdf"] == [(prior.grid.n_points,)] * 2
 
 
 def test_kept_outcome_rows_stay_bounded():
@@ -604,10 +623,42 @@ def test_warm_demon_record_and_pmi_make_one_point_query(langevin_uniform):
         for values in shapes.values():
             values.clear()
         assert ib.demon_work_check(record, counted, prior) == cold
-        assert shapes == {"log_pdf": [(1,)], "score": []}
+        assert shapes == {"log_pdf": [(1, 1)], "score": []}
         shapes["log_pdf"].clear()
         assert ib.pmi(counted, prior, 0.4, 0.8) == cold.pmi
-        assert shapes == {"log_pdf": [(1,)], "score": []}
+        assert shapes == {"log_pdf": [(1, 1)], "score": []}
+
+
+def _three_outcomes():
+    return ib.discrete_exponential_model([0.1, 0.2, -0.3], [1.0, -0.5, 0.3])
+
+
+def test_negative_label_is_outside_a_discrete_space():
+    # NumPy would index outcome 2 with -1 and report it as outcome -1
+    model, prior = _three_outcomes(), ib.uniform_prior(-1.0, 1.0, 201)
+    with pytest.raises(ib.OutsideSupportError, match="outcome -1 is not in the outcome space"):
+        ib.bound_theorem1(model, prior, -1, 0.2)
+    reports, skipped = ib.bound_sweep(model, prior, "theorem1", [2, -1], [0.2, 0.4])
+    assert [r.x for r in reports] == [2, 2]
+    assert [(p.x, p.theta, p.reason) for p in skipped] == [
+        (-1, 0.2, "OutsideSupportError"), (-1, 0.4, "OutsideSupportError"),
+    ]
+
+
+@pytest.mark.parametrize("n_points", [201, 20001])
+def test_label_past_the_last_outcome_raises_a_typed_error(n_points):
+    # 201 nodes read the kept grid table, 20001 a table of the one outcome
+    model, prior = _three_outcomes(), ib.uniform_prior(-1.0, 1.0, n_points)
+    calls = (
+        lambda: ib.bound_theorem1(model, prior, 5, 0.2),
+        lambda: ib.pmi(model, prior, 5, 0.2),
+        lambda: ib.marginal(model, prior, 5),
+        lambda: ib.sfi(model, 5, 0.2),
+        lambda: ib.sqrt_lambda_nodes(model, ib.boxcar_weight(prior.grid), 5),
+    )
+    for call in calls:
+        with pytest.raises(ib.OutsideSupportError, match="outcome 5 is not in the outcome space"):
+            call()
 
 
 def test_weight_check_is_kept_per_prior_and_weight(langevin_uniform, monkeypatch):

@@ -1,11 +1,19 @@
+import json
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import infobounds as ib
 from conftest import basis_povm, diagonal_family, three_level_family
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _ket(*amps):
@@ -375,18 +383,68 @@ def test_adapter_support_leak_warns_once_per_outcome():
         assert "'+'" in messages[0] and "'-'" in messages[1]
 
 
-def test_adapter_keeps_one_table():
+def _stateless(model) -> tuple:
+    """What the adapter holds: its attribute names and the shapes of its arrays."""
+    state = vars(model)
+    assert model._warned_leak <= set(model.outcome_space.outcomes)
+    return sorted(state), [v.shape for v in state.values() if isinstance(v, np.ndarray)]
+
+
+def test_adapter_keeps_no_theta_dependent_array():
     counted, calls = _counting(ib.qubit_phase_family())
-    model, _ = ib.quantum_conditional_model(counted, ib.sigma_x_povm())
-    a, b = np.linspace(0.1, 1.2, 11), np.linspace(0.2, 1.4, 7)
-    for thetas, expected in ((a, 11), (a.copy(), 0), (b, 7), (a, 11)):
+    model, sensitivity = ib.quantum_conditional_model(counted, ib.sigma_x_povm(), outcomes=("+", "-"))
+    prior = ib.uniform_prior(0.0, math.pi / 2)
+    weight = ib.boxcar_weight(prior.grid)
+    before = _stateless(model)
+    assert before[1] == [(2, 2, 2)]  # the POVM elements
+    a = np.linspace(0.1, 1.2, 11)
+    queries = (
+        lambda: model.log_pdf("+", a),
+        lambda: sensitivity("-", a),
+        lambda: model.score("+", 0.55),
+        lambda: ib.mi_chain_values(model, prior, weight, sensitivity),
+        lambda: ib.bound_sweep(model, prior, "theorem1", ["+", "-"], a, sensitivity=sensitivity),
+        lambda: ib.demon_work_check(ib.DemonRecord(1.0, 0.1, 0.0, "-", 0.7), model, prior, sensitivity),
+        lambda: ib.fisher_information(model, a),
+    )
+    for query in queries:
+        query()
+        assert _stateless(model) == before
+    # each direct query of the adapter evaluates the states afresh
+    for thetas in (a, a, 0.55):
         calls.clear()
-        model.log_pdf(0, thetas)
-        assert len(calls) == expected
-    calls.clear()
-    model.score(1, 0.55)
-    model.log_pdf(1, a)
-    assert calls == [0.55]
+        model.log_pdf("+", thetas)
+        assert len(calls) == np.size(thetas)
+
+
+def test_evaluators_keep_one_grid_table_across_sweeps_and_records():
+    counted, calls = _counting(ib.qubit_phase_family())
+    model, sensitivity = ib.quantum_conditional_model(counted, ib.sigma_x_povm(), outcomes=("+", "-"))
+    prior = ib.uniform_prior(0.0, math.pi / 2)
+    weight = ib.boxcar_weight(prior.grid)
+    thetas = np.linspace(0.0, math.pi / 2, 41)
+    steps = {
+        "chain": lambda: ib.mi_chain_values(model, prior, weight, sensitivity),
+        "sweep": lambda: ib.bound_sweep(model, prior, "theorem1", ["+", "-"], thetas, sensitivity=sensitivity),
+        "record": lambda: ib.demon_work_check(
+            ib.DemonRecord(1.0, 0.1, 0.0, "+", 0.7071), model, prior, model.sensitivity
+        ),
+        "squared-score chain": lambda: ib.mi_chain_values(model, prior, weight),
+        "grid query": lambda: model.log_pdf("+", prior.grid.nodes),
+    }
+    order = ("sweep", "chain", "sweep", "chain", "record", "record", "squared-score chain",
+             "chain", "grid query", "grid query")
+    costs = []
+    for step in order:
+        calls.clear()
+        steps[step]()
+        costs.append(len(calls))
+    n = prior.grid.n_points
+    # The grid table is kept by (model, grid, sensitivity): sweeps and records
+    # do not evict it. A record costs one state at its theta, also when it
+    # repeats one; a chain on the squared score keeps a table of its own; the
+    # adapter's callables keep nothing.
+    assert costs == [n + 41, 0, 41, 0, 1, 1, n, 0, n, n]
 
 
 def test_demon_check_evaluates_the_state_once():
@@ -395,27 +453,14 @@ def test_demon_check_evaluates_the_state_once():
         counted, ib.sigma_x_povm(), outcomes=("+", "-")
     )
     prior = ib.uniform_prior(0.0, math.pi / 2)
-    nodes = prior.grid.nodes
-    model.log_pdf("+", nodes)
-    record = ib.DemonRecord(1.0, 0.1, 0.0, "+", 0.7071)
-    calls.clear()
-    check = ib.demon_work_check(record, model, prior, sensitivity)
-    assert len(calls) == 1
-    assert check.pmi == ib.pmi(model, prior, "+", 0.7071)
-    calls.clear()
-    for x in ("+", "-"):
-        model.log_pdf(x, nodes)
-        model.score(x, nodes)
-        sensitivity(x, nodes)
-    assert calls == []
-    for _ in range(3):  # the point table of 0.7071 outlives the grid queries
+    ib.mi_chain_values(model, prior, ib.boxcar_weight(prior.grid), sensitivity)
+    # one state evaluation per record, with the sensitivity passed afresh
+    for theta in (0.7071, 0.9, 0.3, 0.9):
         calls.clear()
-        model.log_pdf("-", 0.7071)
-        assert calls == []
-    for theta in (0.9, 0.3, 0.9):  # a record at a new theta: one state evaluation
-        calls.clear()
-        ib.demon_work_check(ib.DemonRecord(1.0, 0.1, 0.0, "-", theta), model, prior, sensitivity)
+        record = ib.DemonRecord(1.0, 0.1, 0.0, "-", theta)
+        check = ib.demon_work_check(record, model, prior, model.sensitivity)
         assert calls == [theta]
+    assert check.pmi == ib.pmi(model, prior, "-", 0.9)
 
 
 def test_cold_qubit_sweep_evaluates_the_grid_and_the_samples_once():
@@ -449,13 +494,12 @@ def test_scalar_fisher_information_keeps_the_grid_table():
             assert ib.fisher_information(model, 0.3) == pytest.approx(1.0, abs=1e-10)
         costs.append(len(calls))
     # The Fisher information at one value costs one state: log_pdf and
-    # score of each outcome share the point table.
+    # score of each outcome come from one table.
     assert costs == [prior.grid.n_points, 0, 1, 0]
     calls.clear()
     one = model.log_pdf("+", np.array([0.3]))
     assert one.shape == (1,) and one[0] == model.log_pdf("+", 0.3)
-    model.log_pdf("+", prior.grid.nodes)
-    assert calls == []
+    assert calls == [0.3, 0.3]
 
 
 def _counting_sld(monkeypatch):
@@ -471,37 +515,36 @@ def _counting_sld(monkeypatch):
     return calls
 
 
-def test_sensitivity_column_is_built_on_its_first_query(monkeypatch):
+def test_sld_is_computed_only_for_the_adapters_own_sensitivity(monkeypatch):
     sld_calls = _counting_sld(monkeypatch)
-    counted, calls = _counting(ib.qubit_phase_family())
-    model, sensitivity = ib.quantum_conditional_model(
-        counted, ib.sigma_x_povm(), outcomes=("+", "-")
-    )
+    model, sensitivity = ib.qubit_measurement_model()
     prior = ib.uniform_prior(0.0, math.pi / 2)
-    model.log_pdf("+", prior.grid.nodes)
-    calls.clear()
-    for theta in (0.7071, np.array([0.7071])):  # warm point queries
-        for x in ("+", "-"):
-            model.log_pdf(x, theta)
-            model.score(x, theta)
-    assert (calls, sld_calls) == ([0.7071], [])
-    calls.clear()
-    warm = [sensitivity(x, 0.7071) for x in ("+", "-")]
-    assert (calls, sld_calls) == ([], [1])
-    sld_calls.clear()
-    assert [sensitivity(x, 0.7071) for x in ("+", "-")] == warm
+    weight = ib.boxcar_weight(prior.grid)
+    for x in ("+", "-"):
+        model.log_pdf(x, 0.7071)
+        model.score(x, prior.grid.nodes)
+    ib.mi_chain_values(model, prior, weight)
+    ib.bound_theorem1(model, prior, "+", 0.7071)
     assert sld_calls == []
-    _, fresh = ib.quantum_conditional_model(
-        ib.qubit_phase_family(), ib.sigma_x_povm(), outcomes=("+", "-")
-    )
+    warm = [sensitivity(x, 0.7071) for x in ("+", "-")]
+    assert sld_calls == [1, 1]
+    _, fresh = ib.qubit_measurement_model()
     assert [fresh(x, 0.7071) for x in ("+", "-")] == warm
-    # the same holds for the array table
+    # one SLD for the grid table of a chain, which later chains read
     sld_calls.clear()
-    grid_sens = sensitivity("-", prior.grid.nodes)
-    assert np.array_equal(grid_sens, fresh("-", prior.grid.nodes), equal_nan=True)
-    assert sld_calls == [1, 1]  # once on each adapter
-    sensitivity("+", prior.grid.nodes)
-    assert sld_calls == [1, 1] and calls == []
+    ib.mi_chain_values(model, prior, weight, model.sensitivity)
+    ib.mi_chain_values(model, prior, weight, sensitivity)
+    assert sld_calls == [1]
+    kept = ib.information._kept_table(model, prior.grid, sensitivity).sensitivity
+    assert np.array_equal(kept[1], fresh("-", prior.grid.nodes), equal_nan=True)
+    # a sensitivity other than the adapter's own is called as given
+    sld_calls.clear()
+
+    def squared_score(x, theta):
+        return np.square(model.score(x, theta))
+
+    ib.average_pointwise_bound(model, prior, weight, squared_score)
+    assert sld_calls == []
 
 
 def test_support_leak_warns_with_the_first_sensitivity():
@@ -537,6 +580,42 @@ def test_adapter_warnings_name_the_callers_file():
     kinds = [str(w.message).split(" ")[0] for w in caught]
     assert kinds == ["outcome", "POVM", "POVM", "POVM", "outcome", "POVM", "POVM"]
     assert {w.filename for w in caught} == {__file__}
+
+
+def test_unknown_label_on_the_adapter_raises_a_typed_error(qubit):
+    model, sensitivity, prior = qubit
+    calls = (
+        lambda: ib.bound_theorem1(model, prior, "x", 0.3, sensitivity),
+        lambda: ib.pmi(model, prior, "x", 0.3),
+        lambda: model.log_pdf("x", 0.3),
+    )
+    for call in calls:
+        with pytest.raises(ib.OutsideSupportError, match="outcome 'x' is not in the outcome space"):
+            call()
+    reports, skipped = ib.bound_sweep(model, prior, "theorem1", ["x", "+"], [0.3], sensitivity=sensitivity)
+    assert [r.x for r in reports] == ["+"]
+    assert [(p.x, p.reason) for p in skipped] == [("x", "OutsideSupportError")]
+
+
+def test_adapter_warnings_under_python_m_name_a_source_file(tmp_path):
+    # Under `python -m infobounds.cli` every frame outside the package is
+    # frozen runpy code, so the warning goes to the package's outermost frame.
+    cfg = tmp_path / "qubit.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "scenario": "qubit_phase", "prior": {"kind": "uniform"},
+        "bound": "theorem3", "sweep": {"theta_count": 5},
+    }))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "infobounds.cli", "verify", "--config", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "<frozen" not in proc.stderr
+    warned = re.findall(r"^(\S+\.py):\d+: RuntimeWarning: (\w+)", proc.stderr, re.MULTILINE)
+    assert [kind for _, kind in warned] == ["outcome", "POVM", "POVM"]
+    assert {Path(name).name for name, _ in warned} == {"cli.py"}
 
 
 # ---------------------------------------------------------------------------

@@ -6,92 +6,133 @@ upper bounds that relate them (classically through the squared score,
 quantum-mechanically through the per-outcome sensitivity of the symmetric
 logarithmic derivative), and demonstrates how those pointwise bounds average
 into the familiar ensemble mutual-information bound.
+
+``import infobounds`` runs only :mod:`infobounds.errors` and loads no NumPy.
+Every other submodule is in ``sys.modules`` from the start and runs on its
+first attribute access, whether through a public name of the package or
+through the module itself.
 """
 
-from .bounds import (
-    BoundReport,
-    SkippedPoint,
-    SweepSummary,
-    average_pointwise_bound,
-    bound_general,
-    bound_sweep,
-    bound_theorem1,
-    bound_theorem2,
-    chain_holds,
-    lambda_general,
-    mi_bound_average,
-    mi_chain_values,
-    sqrt_lambda_nodes,
-    summarize_sweep,
-    verify_bound_sweep,
-)
-from .errors import (
-    ConfigError,
-    DegenerateMarginalError,
-    DimensionMismatchError,
-    IllConditionedError,
-    InfoBoundError,
-    InvalidParameterError,
-    InvalidWeightError,
-    LengthMismatchError,
-    NegativeLambdaError,
-    NonFiniteError,
-    NonPositiveDiffusionError,
-    OutsideSupportError,
-    ThetaOutsideSupportError,
-    UnnormalizedOutcomeSpaceError,
-    ZeroLikelihoodError,
-    ZeroOutcomeProbabilityError,
-    ZeroWeightError,
-)
-from .grids import ParameterGrid, quadrature
-from .information import (
-    fisher_information,
-    marginal,
-    mutual_information,
-    pmi,
-    sfi,
-    surprisal,
-)
-from .models import (
-    ConditionalModel,
-    ContinuousOutcomes,
-    DiscreteOutcomes,
-    FiniteSupport,
-    Prior,
-    TruncatedInfinite,
-    WeightFunction,
-    boxcar_weight,
-    gamma_prior,
-    gaussian_prior,
-    gaussian_weight,
-    prior_weight,
-    uniform_prior,
-)
-from .quantum import (
-    MeasuredStateFamily,
-    Povm,
-    StateFamily,
-    born_probability,
-    cqfi,
-    qfi,
-    quantum_conditional_model,
-    sld,
-    sld_residual,
-    validate_povm,
-)
-from .scenarios import (
-    DemonCheck,
-    DemonRecord,
-    demon_work_check,
-    discrete_exponential_model,
-    langevin_model,
-    qubit_measurement_model,
-    qubit_phase_family,
-    qubit_phase_scenario,
-    sigma_x_povm,
-    sigma_y_povm,
-    sigma_z_povm,
+import importlib.util
+import sys
+
+from . import errors
+
+#: Public names by the submodule that defines them.
+_EXPORTS = {
+    "bounds": (
+        "BoundReport",
+        "SkippedPoint",
+        "SweepSummary",
+        "average_pointwise_bound",
+        "bound_general",
+        "bound_sweep",
+        "bound_theorem1",
+        "bound_theorem2",
+        "chain_holds",
+        "lambda_general",
+        "mi_bound_average",
+        "mi_chain_values",
+        "sqrt_lambda_nodes",
+        "summarize_sweep",
+        "verify_bound_sweep",
+    ),
+    "errors": (
+        "ConfigError",
+        "DegenerateMarginalError",
+        "DimensionMismatchError",
+        "IllConditionedError",
+        "InfoBoundError",
+        "InvalidParameterError",
+        "InvalidWeightError",
+        "LengthMismatchError",
+        "NegativeLambdaError",
+        "NonFiniteError",
+        "NonPositiveDiffusionError",
+        "OutsideSupportError",
+        "ThetaOutsideSupportError",
+        "UnnormalizedOutcomeSpaceError",
+        "ZeroLikelihoodError",
+        "ZeroOutcomeProbabilityError",
+        "ZeroWeightError",
+    ),
+    "grids": ("ParameterGrid", "quadrature"),
+    "information": (
+        "fisher_information",
+        "marginal",
+        "mutual_information",
+        "pmi",
+        "sfi",
+        "surprisal",
+    ),
+    "models": (
+        "ConditionalModel",
+        "ContinuousOutcomes",
+        "DiscreteOutcomes",
+        "FiniteSupport",
+        "Prior",
+        "TruncatedInfinite",
+        "WeightFunction",
+        "boxcar_weight",
+        "gamma_prior",
+        "gaussian_prior",
+        "gaussian_weight",
+        "prior_weight",
+        "uniform_prior",
+    ),
+    "quantum": (
+        "MeasuredStateFamily",
+        "Povm",
+        "StateFamily",
+        "born_probability",
+        "cqfi",
+        "qfi",
+        "quantum_conditional_model",
+        "sld",
+        "sld_residual",
+        "validate_povm",
+    ),
+    "scenarios": (
+        "DemonCheck",
+        "DemonRecord",
+        "demon_work_check",
+        "discrete_exponential_model",
+        "langevin_model",
+        "qubit_measurement_model",
+        "qubit_phase_family",
+        "qubit_phase_scenario",
+        "sigma_x_povm",
+        "sigma_y_povm",
+        "sigma_z_povm",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_ORIGIN)
+__version__ = "0.1.0"
+
+
+def _lazy(name: str):
+    """Submodule ``name``, registered in ``sys.modules`` but not yet run."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+grids, models, information, bounds, quantum, scenarios = map(
+    _lazy, ("grids", "models", "information", "bounds", "quantum", "scenarios")
 )
 
-__version__ = "0.1.0"
+
+def __getattr__(name: str):
+    # Read from the submodule on every access, never cached here: a function
+    # replaced in its submodule (perfbench/tracer.py swaps functions for
+    # timed wrappers and back) must be what the package returns too.
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_ORIGIN[name]], name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

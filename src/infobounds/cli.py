@@ -11,36 +11,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .bounds import (
-    SkippedPoint,
-    _weight_for_kind,
-    bound_sweep,
-    chain_holds,
-    mi_chain_values,
-    summarize_sweep,
-)
+from . import bounds, models, scenarios
 from .errors import ConfigError, InfoBoundError
-from .models import (
-    Prior,
-    WeightFunction,
-    boxcar_weight,
-    gamma_prior,
-    gaussian_prior,
-    gaussian_weight,
-    prior_weight,
-    uniform_prior,
-)
-from .scenarios import (
-    QUBIT_THETA_MAX,
-    discrete_exponential_model,
-    langevin_model,
-    qubit_measurement_model,
-    sigma_x_povm,
-    sigma_y_povm,
-    sigma_z_povm,
-)
 
 SCHEMA_VERSION = 1
 
@@ -59,7 +31,8 @@ _BOUND_KINDS = {
     "general": "general",
     "mi_average": "theorem1",
 }
-_POVMS = {"sigma_x": sigma_x_povm, "sigma_y": sigma_y_povm, "sigma_z": sigma_z_povm}
+#: POVM names; ``scenarios.<name>_povm`` builds each.
+_POVMS = ("sigma_x", "sigma_y", "sigma_z")
 
 #: Smallest admissible trap stiffness when a Gaussian prior is clipped to
 #: the positive axis.
@@ -180,11 +153,11 @@ def _read_config(cfg) -> tuple[dict, list[str]]:
         kind = r.read("prior.kind", _one_of(("uniform", "gaussian", "gamma")))
         if kind == "uniform":
             lo = r.read("prior.theta_min", default=0.0 if qubit else _REQUIRED)
-            hi = r.read("prior.theta_max", default=QUBIT_THETA_MAX if qubit else _REQUIRED)
-            if qubit and None not in (lo, hi) and not 0.0 <= lo < hi <= QUBIT_THETA_MAX + 1e-12:
+            hi = r.read("prior.theta_max", default=scenarios.QUBIT_THETA_MAX if qubit else _REQUIRED)
+            if qubit and None not in (lo, hi) and not 0.0 <= lo < hi <= scenarios.QUBIT_THETA_MAX + 1e-12:
                 r.error(
                     "prior.theta_min/theta_max",
-                    f"qubit phase support must lie inside [0, {QUBIT_THETA_MAX}]",
+                    f"qubit phase support must lie inside [0, {scenarios.QUBIT_THETA_MAX}]",
                 )
         elif kind == "gaussian":
             r.read("prior.mean")
@@ -261,6 +234,8 @@ class RunContext:
         s, errors = _read_config(cfg)
         if errors:
             raise ConfigError("\n".join(errors))
+        import numpy as np  # only now: a config error is reported without NumPy
+
         self.settings = s
         self.scenario, self.bound = s["scenario"], s["bound"]
         self.tolerance = s["sweep.tolerance"]
@@ -269,16 +244,16 @@ class RunContext:
         self.prior = _build_prior(s)
         grid = self.prior.grid
         if self.scenario == "langevin":
-            self.model = langevin_model(s["scenario_params.diffusion"], grid.theta_min)
+            self.model = scenarios.langevin_model(s["scenario_params.diffusion"], grid.theta_min)
             self.x_samples = list(np.linspace(s["sweep.x_min"], s["sweep.x_max"], s["sweep.x_count"]))
         elif self.scenario == "qubit_phase":
-            povm = _POVMS[s["scenario_params.povm"]]()
-            self.model, quantum_sensitivity = qubit_measurement_model(povm)
+            povm = getattr(scenarios, s["scenario_params.povm"] + "_povm")()
+            self.model, quantum_sensitivity = scenarios.qubit_measurement_model(povm)
             if self.bound == "theorem3":
                 self.sensitivity = quantum_sensitivity
         else:
             weights, coefficients = s["scenario_params.log_weights"], s["scenario_params.coefficients"]
-            self.model = discrete_exponential_model(weights, coefficients)
+            self.model = scenarios.discrete_exponential_model(weights, coefficients)
         if self.scenario != "langevin":
             self.x_samples = list(self.model.outcome_space.outcomes)
 
@@ -291,26 +266,26 @@ class RunContext:
             )
         self.theta_samples = list(np.linspace(theta_min, theta_max, s["sweep.theta_count"]))
         self.sweep_kind = _BOUND_KINDS[self.bound]
-        self.weight = _weight_for_kind(self.prior, self.sweep_kind, _config_weight(s, self.prior))
+        self.weight = bounds._weight_for_kind(self.prior, self.sweep_kind, _config_weight(s, self.prior))
 
 
-def _build_prior(s: dict) -> Prior:
+def _build_prior(s: dict) -> models.Prior:
     n, kind = s["prior.grid_points"], s["prior.kind"]
     if kind == "uniform":
-        return uniform_prior(s["prior.theta_min"], s["prior.theta_max"], n)
+        return models.uniform_prior(s["prior.theta_min"], s["prior.theta_max"], n)
     if kind == "gaussian":
-        return gaussian_prior(s["prior.mean"], s["prior.sigma"], n, lower=s["prior.lower"])
-    return gamma_prior(s["prior.shape"], s["prior.scale"], n)
+        return models.gaussian_prior(s["prior.mean"], s["prior.sigma"], n, lower=s["prior.lower"])
+    return models.gamma_prior(s["prior.shape"], s["prior.scale"], n)
 
 
-def _config_weight(s: dict, prior: Prior) -> WeightFunction | None:
+def _config_weight(s: dict, prior: models.Prior) -> models.WeightFunction | None:
     """The weight a "general" config names; other bounds have none."""
     kind = s.get("weight.kind")
     if kind == "gaussian":
-        return gaussian_weight(prior.grid, s["weight.center"], s["weight.width"])
+        return models.gaussian_weight(prior.grid, s["weight.center"], s["weight.width"])
     if kind == "boxcar":
-        return boxcar_weight(prior.grid)
-    return prior_weight(prior) if kind == "prior" else None
+        return models.boxcar_weight(prior.grid)
+    return models.prior_weight(prior) if kind == "prior" else None
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +309,10 @@ def _cell(value) -> str:
 
 def _row_dict(row) -> dict:
     """One report row by column; a skipped point has no numeric columns."""
+    import numpy as np
+
     x = row.x.item() if isinstance(row.x, np.generic) else row.x
-    if isinstance(row, SkippedPoint):
+    if isinstance(row, bounds.SkippedPoint):
         return {"x": x, "theta": row.theta, "status": f"skipped:{row.reason}"}
     return {"x": x, **{c: getattr(row, c) for c in _COLUMNS[1:-1]}, "status": "ok"}
 
@@ -411,24 +388,24 @@ def run_verify(cfg: dict) -> int:
     ctx = RunContext(cfg)
     if ctx.bound == "mi_average":
         raise ConfigError("bound: mi_average applies to the mi-chain command")
-    reports, skipped = bound_sweep(
+    reports, skipped = bounds.bound_sweep(
         ctx.model, ctx.prior, ctx.sweep_kind, ctx.x_samples, ctx.theta_samples,
         weight=ctx.weight, sensitivity=ctx.sensitivity,
     )
-    summary = summarize_sweep(reports, ctx.tolerance, n_skipped=len(skipped))
+    summary = bounds.summarize_sweep(reports, ctx.tolerance, n_skipped=len(skipped))
     _emit(ctx, render_verify_csv, render_verify_json, _sweep_rows(reports, skipped, ctx), summary)
     return 0 if summary.violations == 0 else 1
 
 
 def _chain_values(ctx: RunContext) -> tuple[float, float, float]:
-    return mi_chain_values(ctx.model, ctx.prior, ctx.weight, ctx.sensitivity)
+    return bounds.mi_chain_values(ctx.model, ctx.prior, ctx.weight, ctx.sensitivity)
 
 
 def run_mi_chain(cfg: dict) -> int:
     """Check MI <= averaged pointwise bound <= ensemble bound. Raises InfoBoundError."""
     ctx = RunContext(cfg)
     mi, avg_bound, avg_limit = _chain_values(ctx)
-    ok = chain_holds(mi, avg_bound, avg_limit, ctx.tolerance)
+    ok = bounds.chain_holds(mi, avg_bound, avg_limit, ctx.tolerance)
     values = {
         "mutual_information": mi,
         "avg_pointwise_bound": avg_bound,

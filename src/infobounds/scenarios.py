@@ -10,10 +10,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import quantum
 from .bounds import BoundReport, bound_theorem1
 from .errors import InvalidParameterError, NonPositiveDiffusionError
 from .models import ConditionalModel, ContinuousOutcomes, DiscreteOutcomes, Prior
-from .quantum import Povm, StateFamily, quantum_conditional_model
 
 #: Half-width of the outcome grid in units of the widest conditional sigma.
 LANGEVIN_GRID_SIGMAS = 8.0
@@ -73,25 +73,25 @@ def langevin_model(
 QUBIT_THETA_MAX = math.pi / 2.0
 
 
-def sigma_x_povm() -> Povm:
+def sigma_x_povm() -> quantum.Povm:
     plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
     minus = 0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)
-    return Povm((plus, minus))
+    return quantum.Povm((plus, minus))
 
 
-def sigma_y_povm() -> Povm:
+def sigma_y_povm() -> quantum.Povm:
     plus = 0.5 * np.array([[1, -1j], [1j, 1]], dtype=complex)
     minus = 0.5 * np.array([[1, 1j], [-1j, 1]], dtype=complex)
-    return Povm((plus, minus))
+    return quantum.Povm((plus, minus))
 
 
-def sigma_z_povm() -> Povm:
+def sigma_z_povm() -> quantum.Povm:
     zero = np.diag([1.0, 0.0]).astype(complex)
     one = np.diag([0.0, 1.0]).astype(complex)
-    return Povm((zero, one))
+    return quantum.Povm((zero, one))
 
 
-def qubit_phase_family() -> StateFamily:
+def qubit_phase_family() -> quantum.StateFamily:
     """Pure family (|0> + e^{-i theta} |1>)/sqrt(2) as density matrices.
 
     The global phase of the underlying rotation is dropped; density
@@ -107,10 +107,10 @@ def qubit_phase_family() -> StateFamily:
         phase = np.exp(1j * theta)
         return 0.5 * np.array([[0.0, 1j * phase], [-1j * np.conj(phase), 0.0]])
 
-    return StateFamily(rho_of, drho_of)
+    return quantum.StateFamily(rho_of, drho_of)
 
 
-def qubit_phase_scenario(povm: Povm | None = None) -> tuple[StateFamily, Povm]:
+def qubit_phase_scenario(povm: quantum.Povm | None = None) -> tuple[quantum.StateFamily, quantum.Povm]:
     """Phase-estimation scenario: the |+> probe family plus a measurement.
 
     Defaults to the sigma-x projective measurement, whose outcomes we label
@@ -123,12 +123,12 @@ def qubit_phase_scenario(povm: Povm | None = None) -> tuple[StateFamily, Povm]:
     return qubit_phase_family(), povm
 
 
-def qubit_measurement_model(povm: Povm | None = None, outcomes: tuple | None = None):
+def qubit_measurement_model(povm: quantum.Povm | None = None, outcomes: tuple | None = None):
     """Measured qubit phase family as (ConditionalModel, sensitivity)."""
     family, povm = qubit_phase_scenario(povm)
     if outcomes is None and len(povm) == 2:
         outcomes = ("+", "-")
-    return quantum_conditional_model(family, povm, outcomes=outcomes)
+    return quantum.quantum_conditional_model(family, povm, outcomes=outcomes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,19 @@
-"""``import infobounds`` and the CLI must not load SciPy, and
-``gamma_prior`` must load no more of it than ``scipy.special``.
+"""What a fresh interpreter loads for each path into the package.
+
+``import infobounds`` and the CLI must not load SciPy, and ``gamma_prior``
+must load no more of it than ``scipy.special``. ``scenario list`` and a
+``verify`` whose config is missing, not JSON or has a bad field must not load
+NumPy either, and a Langevin ``verify`` must not run the quantum module.
 
 Each command runs in a fresh interpreter under ``-X importtime``, which logs
 every module the process imports; the pytest process cannot tell, because
-``conftest.py`` has loaded ``scipy.linalg`` already.
+``conftest.py`` has loaded ``scipy.linalg`` already. The package registers
+its submodules in ``sys.modules`` up front and runs each on its first use,
+outside the import system, so ``-X importtime`` never lists them. So each
+command also names, at exit, every ``infobounds`` module that has run.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -15,45 +23,109 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
+#: Run first in every command: at exit, write ``ran: NAME`` to stderr for each
+#: ``infobounds`` module that has run. A registered submodule that has not run
+#: yet is still of LazyLoader's module subclass.
+_REPORT_RAN = """
+import atexit, sys, types
+atexit.register(lambda: sys.stderr.write("".join(
+    f"ran: {name}\\n" for name, module in list(sys.modules.items())
+    if name.split(".")[0] == "infobounds" and type(module) is types.ModuleType
+)))
+"""
+
+#: ``python -m infobounds.cli``: the CLI module runs as ``__main__``.
+_CLI = "import runpy; runpy.run_module('infobounds.cli', run_name='__main__', alter_sys=True)"
+
 _COMMANDS = {
-    "import": ["-c", "import infobounds"],
-    "cli-scenario-list": ["-m", "infobounds.cli", "scenario", "list"],
+    "import": ["import infobounds"],
+    "cli-scenario-list": [_CLI, "scenario", "list"],
 }
 
 
-def _imported_modules(importtime_log: str) -> list[str]:
-    """Module names of ``import time: self | cumulative | name`` lines."""
+def _loaded_modules(stderr: str) -> list[str]:
+    """Names of ``import time: self | cumulative | name`` and ``ran: name`` lines."""
     names = []
-    for line in importtime_log.splitlines():
+    for line in stderr.splitlines():
         fields = line.removeprefix("import time:").split("|")
         if len(fields) == 3 and fields[1].strip().isdigit():
             names.append(fields[2].strip())
+        elif line.startswith("ran: "):
+            names.append(line.removeprefix("ran: "))
     return names
 
 
-def _imported_by(args: list[str]) -> list[str]:
-    """Modules a fresh interpreter imports while running ``args``."""
+def _run(code: str, *args: str) -> tuple[subprocess.CompletedProcess, list[str]]:
+    """A fresh interpreter's run of ``code`` with ``args``, and the modules it loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *args],
+        [sys.executable, "-X", "importtime", "-c", _REPORT_RAN + code, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+    return proc, _loaded_modules(proc.stderr)
+
+
+def _imported_by(command: list[str]) -> list[str]:
+    proc, modules = _run(*command)
     assert proc.returncode == 0, proc.stderr
-    return _imported_modules(proc.stderr)
+    return modules
+
+
+def _top_level(modules: list[str], package: str) -> list[str]:
+    return [m for m in modules if m.split(".")[0] == package]
 
 
 @pytest.mark.parametrize("name", sorted(_COMMANDS))
 def test_no_scipy_on_import_path(name):
     modules = _imported_by(_COMMANDS[name])
     assert "infobounds" in modules
-    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+    assert _top_level(modules, "scipy") == []
 
 
 def test_gamma_prior_loads_no_scipy_stats():
-    modules = _imported_by(["-c", "import infobounds; infobounds.gamma_prior(3.0, 0.5)"])
+    modules = _imported_by(["import infobounds; infobounds.gamma_prior(3.0, 0.5)"])
     assert "scipy.special" in modules
     assert [m for m in modules if m.startswith("scipy.stats")] == []
+
+
+def test_scenario_list_loads_no_numpy_and_no_library_module():
+    modules = _imported_by(_COMMANDS["cli-scenario-list"])
+    assert _top_level(modules, "numpy") == []
+    assert set(_top_level(modules, "infobounds")) == {"infobounds", "infobounds.errors"}
+
+
+_LANGEVIN = {
+    "schema_version": 1,
+    "scenario": "langevin",
+    "scenario_params": {"diffusion": 1.0},
+    "prior": {"kind": "uniform", "theta_min": 0.5, "theta_max": 1.5, "grid_points": 201},
+    "bound": "theorem1",
+    "sweep": {"x_count": 3, "theta_count": 3},
+}
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", json.dumps({**_LANGEVIN, "scenario_params": {"diffusion": -1.0}})],
+    ids=["missing-file", "invalid-json", "langevin-bad-field"],
+)
+def test_config_error_loads_no_numpy(tmp_path, content):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    proc, modules = _run(_CLI, "verify", "--config", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert "config error: " in proc.stderr
+    assert _top_level(modules, "numpy") == []
+
+
+def test_langevin_verify_runs_no_quantum_code(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_LANGEVIN))
+    modules = _imported_by([_CLI, "verify", "--config", str(path)])
+    assert {"infobounds.bounds", "infobounds.scenarios"} <= set(modules)
+    assert "infobounds.quantum" not in modules

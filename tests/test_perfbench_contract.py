@@ -7,6 +7,7 @@ breaking any other test. These tests resolve every such name.
 
 import importlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -74,4 +75,24 @@ def test_traced_cli_run_renders_through_the_traced_names(perfbench, tmp_path, ca
     counts = traced.values()
     assert counts["cli.context_calls"] == 1 and counts["cli.render_calls"] == 1
     assert counts["cli.report_bytes"] == len(report.encode())
+    assert counts["bounds.sweep_points"] == 3 * workloads.SWEEP_THETAS
+
+
+def test_traced_cli_runs_in_a_fresh_interpreter(perfbench, tmp_path):
+    # The in-process test above runs with every submodule loaded already; a
+    # fresh interpreter checks what traced_cli.py finds right after it
+    # imports infobounds.cli, e.g. the submodules the tracer reads from
+    # sys.modules.
+    _, workloads = perfbench
+    path, counters = tmp_path / "cfg.json", tmp_path / "counters.json"
+    path.write_text(json.dumps({"schema_version": 1, **workloads.CLI_CONFIGS["discrete_theorem1"]}))
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "traced_cli.py"), str(counters), "verify", "--config", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(counters.read_text())
+    assert counts["cli.context_calls"] == 1
     assert counts["bounds.sweep_points"] == 3 * workloads.SWEEP_THETAS

@@ -8,6 +8,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -44,51 +45,62 @@ SUPPORT_LEAK_TOL = 1e-8
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
-def _as_matrix(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
-    """``a`` as a complex square matrix, or with ``stacked`` as an (n, d, d)
-    stack of them."""
+def _as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """``a`` as a complex square matrix."""
     m = np.asarray(a, dtype=complex)
-    shape = m.shape[1:] if stacked else m.shape
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise DimensionMismatchError(f"{name} must be square, got shape {shape}")
-    if shape[0] > MAX_DIM:
-        raise DimensionMismatchError(f"{name} dimension {shape[0]} exceeds {MAX_DIM}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError(f"{name} must be square, got shape {m.shape}")
+    if m.shape[0] > MAX_DIM:
+        raise DimensionMismatchError(f"{name} dimension {m.shape[0]} exceeds {MAX_DIM}")
     return m
 
 
-def require_hermitian(
-    a, name: str = "matrix", atol: float = HERMITICITY_ATOL, thetas=None
-) -> np.ndarray:
-    """``a`` as a matrix that is Hermitian within ``atol`` entrywise.
+def require_hermitian(a, name: str = "matrix", atol: float = HERMITICITY_ATOL) -> np.ndarray:
+    """``a`` as a matrix that is Hermitian within ``atol`` entrywise; a
+    non-finite entry raises :class:`NonFiniteError`."""
+    m = _as_matrix(a, name)
+    dev = np.abs(m - _dagger(m)).max()
+    if not dev <= atol:  # NaN fails too
+        if not np.isfinite(dev):
+            raise NonFiniteError(f"{name} has non-finite entries")
+        raise InfoBoundError(f"{name} is not Hermitian within {atol}")
+    return m
 
-    With ``thetas``, ``a`` is an (n, d, d) stack of the matrices at those n
-    parameter values, checked at once, and an error names the first
-    offending value. A non-finite entry raises :class:`NonFiniteError`.
-    """
-    m = _as_matrix(a, name, stacked=thetas is not None)
+
+#: Expected trace, and its tolerance, of each kind of matrix in a state stack.
+_TRACES = {"rho": (1, STATE_ATOL), "drho": (0, 1e-8)}
+
+#: The same as (expected, tolerance) columns for each layout of a stack.
+_TRACE_COLUMNS = {
+    names: np.array([_TRACES[name] for name in names], dtype=float).T[..., None]
+    for names in (("rho",), ("drho",), ("rho", "drho"))
+}
+
+
+def _require_states(m: np.ndarray, thetas: np.ndarray, names: tuple) -> np.ndarray:
+    """Check a stack of ``len(names)`` blocks of n matrices, one block per
+    name at the n parameter values ``thetas``, in one pass: each matrix
+    Hermitian within 1e-10, with the trace of ``_TRACES``. An error names the
+    first offending matrix as ``name(theta=...)``, Hermiticity first."""
+    n = len(thetas)
     dev = np.abs(m - _dagger(m))
-    if not dev.max() <= atol:  # NaN fails too
-        if thetas is None:
-            where, worst = name, dev.max()
-        else:
-            per_node = dev.max(axis=(1, 2))
-            i = int(np.argmax(~(per_node <= atol)))
-            where, worst = f"{name}(theta={thetas[i]})", per_node[i]
-        if not np.isfinite(worst):
+    if not dev.max() <= 1e-10:  # NaN fails too
+        dev = dev.max(axis=(1, 2))
+        k, i = divmod(int(np.argmax(~(dev <= 1e-10))), n)
+        where = f"{names[k]}(theta={thetas[i]})"
+        if not np.isfinite(dev[k * n + i]):
             raise NonFiniteError(f"{where} has non-finite entries")
-        raise InfoBoundError(f"{where} is not Hermitian within {atol}")
-    return m
-
-
-def _require_trace(m: np.ndarray, name: str, thetas, expected: int, atol: float) -> None:
-    """Check the trace of each matrix of an (n, d, d) stack."""
-    tr = np.einsum("nii->n", m).real
-    dev = np.abs(tr - expected)
-    if dev.max() > atol:
-        i = int(np.argmax(dev > atol))
+        raise InfoBoundError(f"{where} is not Hermitian within 1e-10")
+    tr = np.einsum("nii->n", m).real.reshape(len(names), n)
+    expected, atol = _TRACE_COLUMNS[names]
+    bad = np.abs(tr - expected) > atol
+    if bad.any():
+        k, i = divmod(int(np.argmax(bad)), n)
         raise InfoBoundError(
-            f"{name}(theta={thetas[i]}) has trace {float(tr[i])}, expected {expected}"
+            f"{names[k]}(theta={thetas[i]}) has trace {float(tr[k, i])}, "
+            f"expected {_TRACES[names[k]][0]}"
         )
+    return m
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
@@ -119,8 +131,8 @@ class Povm:
     def __post_init__(self):
         if len(self.elements) == 0:
             raise InvalidParameterError("a POVM needs at least one element")
-        mats = tuple(
-            require_hermitian(e, f"POVM element {i}") for i, e in enumerate(self.elements)
+        mats = tuple(  # copies: freezing must not reach the caller's arrays
+            require_hermitian(e, f"POVM element {i}").copy() for i, e in enumerate(self.elements)
         )
         dim = mats[0].shape[0]
         for i, m in enumerate(mats):
@@ -176,13 +188,15 @@ def born_probability(state, element) -> float:
 class StateFamily:
     """Differentiable family of density matrices theta -> rho(theta).
 
-    Without an analytic derivative, central finite differences with
-    Hermitian symmetrization are used (symmetrization keeps roundoff from
-    breaking the Hermiticity invariants downstream).
+    A family is a pair of stack callables, ``thetas (n,) -> (n, d, d)``, as
+    :meth:`from_stacks` takes them; the constructor wraps callables of one
+    parameter value into that form. :meth:`states` evaluates each stack once
+    for all n values and validates both in one pass.
 
-    The callables take one parameter value and return one matrix;
-    :meth:`states` evaluates them at many values and validates the
-    resulting stacks at once.
+    Without an analytic derivative, central finite differences with
+    Hermitian symmetrization are used, from one call of the rho stack at all
+    2n shifted values (symmetrization keeps roundoff from breaking the
+    Hermiticity invariants downstream).
     """
 
     def __init__(
@@ -191,52 +205,78 @@ class StateFamily:
         drho_of: Callable[[float], np.ndarray] | None = None,
         fd_step: float = 1e-5,
     ):
-        self._rho_of = rho_of
-        self._drho_of = drho_of
+        self._rho_stack = partial(_evaluate, rho_of, name="rho")
+        self._drho_stack = None if drho_of is None else partial(_evaluate, drho_of, name="drho")
         self.fd_step = float(fd_step)
+
+    @classmethod
+    def from_stacks(
+        cls,
+        rho_stack: Callable[[np.ndarray], np.ndarray],
+        drho_stack: Callable[[np.ndarray], np.ndarray] | None = None,
+        fd_step: float = 1e-5,
+    ) -> "StateFamily":
+        """A family of vectorized callables: each maps a 1-D float array of
+        n parameter values to the (n, d, d) stack of matrices at them."""
+        family = cls.__new__(cls)
+        family._rho_stack, family._drho_stack = rho_stack, drho_stack
+        family.fd_step = float(fd_step)
+        return family
 
     @property
     def derivative_kind(self) -> str:
-        return "analytic" if self._drho_of is not None else "finite_difference"
+        return "analytic" if self._drho_stack is not None else "finite_difference"
 
     def rho(self, theta: float) -> np.ndarray:
-        return self._rho((theta,))[0]
+        thetas = np.array([theta], dtype=float)
+        return _require_states(_call(self._rho_stack, thetas, "rho"), thetas, ("rho",))[0]
 
     def drho(self, theta: float) -> np.ndarray:
-        return self._drho((theta,))[0]
+        thetas = np.array([theta], dtype=float)
+        return _require_states(self._drho(thetas), thetas, ("drho",))[0]
 
     def states(self, thetas) -> tuple[np.ndarray, np.ndarray]:
         """(n, d, d) stacks of rho and drho at a sequence of n parameter
         values.
 
-        Each stack is validated at once: square matrices of dimension at
+        Both stacks are validated as one: square matrices of dimension at
         most ``MAX_DIM``, Hermitian within 1e-10, trace 1 within
         ``STATE_ATOL`` for rho and trace 0 within 1e-8 for drho, and one
         dimension for both. An error names the first offending value.
         """
-        rho, drho = self._rho(thetas), self._drho(thetas)
+        thetas = np.asarray(thetas, dtype=float)
+        rho, drho = _call(self._rho_stack, thetas, "rho"), self._drho(thetas)
         if drho.shape != rho.shape:
             raise DimensionMismatchError(
                 f"drho dimension {drho.shape[-1]} != rho dimension {rho.shape[-1]}"
             )
-        return rho, drho
+        both = _require_states(np.concatenate((rho, drho)), thetas, ("rho", "drho"))
+        return both[: len(thetas)], both[len(thetas) :]
 
-    def _rho(self, thetas) -> np.ndarray:
-        m = require_hermitian(_evaluate(self._rho_of, thetas, "rho"), "rho", 1e-10, thetas)
-        _require_trace(m, "rho", thetas, 1, STATE_ATOL)
-        return m
+    def _drho(self, thetas: np.ndarray) -> np.ndarray:
+        """The unvalidated drho stack, analytic or by finite differences."""
+        if self._drho_stack is not None:
+            return _call(self._drho_stack, thetas, "drho")
+        h = self.fd_step
+        rho = _call(self._rho_stack, np.concatenate((thetas + h, thetas - h)), "rho")
+        return hermitize((rho[: len(thetas)] - rho[len(thetas) :]) / (2.0 * h))
 
-    def _drho(self, thetas) -> np.ndarray:
-        if self._drho_of is not None:
-            m = _evaluate(self._drho_of, thetas, "drho")
-        else:
-            h = self.fd_step
-            shifted = [t + h for t in thetas] + [t - h for t in thetas]
-            rho = _as_matrix(_evaluate(self._rho_of, shifted, "rho"), "rho", stacked=True)
-            m = hermitize((rho[: len(thetas)] - rho[len(thetas) :]) / (2.0 * h))
-        m = require_hermitian(m, "drho", 1e-10, thetas)
-        _require_trace(m, "drho", thetas, 0, 1e-8)
-        return m
+
+def _call(stack: Callable[[np.ndarray], np.ndarray], thetas: np.ndarray, name: str) -> np.ndarray:
+    """``stack(thetas)`` as an (n, d, d) complex array, or a typed error
+    that names the (first) parameter value."""
+    out = stack(thetas)
+    try:
+        m = np.asarray(out, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{name}(theta={thetas[0]}) is not a numeric array: {exc}") from None
+    n = len(thetas)
+    if m.ndim != 3 or len(m) != n or m.shape[1] != m.shape[2] or m.shape[1] > MAX_DIM:
+        raise DimensionMismatchError(
+            f"{name}(theta={thetas[0]}) came as a stack of shape {m.shape}, "
+            f"expected ({n}, d, d) with d at most {MAX_DIM}"
+        )
+    return m
 
 
 def _evaluate(of: Callable[[float], np.ndarray], thetas, name: str) -> np.ndarray:
@@ -260,10 +300,11 @@ def _evaluate(of: Callable[[float], np.ndarray], thetas, name: str) -> np.ndarra
     raise error
 
 
-def _eigh_state(rho: np.ndarray, eps_rank: float) -> tuple[np.ndarray, np.ndarray]:
+def _eigh_state(rho: np.ndarray, eps_rank: float, vectors: bool = True):
     """Eigendecomposition of one state, or of a stack of states over the
-    leading axes, with the rank-ambiguity and positivity checks."""
-    w, v = np.linalg.eigh(rho)
+    leading axes, with the rank-ambiguity and positivity checks; without
+    ``vectors``, the eigenvalues and None."""
+    w, v = np.linalg.eigh(rho) if vectors else (np.linalg.eigvalsh(rho), None)
     ambiguous = (w > eps_rank / 10.0) & (w < eps_rank)
     if np.any(ambiguous):
         raise IllConditionedError(
@@ -325,21 +366,22 @@ def _traces(elements: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return np.einsum("kab,nba->kn", elements, mats).real
 
 
-def _born_table(family: StateFamily, elements: np.ndarray, thetas: np.ndarray):
+def _born_table(family: StateFamily, elements: np.ndarray, thetas: np.ndarray, score: bool, sld: bool):
     """Tabulate a POVM on a state family at every parameter value.
 
     ``elements`` is a (K, d, d) stack and ``thetas`` a 1-D array of n
     values. The n states come as one validated stack from
-    :meth:`StateFamily.states` and are decomposed by one stacked ``eigh``.
-    Returns (K, n) probabilities clamped into [0, 1] and their derivatives,
-    and the stacks ``(rho, drho, w, v)`` that :func:`_sensitivities` needs.
+    :meth:`StateFamily.states`; one stacked eigendecomposition checks them,
+    with eigenvectors only for the ``sld``. Returns (K, n) probabilities
+    clamped into [0, 1], with ``score`` their derivatives (else None), and
+    the stacks ``(rho, drho, w, v)`` that :func:`_sensitivities` needs.
     """
     rho, drho = family.states(thetas)
     if rho.shape[1:] != elements.shape[1:]:
         raise DimensionMismatchError("POVM dimension does not match the state")
-    w, v = _eigh_state(rho, RANK_EPS)
+    w, v = _eigh_state(rho, RANK_EPS, vectors=sld)
     probs = np.clip(_traces(elements, rho), 0.0, 1.0)
-    return probs, _traces(elements, drho), (rho, drho, w, v)
+    return probs, _traces(elements, drho) if score else None, (rho, drho, w, v)
 
 
 def _sensitivities(elements, probs, states, labels, warned: set) -> np.ndarray:
@@ -383,7 +425,7 @@ def cqfi(family: StateFamily, povm: Povm, x_index: int, theta: float) -> float:
     Born distribution for any complete POVM.
     """
     elements = povm.elements[x_index][None]
-    probs, _, states = _born_table(family, elements, np.array([float(theta)]))
+    probs, _, states = _born_table(family, elements, np.array([float(theta)]), score=False, sld=True)
     if probs[0, 0] <= PROB_EPS:
         raise ZeroOutcomeProbabilityError(
             f"outcome {x_index} has probability {probs[0, 0]:.3e} at theta={theta}"
@@ -423,7 +465,8 @@ class MeasuredStateFamily(ConditionalModel):
 
     def table(self, outcomes, thetas: np.ndarray, score: bool = False, sensitivity: Callable | None = None):
         rows = [self.outcome_space.index(x) for x in outcomes]
-        probs, dprobs, states = _born_table(self.family, self._elements, thetas)
+        own = sensitivity is not None and sensitivity == self.sensitivity
+        probs, dprobs, states = _born_table(self.family, self._elements, thetas, score, own)
         positive = probs > PROB_EPS
         if not self._warned_zero_prob and not np.all(positive):
             self._warned_zero_prob = True
@@ -434,7 +477,7 @@ class MeasuredStateFamily(ConditionalModel):
         with np.errstate(divide="ignore", invalid="ignore"):
             logpdf = np.log(probs)[rows]
             scores = np.where(probs > 0.0, dprobs / probs, np.nan)[rows] if score else None
-        if sensitivity is None or sensitivity != self.sensitivity:
+        if not own:
             return logpdf, scores, None if sensitivity is None else self._rows(sensitivity, outcomes, thetas)
         sens = _sensitivities(self._elements, probs, states, self.outcome_space.outcomes, self._warned_leak)
         return logpdf, scores, sens[rows]

@@ -92,22 +92,27 @@ def sigma_z_povm() -> quantum.Povm:
 
 
 def qubit_phase_family() -> quantum.StateFamily:
-    """Pure family (|0> + e^{-i theta} |1>)/sqrt(2) as density matrices.
+    """Pure family (|0> + e^{-i theta} |1>)/sqrt(2) as density matrices,
+    evaluated as stacks over all parameter values at once.
 
     The global phase of the underlying rotation is dropped; density
     matrices are phase-invariant, and keeping it would only inject complex
     drift into finite differences.
     """
 
-    def rho_of(theta: float) -> np.ndarray:
-        phase = np.exp(1j * theta)
-        return 0.5 * np.array([[1.0, phase], [np.conj(phase), 1.0]])
+    def rho_stack(thetas: np.ndarray) -> np.ndarray:
+        phase = np.exp(1j * thetas)
+        m = np.full((len(thetas), 2, 2), 0.5 + 0j)
+        m[:, 0, 1], m[:, 1, 0] = 0.5 * phase, 0.5 * np.conj(phase)
+        return m
 
-    def drho_of(theta: float) -> np.ndarray:
-        phase = np.exp(1j * theta)
-        return 0.5 * np.array([[0.0, 1j * phase], [-1j * np.conj(phase), 0.0]])
+    def drho_stack(thetas: np.ndarray) -> np.ndarray:
+        phase = np.exp(1j * thetas)
+        m = np.zeros((len(thetas), 2, 2), dtype=complex)
+        m[:, 0, 1], m[:, 1, 0] = 0.5 * (1j * phase), 0.5 * (-1j * np.conj(phase))
+        return m
 
-    return quantum.StateFamily(rho_of, drho_of)
+    return quantum.StateFamily.from_stacks(rho_stack, drho_stack)
 
 
 def qubit_phase_scenario(povm: quantum.Povm | None = None) -> tuple[quantum.StateFamily, quantum.Povm]:
@@ -200,6 +205,9 @@ class DemonRecord:
     theta: float
 
     def __post_init__(self):
+        for name in ("beta", "work_extracted", "delta_free_energy", "theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.beta <= 0:
             raise InvalidParameterError("beta must be positive")
 

@@ -129,3 +129,27 @@ def test_langevin_verify_runs_no_quantum_code(tmp_path):
     modules = _imported_by([_CLI, "verify", "--config", str(path)])
     assert {"infobounds.bounds", "infobounds.scenarios"} <= set(modules)
     assert "infobounds.quantum" not in modules
+
+
+def test_a_failed_submodule_run_raises_the_same_error_on_every_use():
+    # With NumPy blocked, no library submodule can run. Each use must raise
+    # the import error again, not an AttributeError of a half-run module,
+    # and the submodule runs once NumPy is back.
+    code = """
+import sys
+sys.modules["numpy"] = None
+import infobounds as ib
+uses = (lambda: ib.uniform_prior, lambda: ib.uniform_prior,
+        lambda: ib.models.uniform_prior, lambda: ib.mi_chain_values)
+for use in uses:
+    try:
+        use()
+    except ImportError as exc:
+        print(f"{type(exc).__name__}: {exc}")
+del sys.modules["numpy"]
+print(ib.uniform_prior(0.0, 1.0, 11).grid.n_points)
+"""
+    proc, _ = _run(code)
+    assert proc.returncode == 0, proc.stderr
+    blocked = "ModuleNotFoundError: import of numpy halted; None in sys.modules"
+    assert proc.stdout.splitlines() == [blocked] * 4 + ["11"]

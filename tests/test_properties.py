@@ -3,9 +3,12 @@
 Two kinds of model: discrete exponential families with 2-6 outcomes, and
 mixed qutrit families U(theta) rho0 U(theta)^dagger, U = exp(-i H theta),
 with the analytic derivative -i[H, rho], under random 3-5 element POVMs.
-Examples are derandomized, so every run checks the same models.
+Examples are derandomized, so every run checks the same models. The stacked
+qubit phase family is checked bit for bit against its one-value formulas.
 """
 
+import dataclasses
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -96,3 +99,47 @@ def test_discrete_family_blocks(case):
 @given(qutrit_models())
 def test_qutrit_family_blocks(case):
     _check_model(*case, n_points=201)
+
+
+def _scalar_qubit_family() -> ib.StateFamily:
+    """The qubit phase family from its one-value formulas."""
+
+    def rho_of(theta):
+        phase = np.exp(1j * theta)
+        return 0.5 * np.array([[1.0, phase], [np.conj(phase), 1.0]])
+
+    def drho_of(theta):
+        phase = np.exp(1j * theta)
+        return 0.5 * np.array([[0.0, 1j * phase], [-1j * np.conj(phase), 0.0]])
+
+    return ib.StateFamily(rho_of, drho_of)
+
+
+def _bits(*values) -> list[bytes]:
+    return [np.asarray(v).tobytes() for v in values]
+
+
+@EXAMPLES
+@given(
+    st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6),
+    st.floats(0.3, 3.0),
+    st.floats(0.01, 1.0),
+    st.sampled_from(("+", "-")),
+)
+def test_stacked_qubit_family_matches_its_scalar_twin(thetas, theta_max, where, outcome):
+    thetas = np.array(thetas)
+    stacked, twin = ib.qubit_phase_family(), _scalar_qubit_family()
+    assert _bits(*stacked.states(thetas)) == _bits(*twin.states(thetas))
+    prior = ib.uniform_prior(0.0, theta_max, 201)
+    weight = ib.boxcar_weight(prior.grid)
+    record = ib.DemonRecord(1.0, 0.2, 0.0, outcome, where * theta_max)
+    results = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # zero-probability and support-leak notes
+        for family in (stacked, twin):
+            model, sensitivity = ib.quantum_conditional_model(family, ib.sigma_x_povm(), ("+", "-"))
+            table = model.table(("+", "-"), thetas, score=True, sensitivity=sensitivity)
+            chain = ib.mi_chain_values(model, prior, weight, sensitivity)
+            check = ib.demon_work_check(record, model, prior, sensitivity)
+            results.append(_bits(*table, *chain, *dataclasses.astuple(check)))
+    assert results[0] == results[1]

@@ -714,3 +714,112 @@ def test_non_numeric_state_raises_a_typed_error():
 
     with pytest.raises(ib.InvalidParameterError, match=r"rho\(theta=0\.5\) is not a numeric array"):
         _grid_model(rho_of).log_pdf(0, GRID)
+
+
+# ---------------------------------------------------------------------------
+# stacked families
+# ---------------------------------------------------------------------------
+
+
+def _const_stack(matrix):
+    """A stack callable that returns ``matrix`` at every parameter value."""
+    return lambda thetas: np.repeat(np.asarray(matrix, dtype=complex)[None], len(thetas), axis=0)
+
+
+def _at(theta, bad, good):
+    """A stack callable: ``bad`` at ``theta``, ``good`` elsewhere."""
+    return lambda thetas: np.array([bad if t == theta else good for t in thetas], dtype=complex)
+
+
+HALF = np.eye(2) / 2
+ZERO2 = np.zeros((2, 2))
+#: (maker of a bad stack from a good matrix, error, message) of a malformed
+#: stack: a wrong leading length, a wrong matrix shape, a non-numeric array, a
+#: non-Hermitian matrix, a bad trace. The first three are whole-stack faults,
+#: named by the first value.
+BAD_STACKS = {
+    "length": (lambda good: lambda th: np.repeat(good[None], len(th) + 1, axis=0),
+               ib.DimensionMismatchError, r"\(theta=0\.0\) came as a stack of shape"),
+    "shape": (lambda good: lambda th: np.zeros((len(th), 2, 3)),
+              ib.DimensionMismatchError, r"\(theta=0\.0\) came as a stack of shape"),
+    "non-numeric": (lambda good: lambda th: np.full((len(th), 2, 2), "x", dtype=object),
+                    ib.InvalidParameterError, r"\(theta=0\.0\) is not a numeric array"),
+    "non-Hermitian": (lambda good: _at(0.75, good + [[0, 0.1], [0, 0]], good),
+                      ib.InfoBoundError, r"\(theta=0\.75\) is not Hermitian within 1e-10"),
+    "trace": (lambda good: _at(0.75, good + np.eye(2) * 0.05, good),
+              ib.InfoBoundError, r"\(theta=0\.75\) has trace"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_STACKS))
+@pytest.mark.parametrize("name", ["rho", "drho"])
+def test_malformed_stack_raises_a_typed_error_naming_theta(name, fault):
+    make, error, message = BAD_STACKS[fault]
+    good = {"rho": HALF, "drho": ZERO2}
+    stacks = {k: _const_stack(good[k]) for k in good}
+    stacks[name] = make(np.asarray(good[name], dtype=complex))
+    fam = ib.StateFamily.from_stacks(stacks["rho"], stacks["drho"])
+    with pytest.raises(error, match="^" + name + message):
+        fam.states(GRID)
+    model, _ = ib.quantum_conditional_model(fam, basis_povm(2))
+    with pytest.raises(error, match="^" + name + message):
+        model.log_pdf(0, GRID)
+    theta = 0.75 if fault in ("non-Hermitian", "trace") else 0.0
+    with pytest.raises(error, match="^" + name + message):
+        getattr(fam, name)(theta)
+
+
+def _counting_stacks(family: ib.StateFamily, analytic: bool = True):
+    """A stacked family over ``family``'s validated states, with the number
+    of parameter values of each ``rho`` and ``drho`` stack call."""
+    rho_sizes, drho_sizes = [], []
+
+    def rho_stack(thetas):
+        rho_sizes.append(len(thetas))
+        return np.array([family.rho(t) for t in thetas])
+
+    def drho_stack(thetas):
+        drho_sizes.append(len(thetas))
+        return np.array([family.drho(t) for t in thetas])
+
+    stacked = ib.StateFamily.from_stacks(rho_stack, drho_stack if analytic else None)
+    return stacked, rho_sizes, drho_sizes
+
+
+def test_stack_callables_are_called_once_per_table():
+    counted, rho_sizes, drho_sizes = _counting_stacks(ib.qubit_phase_family())
+    model, sensitivity = ib.quantum_conditional_model(counted, ib.sigma_x_povm(), ("+", "-"))
+    prior = ib.uniform_prior(0.0, math.pi / 2)
+    ib.mi_chain_values(model, prior, ib.boxcar_weight(prior.grid), sensitivity)
+    model.table(("+", "-"), GRID, score=True, sensitivity=sensitivity)
+    model.log_pdf("+", 0.3)
+    n = prior.grid.n_points
+    assert rho_sizes == drho_sizes == [n, GRID.size, 1]
+
+
+def test_finite_differences_call_the_rho_stack_once_with_all_shifted_values():
+    counted, rho_sizes, drho_sizes = _counting_stacks(three_level_family(), analytic=False)
+    assert counted.derivative_kind == "finite_difference"
+    rho, drho = counted.states(GRID)
+    assert rho_sizes == [GRID.size, 2 * GRID.size] and drho_sizes == []
+    reference = three_level_family().states(GRID)
+    assert np.array_equal(rho, reference[0]) and np.array_equal(drho, reference[1])
+
+
+def test_scalar_rho_of_a_stacked_family_does_not_call_the_derivative_stack():
+    def drho_stack(thetas):
+        raise AssertionError("drho stack called")
+
+    fam = ib.StateFamily.from_stacks(_const_stack(np.diag([0.4, 0.6])), drho_stack)
+    assert fam.rho(0.3)[0, 0] == 0.4
+    assert ib.qubit_phase_family().rho(0.0)[0, 1] == 0.5
+
+
+def test_povm_copies_the_callers_arrays():
+    e0, e1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    povm = ib.Povm((e0, e1))
+    assert povm.elements[0] is not e0
+    e0[0, 0] = 0.5  # the caller's array stays writable
+    assert povm.elements[0][0, 0] == 1.0 and ib.validate_povm(povm) == []
+    with pytest.raises(ValueError):
+        povm.elements[0][0, 0] = 0.5

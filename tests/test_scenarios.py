@@ -164,6 +164,14 @@ def test_demon_record_validation():
     assert rec.lhs == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["beta", "work_extracted", "delta_free_energy", "theta"])
+def test_demon_record_rejects_a_non_finite_field(field, value):
+    fields = {"beta": 1.0, "work_extracted": 0.5, "delta_free_energy": 0.0, "outcome": "+", "theta": 0.3}
+    with pytest.raises(ib.InvalidParameterError, match=f"{field} must be finite"):
+        ib.DemonRecord(**{**fields, field: value})
+
+
 def test_demon_budget_zero_work(qubit):
     model, sensitivity, prior = qubit
     rec = ib.DemonRecord(1.0, 0.7, 0.7, "+", 0.2)  # W_ext == delta_F

@@ -13,7 +13,6 @@ first attribute access, whether through a public name of the package or
 through the module itself.
 """
 
-import importlib.machinery
 import importlib.util
 import sys
 import types
@@ -113,14 +112,20 @@ __all__ = sorted(_ORIGIN)
 __version__ = "0.1.0"
 
 
-class _SourceLoader(importlib.machinery.SourceFileLoader):
-    """Runs a submodule on its first use. A run that raises leaves the module
-    lazy again, so each later use runs it afresh and raises the same error
-    instead of reading a half-run module."""
+class _Retry:
+    """A submodule's own loader, run on the module's first use. A run that
+    raises leaves the module lazy again, so each later use runs it afresh
+    and raises the same error instead of reading a half-run module."""
+
+    def __init__(self, loader):
+        self.loader = loader
+
+    def __getattr__(self, name):  # get_source, get_resource_reader, ...
+        return getattr(self.loader, name)
 
     def exec_module(self, module):
         try:
-            super().exec_module(module)
+            self.loader.exec_module(module)
         except BaseException:
             module.__class__ = types.ModuleType  # what LazyLoader keeps as the class to restore
             importlib.util.LazyLoader(self).exec_module(module)
@@ -130,7 +135,7 @@ class _SourceLoader(importlib.machinery.SourceFileLoader):
 def _lazy(name: str):
     """Submodule ``name``, registered in ``sys.modules`` but not yet run."""
     spec = importlib.util.find_spec(f"{__name__}.{name}")
-    spec.loader = importlib.util.LazyLoader(_SourceLoader(spec.name, spec.origin))
+    spec.loader = importlib.util.LazyLoader(_Retry(spec.loader))
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

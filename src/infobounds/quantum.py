@@ -70,12 +70,6 @@ def require_hermitian(a, name: str = "matrix", atol: float = HERMITICITY_ATOL) -
 #: Expected trace, and its tolerance, of each kind of matrix in a state stack.
 _TRACES = {"rho": (1, STATE_ATOL), "drho": (0, 1e-8)}
 
-#: The same as (expected, tolerance) columns for each layout of a stack.
-_TRACE_COLUMNS = {
-    names: np.array([_TRACES[name] for name in names], dtype=float).T[..., None]
-    for names in (("rho",), ("drho",), ("rho", "drho"))
-}
-
 
 def _require_states(m: np.ndarray, thetas: np.ndarray, names: tuple) -> np.ndarray:
     """Check a stack of ``len(names)`` blocks of n matrices, one block per
@@ -92,7 +86,7 @@ def _require_states(m: np.ndarray, thetas: np.ndarray, names: tuple) -> np.ndarr
             raise NonFiniteError(f"{where} has non-finite entries")
         raise InfoBoundError(f"{where} is not Hermitian within 1e-10")
     tr = np.einsum("nii->n", m).real.reshape(len(names), n)
-    expected, atol = _TRACE_COLUMNS[names]
+    expected, atol = np.array([_TRACES[name] for name in names]).T[..., None]
     bad = np.abs(tr - expected) > atol
     if bad.any():
         k, i = divmod(int(np.argmax(bad)), n)
@@ -199,11 +193,14 @@ class StateFamily:
     Hermiticity invariants downstream).
     """
 
+    #: Central finite-difference step, for families without a derivative.
+    fd_step = 1e-5
+
     def __init__(
         self,
         rho_of: Callable[[float], np.ndarray],
         drho_of: Callable[[float], np.ndarray] | None = None,
-        fd_step: float = 1e-5,
+        fd_step: float = fd_step,
     ):
         self._rho_stack = partial(_evaluate, rho_of, name="rho")
         self._drho_stack = None if drho_of is None else partial(_evaluate, drho_of, name="drho")
@@ -214,13 +211,11 @@ class StateFamily:
         cls,
         rho_stack: Callable[[np.ndarray], np.ndarray],
         drho_stack: Callable[[np.ndarray], np.ndarray] | None = None,
-        fd_step: float = 1e-5,
     ) -> "StateFamily":
         """A family of vectorized callables: each maps a 1-D float array of
         n parameter values to the (n, d, d) stack of matrices at them."""
         family = cls.__new__(cls)
         family._rho_stack, family._drho_stack = rho_stack, drho_stack
-        family.fd_step = float(fd_step)
         return family
 
     @property
@@ -263,18 +258,24 @@ class StateFamily:
 
 
 def _call(stack: Callable[[np.ndarray], np.ndarray], thetas: np.ndarray, name: str) -> np.ndarray:
-    """``stack(thetas)`` as an (n, d, d) complex array, or a typed error
-    that names the (first) parameter value."""
+    """``stack(thetas)`` as an (n, d, d) complex array, or a typed error;
+    a fault of the whole stack names its first parameter value."""
+    if len(thetas) == 0:
+        raise DimensionMismatchError(f"{name} needs at least one parameter value")
     out = stack(thetas)
+    where = f"at theta={thetas[0]}"
     try:
         m = np.asarray(out, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"{name}(theta={thetas[0]}) is not a numeric array: {exc}") from None
-    n = len(thetas)
-    if m.ndim != 3 or len(m) != n or m.shape[1] != m.shape[2] or m.shape[1] > MAX_DIM:
+    shape = m.shape[1:]
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionMismatchError(f"{name} must be square, got shape {shape}, {where}")
+    if shape[0] > MAX_DIM:
+        raise DimensionMismatchError(f"{name} dimension {shape[0]} exceeds {MAX_DIM}, {where}")
+    if len(m) != len(thetas):
         raise DimensionMismatchError(
-            f"{name}(theta={thetas[0]}) came as a stack of shape {m.shape}, "
-            f"expected ({n}, d, d) with d at most {MAX_DIM}"
+            f"{name} stack has {len(m)} matrices for {len(thetas)} values, {where}"
         )
     return m
 

@@ -15,8 +15,10 @@ command also names, at exit, every ``infobounds`` module that has run.
 
 import json
 import os
+import py_compile
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -153,3 +155,37 @@ print(ib.uniform_prior(0.0, 1.0, 11).grid.n_points)
     assert proc.returncode == 0, proc.stderr
     blocked = "ModuleNotFoundError: import of numpy halted; None in sys.modules"
     assert proc.stdout.splitlines() == [blocked] * 4 + ["11"]
+
+
+def _zip_archive(root: Path) -> Path:
+    archive = root / "infobounds.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted(Path(SRC, "infobounds").glob("*.py")):
+            zf.write(path, f"infobounds/{path.name}")
+    return archive
+
+
+def _bytecode_only(root: Path) -> Path:
+    (root / "infobounds").mkdir()
+    for path in sorted(Path(SRC, "infobounds").glob("*.py")):
+        py_compile.compile(str(path), cfile=str(root / "infobounds" / f"{path.stem}.pyc"), doraise=True)
+    return root
+
+
+@pytest.mark.parametrize("deploy", [_zip_archive, _bytecode_only], ids=["zip", "bytecode"])
+def test_submodules_run_through_the_loader_their_finder_gave(tmp_path, deploy):
+    # Each submodule runs through its own loader, whatever form the package
+    # takes on the path, and keeps that loader's other methods.
+    location = str(deploy(tmp_path))
+    code = """
+import inspect, infobounds as ib
+print(ib.__file__.startswith(sys.argv[1]), ib.uniform_prior(0.0, 1.0, 11).grid.n_points)
+print(inspect.getsource(ib.uniform_prior).startswith("def uniform_prior("))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys" + code, location],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": location},
+        cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True 11", "True"]

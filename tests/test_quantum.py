@@ -734,14 +734,16 @@ def _at(theta, bad, good):
 HALF = np.eye(2) / 2
 ZERO2 = np.zeros((2, 2))
 #: (maker of a bad stack from a good matrix, error, message) of a malformed
-#: stack: a wrong leading length, a wrong matrix shape, a non-numeric array, a
-#: non-Hermitian matrix, a bad trace. The first three are whole-stack faults,
-#: named by the first value.
+#: stack: a wrong leading length, a wrong matrix shape or dimension, a
+#: non-numeric array, a non-Hermitian matrix, a bad trace. The first four are
+#: whole-stack faults, named by the first value.
 BAD_STACKS = {
     "length": (lambda good: lambda th: np.repeat(good[None], len(th) + 1, axis=0),
-               ib.DimensionMismatchError, r"\(theta=0\.0\) came as a stack of shape"),
+               ib.DimensionMismatchError, r" stack has \d+ matrices for \d+ values, at theta=0\.0$"),
     "shape": (lambda good: lambda th: np.zeros((len(th), 2, 3)),
-              ib.DimensionMismatchError, r"\(theta=0\.0\) came as a stack of shape"),
+              ib.DimensionMismatchError, r" must be square, got shape \(2, 3\), at theta=0\.0$"),
+    "dimension": (lambda good: lambda th: np.zeros((len(th), 17, 17)),
+                  ib.DimensionMismatchError, r" dimension 17 exceeds 16, at theta=0\.0$"),
     "non-numeric": (lambda good: lambda th: np.full((len(th), 2, 2), "x", dtype=object),
                     ib.InvalidParameterError, r"\(theta=0\.0\) is not a numeric array"),
     "non-Hermitian": (lambda good: _at(0.75, good + [[0, 0.1], [0, 0]], good),
@@ -767,6 +769,17 @@ def test_malformed_stack_raises_a_typed_error_naming_theta(name, fault):
     theta = 0.75 if fault in ("non-Hermitian", "trace") else 0.0
     with pytest.raises(error, match="^" + name + message):
         getattr(fam, name)(theta)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["scalar", "stacked"])
+def test_an_empty_query_raises_a_typed_error(stacked):
+    fam = ib.qubit_phase_family() if stacked else three_level_family()
+    povm = ib.sigma_x_povm() if stacked else basis_povm(3)
+    model, _ = ib.quantum_conditional_model(fam, povm)
+    with pytest.raises(ib.DimensionMismatchError, match="^rho needs at least one parameter value$"):
+        fam.states(np.array([]))
+    with pytest.raises(ib.DimensionMismatchError, match="^rho needs at least one parameter value$"):
+        model.log_pdf(0, np.array([]))
 
 
 def _counting_stacks(family: ib.StateFamily, analytic: bool = True):

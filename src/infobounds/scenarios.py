@@ -206,8 +206,13 @@ class DemonRecord:
 
     def __post_init__(self):
         for name in ("beta", "work_extracted", "delta_free_energy", "theta"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                finite = False
+            if not finite:
+                raise InvalidParameterError(f"{name} must be a finite number, got {value!r}")
         if self.beta <= 0:
             raise InvalidParameterError("beta must be positive")
 

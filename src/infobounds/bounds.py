@@ -216,37 +216,36 @@ def _bound_rows(block: _Block, prior: Prior, weight: WeightFunction, px: np.ndar
     return np.zeros_like(px), integral
 
 
-def _theta_terms(prior: Prior, weight: WeightFunction, thetas: list) -> tuple[np.ndarray, list]:
+def _theta_terms(prior: Prior, weight: WeightFunction, thetas: list) -> tuple[list, list]:
     """Each theta sample's penalty -log f(theta), and the error that rules it out (or None)."""
     grid, th = prior.grid, np.array(thetas, dtype=float)
-    support = f"[{grid.theta_min}, {grid.theta_max}]"
     if weight.kind == BOXCAR:
-        inside = grid.contains(th, slop=1e-12 * max(1.0, grid.span))
-        return np.zeros(th.size), [
-            None if ok else ThetaOutsideSupportError(f"theta={t} outside the finite support {support}")
-            for t, ok in zip(thetas, inside)
-        ]
+        inside = grid.contains(th, slop=1e-12 * max(1.0, grid.span)).tolist()
+        return [0.0] * th.size, [None if ok else ThetaOutsideSupportError(
+            f"theta={t} outside the finite support [{grid.theta_min}, {grid.theta_max}]"
+        ) for t, ok in zip(thetas, inside)]
     on_grid = _on_grid(grid, th)
     f = np.interp(th, grid.nodes, prior.density if weight.kind == PRIOR_MATCHED else weight.values)
     usable = on_grid & (f > 0.0)
     errors = [None] * th.size
     for i in np.flatnonzero(~usable):
         if not on_grid[i]:
-            errors[i] = OutsideSupportError(f"theta={thetas[i]} outside grid {support}")
+            errors[i] = OutsideSupportError(f"theta={thetas[i]} outside grid [{grid.theta_min}, {grid.theta_max}]")
         elif weight.kind == PRIOR_MATCHED:
             errors[i] = OutsideSupportError(f"prior density vanishes at theta={thetas[i]}")
         else:
             errors[i] = ZeroWeightError(f"weight vanishes at theta={thetas[i]}")
-    return -np.log(np.where(usable, f, 1.0)), errors
+    return (-np.log(np.where(usable, f, 1.0))).tolist(), errors
 
 
-def _outcome_terms(model, prior, weight, sensitivity, x) -> tuple[float, float, float]:
-    """p(x) and the boundary and integral terms of the bound at outcome x,
-    from one grid row; none of them depends on theta."""
+def _outcome_terms(model, prior, weight, sensitivity, x) -> tuple:
+    """log p(x), the boundary and integral terms at outcome x and the log of
+    their sum (None unless positive), from one grid row: none depends on theta."""
     block = _outcome_row(model, prior.grid, x, score=True, sensitivity=sensitivity)
     _, px = _marginal_rows(block, prior)
-    boundary, integral = _bound_rows(block, prior, weight, px)
-    return px[0], float(boundary[0]), float(integral[0])
+    boundary, integral = (float(a[0]) for a in _bound_rows(block, prior, weight, px))
+    argument = boundary + integral
+    return float(np.log(px[0])), boundary, integral, None if argument <= 0.0 else float(np.log(argument))
 
 
 def _evaluate(model, prior, weight, outcomes: list, thetas: list, sensitivity) -> list[list]:
@@ -262,30 +261,31 @@ def _evaluate(model, prior, weight, outcomes: list, thetas: list, sensitivity) -
     rows, terms = [], {}
     for k, x in enumerate(outcomes):
         try:
-            px, boundary, integral = _kept(_outcome_terms, model, prior, weight, sensitivity, x)
+            log_px, boundary, integral, log_argument = _kept(_outcome_terms, model, prior, weight, sensitivity, x)
         except InfoBoundError as exc:
             rows.append([exc] * len(thetas))
             continue
-        if boundary + integral <= 0.0:
+        if log_argument is None:
             degenerate = NonFiniteError("bound argument is nonpositive; the weight is degenerate")
             rows.append([e or degenerate for e in theta_errors])
             continue
-        bounds = (float(np.log(boundary + integral)) + penalty).tolist()
+        bounds = [log_argument + p for p in penalty]
         rows.append([e or (None if math.isfinite(b) else NonFiniteError("bound value is not finite"))
                      for e, b in zip(theta_errors, bounds)])
-        terms[k] = (float(np.log(px)), boundary, integral, bounds)
+        terms[k] = (log_px, boundary, integral, bounds)
     todo = [k for k in terms if None in rows[k]]
     if not todo:
         return rows
-    columns = sorted({i for k in todo for i, e in enumerate(rows[k]) if e is None})
+    columns = [i for i in range(len(thetas)) if any(rows[k][i] is None for k in todo)]
     table = model.table([outcomes[k] for k in todo], np.array([thetas[i] for i in columns], dtype=float))
-    for k, values in zip(todo, table[0]):
+    for k, values in zip(todo, table[0].tolist()):
         log_px, boundary, integral, bounds = terms[k]
         row, x = rows[k], outcomes[k]
-        for i, value, pmi in zip(columns, values.tolist(), (values - log_px).tolist()):
+        for i, value in zip(columns, values):
             if row[i] is None:
+                pmi = value - log_px
                 row[i] = _likelihood_error(x, thetas[i], value) or BoundReport(
-                    x, float(thetas[i]), pmi, bounds[i], bounds[i] - pmi, boundary, integral, float(penalty[i])
+                    x, float(thetas[i]), pmi, bounds[i], bounds[i] - pmi, boundary, integral, penalty[i]
                 )
     return rows
 

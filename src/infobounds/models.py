@@ -289,9 +289,11 @@ def gamma_prior(
 ) -> Prior:
     """Gamma density truncated at ``tail_mass`` per side; support is theta > 0.
 
-    The only function of the package that needs SciPy (for the inverse
-    incomplete gamma function); it imports ``scipy.special`` on first call,
-    which keeps ``import infobounds`` down to NumPy.
+    The density is not renormalised: where the grid cannot integrate it to 1,
+    :class:`InvalidParameterError` names the cause. The only function of the
+    package that needs SciPy (for the inverse incomplete gamma function); it
+    imports ``scipy.special`` on first call, which keeps ``import infobounds``
+    down to NumPy.
     """
     if shape <= 0 or scale <= 0:
         raise InvalidParameterError("shape and scale must be positive")
@@ -304,6 +306,17 @@ def gamma_prior(
     dens = np.exp((shape - 1.0) * np.log(u) - u - gammaln(shape)) / scale
     deriv = dens * ((shape - 1.0) / grid.nodes - 1.0 / scale)
     discarded = float(gammainc(shape, lo / scale) + gammaincc(shape, hi / scale))
+    mass = quadrature(dens, grid)
+    if abs(mass - 1.0) > NORMALIZATION_TOL:
+        if discarded >= NORMALIZATION_TOL:
+            cause = f"tail_mass={tail_mass} discards {discarded:.3g} of the mass"
+        elif shape < 2.0:
+            cause = "p'(theta) diverges toward theta = 0 for shape < 2, so the error shrinks more slowly than h^2"
+        else:  # the error of the trapezoid rule shrinks as h^2: scale it down to the tolerance
+            ratio = abs(mass - (1.0 - discarded)) / (NORMALIZATION_TOL - discarded)
+            cause = f"n_points={1 + math.ceil((n_points - 1) * math.sqrt(ratio))} brings its h^2 error within tolerance"
+        raise InvalidParameterError(f"gamma prior density integrates to {mass!r} on {n_points} nodes, not 1 "
+                                    f"within NORMALIZATION_TOL={NORMALIZATION_TOL}: {cause}; it is not renormalised")
     return Prior(grid, dens, deriv, TruncatedInfinite(discarded))
 
 

@@ -47,7 +47,10 @@ _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     """``a`` as a complex square matrix."""
-    m = np.asarray(a, dtype=complex)
+    try:
+        m = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{name} is not a numeric array: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {m.shape}")
     if m.shape[0] > MAX_DIM:
@@ -67,8 +70,9 @@ def require_hermitian(a, name: str = "matrix", atol: float = HERMITICITY_ATOL) -
     return m
 
 
-#: Expected trace, and its tolerance, of each kind of matrix in a state stack.
+#: Expected trace and tolerance of each kind of matrix, also as columns per sequence of blocks.
 _TRACES = {"rho": (1, STATE_ATOL), "drho": (0, 1e-8)}
+_TRACE_COLUMNS = {k: np.array([_TRACES[n] for n in k]).T[..., None] for k in (("rho",), ("drho",), ("rho", "drho"))}
 
 
 def _require_states(m: np.ndarray, thetas: np.ndarray, names: tuple) -> np.ndarray:
@@ -86,7 +90,7 @@ def _require_states(m: np.ndarray, thetas: np.ndarray, names: tuple) -> np.ndarr
             raise NonFiniteError(f"{where} has non-finite entries")
         raise InfoBoundError(f"{where} is not Hermitian within 1e-10")
     tr = np.einsum("nii->n", m).real.reshape(len(names), n)
-    expected, atol = np.array([_TRACES[name] for name in names]).T[..., None]
+    expected, atol = _TRACE_COLUMNS[names]
     bad = np.abs(tr - expected) > atol
     if bad.any():
         k, i = divmod(int(np.argmax(bad)), n)
@@ -99,7 +103,7 @@ def _require_states(m: np.ndarray, thetas: np.ndarray, names: tuple) -> np.ndarr
 
 def _dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose over the last two axes of a matrix or a stack."""
-    return np.swapaxes(a, -1, -2).conj()
+    return a.swapaxes(-1, -2).conj()
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -150,9 +154,7 @@ def validate_povm(povm: Povm) -> list[str]:
     for i, element in enumerate(povm.elements):
         eigs = np.linalg.eigvalsh(element)
         if eigs.min() < -STATE_ATOL:
-            failures.append(
-                f"element {i}: not positive semidefinite (min eigenvalue {eigs.min():.3e})"
-            )
+            failures.append(f"element {i}: not positive semidefinite (min eigenvalue {eigs.min():.3e})")
         total += element
     dev = np.max(np.abs(total - np.eye(povm.dim)))
     if dev > STATE_ATOL:
@@ -162,12 +164,9 @@ def validate_povm(povm: Povm) -> list[str]:
 
 def born_probability(state, element) -> float:
     """Outcome probability Tr(element @ state), clamped into [0, 1]."""
-    rho = _as_matrix(state, "state")
-    e = _as_matrix(element, "element")
+    rho, e = _as_matrix(state, "state"), _as_matrix(element, "element")
     if rho.shape != e.shape:
-        raise DimensionMismatchError(
-            f"state dim {rho.shape[0]} != element dim {e.shape[0]}"
-        )
+        raise DimensionMismatchError(f"state dim {rho.shape[0]} != element dim {e.shape[0]}")
     p = float(np.real(np.trace(e @ rho)))
     if p < -STATE_ATOL or p > 1.0 + STATE_ATOL:
         raise InfoBoundError(f"Born probability {p} outside [0, 1] beyond tolerance")
@@ -263,21 +262,20 @@ def _call(stack: Callable[[np.ndarray], np.ndarray], thetas: np.ndarray, name: s
     if len(thetas) == 0:
         raise DimensionMismatchError(f"{name} needs at least one parameter value")
     out = stack(thetas)
-    where = f"at theta={thetas[0]}"
     try:
         m = np.asarray(out, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"{name}(theta={thetas[0]}) is not a numeric array: {exc}") from None
     shape = m.shape[1:]
     if len(shape) != 2 or shape[0] != shape[1]:
-        raise DimensionMismatchError(f"{name} must be square, got shape {shape}, {where}")
-    if shape[0] > MAX_DIM:
-        raise DimensionMismatchError(f"{name} dimension {shape[0]} exceeds {MAX_DIM}, {where}")
-    if len(m) != len(thetas):
-        raise DimensionMismatchError(
-            f"{name} stack has {len(m)} matrices for {len(thetas)} values, {where}"
-        )
-    return m
+        problem = f"{name} must be square, got shape {shape}"
+    elif shape[0] > MAX_DIM:
+        problem = f"{name} dimension {shape[0]} exceeds {MAX_DIM}"
+    elif len(m) != len(thetas):
+        problem = f"{name} stack has {len(m)} matrices for {len(thetas)} values"
+    else:
+        return m
+    raise DimensionMismatchError(f"{problem}, at theta={thetas[0]}")
 
 
 def _evaluate(of: Callable[[float], np.ndarray], thetas, name: str) -> np.ndarray:
@@ -307,7 +305,7 @@ def _eigh_state(rho: np.ndarray, eps_rank: float, vectors: bool = True):
     ``vectors``, the eigenvalues and None."""
     w, v = np.linalg.eigh(rho) if vectors else (np.linalg.eigvalsh(rho), None)
     ambiguous = (w > eps_rank / 10.0) & (w < eps_rank)
-    if np.any(ambiguous):
+    if ambiguous.any():
         raise IllConditionedError(
             f"eigenvalue {w[ambiguous][0]:.3e} inside the rank ambiguity window "
             f"({eps_rank / 10.0:.0e}, {eps_rank:.0e})"
@@ -381,7 +379,7 @@ def _born_table(family: StateFamily, elements: np.ndarray, thetas: np.ndarray, s
     if rho.shape[1:] != elements.shape[1:]:
         raise DimensionMismatchError("POVM dimension does not match the state")
     w, v = _eigh_state(rho, RANK_EPS, vectors=sld)
-    probs = np.clip(_traces(elements, rho), 0.0, 1.0)
+    probs = np.minimum(np.maximum(_traces(elements, rho), 0.0), 1.0)
     return probs, _traces(elements, drho) if score else None, (rho, drho, w, v)
 
 
@@ -469,15 +467,15 @@ class MeasuredStateFamily(ConditionalModel):
         own = sensitivity is not None and sensitivity == self.sensitivity
         probs, dprobs, states = _born_table(self.family, self._elements, thetas, score, own)
         positive = probs > PROB_EPS
-        if not self._warned_zero_prob and not np.all(positive):
+        if not self._warned_zero_prob and not positive.all():
             self._warned_zero_prob = True
-            node = int(np.argmax(~np.all(positive, axis=0)))
+            node = int(np.argmax(~positive.all(axis=0)))
             x = self.outcome_space.outcomes[int(np.argmin(positive[:, node]))]
             _warn(f"outcome {x!r} has zero probability at theta={float(thetas[node])}; "
                   "such nodes are excluded from integrals")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logpdf = np.log(probs)[rows]
-            scores = np.where(probs > 0.0, dprobs / probs, np.nan)[rows] if score else None
+        p = probs.take(rows, axis=0)  # log and divide where p > 0 only, -inf and NaN elsewhere
+        logpdf = np.log(p, out=np.full(p.shape, -np.inf), where=p > 0.0)
+        scores = np.divide(dprobs.take(rows, axis=0), p, out=np.full(p.shape, np.nan), where=p > 0.0) if score else None
         if not own:
             return logpdf, scores, None if sensitivity is None else self._rows(sensitivity, outcomes, thetas)
         sens = _sensitivities(self._elements, probs, states, self.outcome_space.outcomes, self._warned_leak)

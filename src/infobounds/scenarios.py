@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from . import quantum
-from .bounds import BoundReport, bound_theorem1
+from .bounds import bound_theorem1
 from .errors import InvalidParameterError, NonPositiveDiffusionError
 from .models import ConditionalModel, ContinuousOutcomes, DiscreteOutcomes, Prior
 
@@ -72,6 +72,9 @@ def langevin_model(
 
 QUBIT_THETA_MAX = math.pi / 2.0
 
+#: The qubit phase family entrywise: rho(theta) = exp(theta * _PHASE_SIGNS) / 2.
+_PHASE_SIGNS = np.array([[0, 1j], [-1j, 0]])
+
 
 def sigma_x_povm() -> quantum.Povm:
     plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
@@ -101,16 +104,10 @@ def qubit_phase_family() -> quantum.StateFamily:
     """
 
     def rho_stack(thetas: np.ndarray) -> np.ndarray:
-        phase = np.exp(1j * thetas)
-        m = np.full((len(thetas), 2, 2), 0.5 + 0j)
-        m[:, 0, 1], m[:, 1, 0] = 0.5 * phase, 0.5 * np.conj(phase)
-        return m
+        return 0.5 * np.exp(thetas[:, None, None] * _PHASE_SIGNS)
 
     def drho_stack(thetas: np.ndarray) -> np.ndarray:
-        phase = np.exp(1j * thetas)
-        m = np.zeros((len(thetas), 2, 2), dtype=complex)
-        m[:, 0, 1], m[:, 1, 0] = 0.5 * (1j * phase), 0.5 * (-1j * np.conj(phase))
-        return m
+        return 0.5 * (_PHASE_SIGNS * np.exp(thetas[:, None, None] * _PHASE_SIGNS))
 
     return quantum.StateFamily.from_stacks(rho_stack, drho_stack)
 
@@ -249,14 +246,6 @@ def demon_work_check(
     otherwise. The checker verifies consistency of supplied records; it
     does not simulate feedback.
     """
-    report: BoundReport = bound_theorem1(
-        model, prior, record.outcome, record.theta, sensitivity
-    )
+    report = bound_theorem1(model, prior, record.outcome, record.theta, sensitivity)
     lhs = record.lhs
-    return DemonCheck(
-        lhs=lhs,
-        pmi=report.pmi,
-        bound=report.bound,
-        sagawa_ueda_ok=lhs <= report.pmi + tolerance,
-        chained_ok=lhs <= report.bound + tolerance,
-    )
+    return DemonCheck(lhs, report.pmi, report.bound, lhs <= report.pmi + tolerance, lhs <= report.bound + tolerance)

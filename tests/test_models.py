@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,23 @@ def test_gamma_prior_normalized_positive_support():
     assert prior.grid.theta_min > 0
     assert ib.quadrature(prior.density, prior.grid) == pytest.approx(1.0, abs=1e-6)
     assert np.all(prior.density >= 0)
+
+
+def test_gamma_prior_below_shape_two_names_the_diverging_derivative():
+    # p'(theta) ~ theta**(shape - 2) near 0: the grid error shrinks more slowly than h^2
+    with pytest.raises(ib.InvalidParameterError, match=r"integrates to 0\.9995.* diverges toward theta = 0"):
+        ib.gamma_prior(1.5, 1.0)
+
+
+def test_gamma_prior_at_shape_two_or_more_names_a_grid_that_passes():
+    with pytest.raises(ib.InvalidParameterError, match=r"integrates to 0\.99999") as info:
+        ib.gamma_prior(2.2, 1.0)
+    assert "not renormalised" in str(info.value)
+    n_points = int(re.search(r"n_points=(\d+) brings", str(info.value)).group(1))
+    prior = ib.gamma_prior(2.2, 1.0, n_points)
+    assert abs(ib.quadrature(prior.density, prior.grid) - 1.0) <= ib.models.NORMALIZATION_TOL
+    with pytest.raises(ib.InvalidParameterError):
+        ib.gamma_prior(2.2, 1.0, int(0.9 * n_points))
 
 
 @pytest.mark.parametrize("shape, scale", [(3.0, 0.5), (40.0, 0.1)])

@@ -67,6 +67,20 @@ def test_povm_structural_errors():
         ib.Povm((np.eye(17),))
 
 
+def test_non_numeric_matrices_raise_a_typed_error_naming_the_matrix():
+    letters = [["a", "b"], ["c", "d"]]
+    with pytest.raises(ib.InvalidParameterError, match="POVM element 1 is not a numeric array"):
+        ib.Povm((np.eye(2), letters))
+    with pytest.raises(ib.InvalidParameterError, match="rho is not a numeric array"):
+        ib.sld([["a"]], [["b"]])
+    with pytest.raises(ib.InvalidParameterError, match="drho is not a numeric array"):
+        ib.sld(np.eye(2) / 2, letters)
+    with pytest.raises(ib.InvalidParameterError, match="state is not a numeric array"):
+        ib.born_probability(letters, np.eye(2))
+    with pytest.raises(ib.InvalidParameterError, match="element is not a numeric array"):
+        ib.born_probability(np.eye(2) / 2, [[1.0, "x"], [0.0, 1.0]])
+
+
 def test_born_probability_examples():
     assert ib.born_probability(_proj(PLUS), _proj(PLUS)) == pytest.approx(1.0, abs=1e-12)
     assert ib.born_probability(_proj(PLUS), _proj(ZERO)) == pytest.approx(0.5, abs=1e-12)

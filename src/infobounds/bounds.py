@@ -48,6 +48,7 @@ from .information import (
     _outcome_row,
     _prior_table,
     _summed,
+    _theta_array,
 )
 from .models import (
     BOXCAR,
@@ -218,7 +219,7 @@ def _bound_rows(block: _Block, prior: Prior, weight: WeightFunction, px: np.ndar
 
 def _theta_terms(prior: Prior, weight: WeightFunction, thetas: list) -> tuple[list, list]:
     """Each theta sample's penalty -log f(theta), and the error that rules it out (or None)."""
-    grid, th = prior.grid, np.array(thetas, dtype=float)
+    grid, th = prior.grid, _theta_array(thetas)
     if weight.kind == BOXCAR:
         inside = grid.contains(th, slop=1e-12 * max(1.0, grid.span)).tolist()
         return [0.0] * th.size, [None if ok else ThetaOutsideSupportError(

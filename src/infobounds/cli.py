@@ -365,24 +365,6 @@ def _emit(ctx: RunContext, render_csv, render_json, *report) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_rows(reports, skipped, ctx: RunContext) -> list:
-    """Every sweep point once, x-major over the configured samples.
-
-    ``bound_sweep`` returns both lists in that order and puts each point in
-    exactly one of them, so a point is skipped iff it heads the skipped list.
-    """
-    reports, skipped = iter(reports), iter(skipped)
-    rows, skip = [], next(skipped, None)
-    for x in ctx.x_samples:
-        for theta in ctx.theta_samples:
-            if skip is not None and (skip.x, skip.theta) == (x, float(theta)):
-                rows.append(skip)
-                skip = next(skipped, None)
-            else:
-                rows.append(next(reports))
-    return rows
-
-
 def run_verify(cfg: dict) -> int:
     """Sweep the configured bound; exit 0 iff no violations. Raises InfoBoundError."""
     ctx = RunContext(cfg)
@@ -393,7 +375,9 @@ def run_verify(cfg: dict) -> int:
         weight=ctx.weight, sensitivity=ctx.sensitivity,
     )
     summary = bounds.summarize_sweep(reports, ctx.tolerance, n_skipped=len(skipped))
-    _emit(ctx, render_verify_csv, render_verify_json, _sweep_rows(reports, skipped, ctx), summary)
+    points = {(p.x, p.theta): p for p in [*reports, *skipped]}  # evaluation is pure: equal points, equal rows
+    rows = [points[x, float(theta)] for x in ctx.x_samples for theta in ctx.theta_samples]
+    _emit(ctx, render_verify_csv, render_verify_json, rows, summary)
     return 0 if summary.violations == 0 else 1
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DegenerateMarginalError,
+    InvalidParameterError,
     NonFiniteError,
     OutsideSupportError,
     UnnormalizedOutcomeSpaceError,
@@ -238,6 +239,14 @@ def _likelihood_error(x, theta, log_likelihood: float):
     return None
 
 
+def _theta_array(thetas) -> np.ndarray:
+    """``thetas`` as a float array, or :class:`InvalidParameterError`."""
+    try:
+        return np.array(thetas, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"theta is not a number: {exc}") from None
+
+
 def pmi(model: ConditionalModel, prior: Prior, x, theta: float) -> float:
     """Pointwise mutual information log[p(x|theta) / p(x)].
 
@@ -245,7 +254,7 @@ def pmi(model: ConditionalModel, prior: Prior, x, theta: float) -> float:
     parameter, in which case the PMI is negative.
     """
     px = marginal(model, prior, x)
-    log_likelihood = model.table((x,), np.array([theta], dtype=float))[0][0, 0]
+    log_likelihood = model.table((x,), _theta_array([theta]))[0][0, 0]
     error = _likelihood_error(x, theta, log_likelihood)
     if error is not None:
         raise error
@@ -258,7 +267,7 @@ def sfi(model: ConditionalModel, x, theta: float) -> float:
     The per-realization sensitivity whose conditional average is the Fisher
     information.
     """
-    s = float(model.table((x,), np.array([theta], dtype=float), score=True)[1][0, 0])
+    s = float(model.table((x,), _theta_array([theta]), score=True)[1][0, 0])
     if not np.isfinite(s):
         raise NonFiniteError(f"score at ({x!r}, {theta}) is not finite")
     return s * s

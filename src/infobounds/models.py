@@ -20,7 +20,7 @@ NORMALIZATION_TOL = 1e-6
 #: Default per-side tail mass discarded when truncating an infinite-support prior.
 DEFAULT_TAIL_MASS = 1e-12
 
-#: Default relative/absolute step for finite-difference scores.
+#: Relative/absolute step for finite-difference scores.
 DEFAULT_SCORE_STEP = 1e-5
 
 
@@ -99,12 +99,10 @@ class ConditionalModel:
         log_pdf: Callable,
         outcome_space: OutcomeSpace,
         score: Callable | None = None,
-        score_step: float = DEFAULT_SCORE_STEP,
     ):
         self._log_pdf = log_pdf
         self._score = score
         self.outcome_space = outcome_space
-        self.score_step = float(score_step)
 
     @property
     def score_kind(self) -> str:
@@ -117,7 +115,7 @@ class ConditionalModel:
         if self._score is not None:
             return self._score(x, theta)
         th = np.asarray(theta, dtype=float)
-        h = np.maximum(self.score_step, self.score_step * np.abs(th))
+        h = np.maximum(DEFAULT_SCORE_STEP, DEFAULT_SCORE_STEP * np.abs(th))
         out = (self._log_pdf(x, th + h) - self._log_pdf(x, th - h)) / (2.0 * h)
         if np.ndim(theta) == 0:
             return float(out)
@@ -297,6 +295,8 @@ def gamma_prior(
     """
     if shape <= 0 or scale <= 0:
         raise InvalidParameterError("shape and scale must be positive")
+    if not 0.0 < tail_mass < 0.5:
+        raise InvalidParameterError("tail_mass must lie in (0, 0.5)")
     from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, gammaln
 
     lo = scale * float(gammaincinv(shape, tail_mass))

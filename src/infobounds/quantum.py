@@ -45,28 +45,46 @@ SUPPORT_LEAK_TOL = 1e-8
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """``a`` as a complex square matrix."""
+def _stack(m, name: str, thetas: np.ndarray | None = None) -> np.ndarray:
+    """``m`` as an (n, d, d) complex stack of square matrices of dimension at
+    most ``MAX_DIM``: the matrices at the n parameter values ``thetas``, or
+    without them one matrix, as a stack of one. A fault of a stack names its
+    first parameter value."""
     try:
-        m = np.asarray(a, dtype=complex)
+        m = np.asarray(m, dtype=complex)
     except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"{name} is not a numeric array: {exc}") from None
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"{name} must be square, got shape {m.shape}")
-    if m.shape[0] > MAX_DIM:
-        raise DimensionMismatchError(f"{name} dimension {m.shape[0]} exceeds {MAX_DIM}")
-    return m
+        raise InvalidParameterError(f"{_name((name,), thetas, 0)} is not a numeric array: {exc}") from None
+    shape = m.shape if thetas is None else m.shape[1:]
+    if len(shape) != 2 or shape[0] != shape[1]:
+        problem = f"{name} must be square, got shape {shape}"
+    elif shape[0] > MAX_DIM:
+        problem = f"{name} dimension {shape[0]} exceeds {MAX_DIM}"
+    elif thetas is not None and len(m) != len(thetas):
+        problem = f"{name} stack has {len(m)} matrices for {len(thetas)} values"
+    else:
+        return m[None] if thetas is None else m
+    raise DimensionMismatchError(problem if thetas is None else f"{problem}, at theta={thetas[0]}")
 
 
-def require_hermitian(a, name: str = "matrix", atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """``a`` as a matrix that is Hermitian within ``atol`` entrywise; a
-    non-finite entry raises :class:`NonFiniteError`."""
-    m = _as_matrix(a, name)
-    dev = np.abs(m - _dagger(m)).max()
-    if not dev <= atol:  # NaN fails too
-        if not np.isfinite(dev):
-            raise NonFiniteError(f"{name} has non-finite entries")
-        raise InfoBoundError(f"{name} is not Hermitian within {atol}")
+def _name(names: tuple, thetas: np.ndarray | None, i: int) -> str:
+    """The name of matrix i of a stack: ``names[i]``, or for a stack of
+    blocks of n matrices at the n values ``thetas``, ``name(theta=...)``."""
+    if thetas is None:
+        return names[i]
+    return f"{names[i // len(thetas)]}(theta={thetas[i % len(thetas)]})"
+
+
+def _require_hermitian(m: np.ndarray, names: tuple, atol: float, thetas: np.ndarray | None = None) -> np.ndarray:
+    """Check each matrix of the stack ``m`` Hermitian within ``atol``
+    entrywise; an error names the first offending one (see :func:`_name`),
+    as :class:`NonFiniteError` if it has a non-finite entry."""
+    dev = np.abs(m - _dagger(m))
+    if not dev.max() <= atol:  # NaN fails too
+        dev = dev.max(axis=(1, 2))
+        i = int(np.argmax(~(dev <= atol)))
+        if not np.isfinite(dev[i]):
+            raise NonFiniteError(f"{_name(names, thetas, i)} has non-finite entries")
+        raise InfoBoundError(f"{_name(names, thetas, i)} is not Hermitian within {atol}")
     return m
 
 
@@ -77,26 +95,17 @@ _TRACE_COLUMNS = {k: np.array([_TRACES[n] for n in k]).T[..., None] for k in (("
 
 def _require_states(m: np.ndarray, thetas: np.ndarray, names: tuple) -> np.ndarray:
     """Check a stack of ``len(names)`` blocks of n matrices, one block per
-    name at the n parameter values ``thetas``, in one pass: each matrix
-    Hermitian within 1e-10, with the trace of ``_TRACES``. An error names the
-    first offending matrix as ``name(theta=...)``, Hermiticity first."""
+    name at the n parameter values ``thetas``: each matrix Hermitian within
+    1e-10, then with the trace of ``_TRACES``."""
+    _require_hermitian(m, names, 1e-10, thetas)
     n = len(thetas)
-    dev = np.abs(m - _dagger(m))
-    if not dev.max() <= 1e-10:  # NaN fails too
-        dev = dev.max(axis=(1, 2))
-        k, i = divmod(int(np.argmax(~(dev <= 1e-10))), n)
-        where = f"{names[k]}(theta={thetas[i]})"
-        if not np.isfinite(dev[k * n + i]):
-            raise NonFiniteError(f"{where} has non-finite entries")
-        raise InfoBoundError(f"{where} is not Hermitian within 1e-10")
     tr = np.einsum("nii->n", m).real.reshape(len(names), n)
     expected, atol = _TRACE_COLUMNS[names]
     bad = np.abs(tr - expected) > atol
     if bad.any():
-        k, i = divmod(int(np.argmax(bad)), n)
+        i = int(np.argmax(bad))
         raise InfoBoundError(
-            f"{names[k]}(theta={thetas[i]}) has trace {float(tr[k, i])}, "
-            f"expected {_TRACES[names[k]][0]}"
+            f"{_name(names, thetas, i)} has trace {float(tr.flat[i])}, expected {_TRACES[names[i // n]][0]}"
         )
     return m
 
@@ -129,15 +138,14 @@ class Povm:
     def __post_init__(self):
         if len(self.elements) == 0:
             raise InvalidParameterError("a POVM needs at least one element")
-        mats = tuple(  # copies: freezing must not reach the caller's arrays
-            require_hermitian(e, f"POVM element {i}").copy() for i, e in enumerate(self.elements)
-        )
-        dim = mats[0].shape[0]
-        for i, m in enumerate(mats):
-            if m.shape[0] != dim:
-                raise DimensionMismatchError(f"POVM element {i} has mismatched dimension")
-            m.setflags(write=False)
-        object.__setattr__(self, "elements", mats)
+        names = tuple(f"POVM element {i}" for i in range(len(self.elements)))
+        mats = [_stack(e, name)[0] for e, name in zip(self.elements, names)]
+        for name, m in zip(names, mats):
+            if m.shape != mats[0].shape:
+                raise DimensionMismatchError(f"{name} has mismatched dimension")
+        stack = _require_hermitian(np.array(mats), names, HERMITICITY_ATOL)  # a copy, so
+        stack.setflags(write=False)  # freezing does not reach the caller's arrays
+        object.__setattr__(self, "elements", tuple(stack))
 
     @property
     def dim(self) -> int:
@@ -149,14 +157,10 @@ class Povm:
 
 def validate_povm(povm: Povm) -> list[str]:
     """Positivity and completeness checks; returns failure messages, empty if ok."""
-    failures: list[str] = []
-    total = np.zeros((povm.dim, povm.dim), dtype=complex)
-    for i, element in enumerate(povm.elements):
-        eigs = np.linalg.eigvalsh(element)
-        if eigs.min() < -STATE_ATOL:
-            failures.append(f"element {i}: not positive semidefinite (min eigenvalue {eigs.min():.3e})")
-        total += element
-    dev = np.max(np.abs(total - np.eye(povm.dim)))
+    elements = np.array(povm.elements)
+    failures = [f"element {i}: not positive semidefinite (min eigenvalue {low:.3e})"
+                for i, low in enumerate(np.linalg.eigvalsh(elements).min(axis=1)) if low < -STATE_ATOL]
+    dev = np.abs(elements.sum(axis=0) - np.eye(povm.dim)).max()
     if dev > STATE_ATOL:
         failures.append(f"completeness: elements sum to identity only within {dev:.3e}")
     return failures
@@ -164,7 +168,7 @@ def validate_povm(povm: Povm) -> list[str]:
 
 def born_probability(state, element) -> float:
     """Outcome probability Tr(element @ state), clamped into [0, 1]."""
-    rho, e = _as_matrix(state, "state"), _as_matrix(element, "element")
+    rho, e = _stack(state, "state")[0], _stack(element, "element")[0]
     if rho.shape != e.shape:
         raise DimensionMismatchError(f"state dim {rho.shape[0]} != element dim {e.shape[0]}")
     p = float(np.real(np.trace(e @ rho)))
@@ -199,11 +203,9 @@ class StateFamily:
         self,
         rho_of: Callable[[float], np.ndarray],
         drho_of: Callable[[float], np.ndarray] | None = None,
-        fd_step: float = fd_step,
     ):
         self._rho_stack = partial(_evaluate, rho_of, name="rho")
         self._drho_stack = None if drho_of is None else partial(_evaluate, drho_of, name="drho")
-        self.fd_step = float(fd_step)
 
     @classmethod
     def from_stacks(
@@ -223,7 +225,7 @@ class StateFamily:
 
     def rho(self, theta: float) -> np.ndarray:
         thetas = np.array([theta], dtype=float)
-        return _require_states(_call(self._rho_stack, thetas, "rho"), thetas, ("rho",))[0]
+        return _require_states(_stack(self._rho_stack(thetas), "rho", thetas), thetas, ("rho",))[0]
 
     def drho(self, theta: float) -> np.ndarray:
         thetas = np.array([theta], dtype=float)
@@ -239,7 +241,9 @@ class StateFamily:
         dimension for both. An error names the first offending value.
         """
         thetas = np.asarray(thetas, dtype=float)
-        rho, drho = _call(self._rho_stack, thetas, "rho"), self._drho(thetas)
+        if len(thetas) == 0:
+            raise DimensionMismatchError("rho needs at least one parameter value")
+        rho, drho = _stack(self._rho_stack(thetas), "rho", thetas), self._drho(thetas)
         if drho.shape != rho.shape:
             raise DimensionMismatchError(
                 f"drho dimension {drho.shape[-1]} != rho dimension {rho.shape[-1]}"
@@ -250,32 +254,11 @@ class StateFamily:
     def _drho(self, thetas: np.ndarray) -> np.ndarray:
         """The unvalidated drho stack, analytic or by finite differences."""
         if self._drho_stack is not None:
-            return _call(self._drho_stack, thetas, "drho")
+            return _stack(self._drho_stack(thetas), "drho", thetas)
         h = self.fd_step
-        rho = _call(self._rho_stack, np.concatenate((thetas + h, thetas - h)), "rho")
+        shifted = np.concatenate((thetas + h, thetas - h))
+        rho = _stack(self._rho_stack(shifted), "rho", shifted)
         return hermitize((rho[: len(thetas)] - rho[len(thetas) :]) / (2.0 * h))
-
-
-def _call(stack: Callable[[np.ndarray], np.ndarray], thetas: np.ndarray, name: str) -> np.ndarray:
-    """``stack(thetas)`` as an (n, d, d) complex array, or a typed error;
-    a fault of the whole stack names its first parameter value."""
-    if len(thetas) == 0:
-        raise DimensionMismatchError(f"{name} needs at least one parameter value")
-    out = stack(thetas)
-    try:
-        m = np.asarray(out, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"{name}(theta={thetas[0]}) is not a numeric array: {exc}") from None
-    shape = m.shape[1:]
-    if len(shape) != 2 or shape[0] != shape[1]:
-        problem = f"{name} must be square, got shape {shape}"
-    elif shape[0] > MAX_DIM:
-        problem = f"{name} dimension {shape[0]} exceeds {MAX_DIM}"
-    elif len(m) != len(thetas):
-        problem = f"{name} stack has {len(m)} matrices for {len(thetas)} values"
-    else:
-        return m
-    raise DimensionMismatchError(f"{problem}, at theta={thetas[0]}")
 
 
 def _evaluate(of: Callable[[float], np.ndarray], thetas, name: str) -> np.ndarray:
@@ -299,32 +282,32 @@ def _evaluate(of: Callable[[float], np.ndarray], thetas, name: str) -> np.ndarra
     raise error
 
 
-def _eigh_state(rho: np.ndarray, eps_rank: float, vectors: bool = True):
+def _eigh_state(rho: np.ndarray, vectors: bool = True):
     """Eigendecomposition of one state, or of a stack of states over the
     leading axes, with the rank-ambiguity and positivity checks; without
     ``vectors``, the eigenvalues and None."""
     w, v = np.linalg.eigh(rho) if vectors else (np.linalg.eigvalsh(rho), None)
-    ambiguous = (w > eps_rank / 10.0) & (w < eps_rank)
+    ambiguous = (w > RANK_EPS / 10.0) & (w < RANK_EPS)
     if ambiguous.any():
         raise IllConditionedError(
             f"eigenvalue {w[ambiguous][0]:.3e} inside the rank ambiguity window "
-            f"({eps_rank / 10.0:.0e}, {eps_rank:.0e})"
+            f"({RANK_EPS / 10.0:.0e}, {RANK_EPS:.0e})"
         )
     if w.min() < -STATE_ATOL:
         raise InfoBoundError(f"state has negative eigenvalue {w.min():.3e}")
     return w, v
 
 
-def _sld_from_eig(w: np.ndarray, v: np.ndarray, drho: np.ndarray, eps_rank: float) -> np.ndarray:
+def _sld_from_eig(w: np.ndarray, v: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """SLD from the eigendecomposition of one state or of a stack of states."""
     d_eig = _dagger(v) @ drho @ v
     denom = w[..., :, None] + w[..., None, :]
-    coeff = np.where(denom > eps_rank, 2.0 / np.where(denom > eps_rank, denom, 1.0), 0.0)
+    coeff = np.where(denom > RANK_EPS, 2.0 / np.where(denom > RANK_EPS, denom, 1.0), 0.0)
     l_eig = coeff * d_eig
     return hermitize(v @ l_eig @ _dagger(v))
 
 
-def sld(rho, drho, eps_rank: float = RANK_EPS) -> np.ndarray:
+def sld(rho, drho) -> np.ndarray:
     """Symmetric logarithmic derivative: the Hermitian L solving
     L rho + rho L = 2 drho on the support of rho.
 
@@ -332,12 +315,12 @@ def sld(rho, drho, eps_rank: float = RANK_EPS) -> np.ndarray:
     off-support eigenvectors are set to zero, the standard
     support-restricted solution.
     """
-    rho = require_hermitian(rho, "rho", atol=1e-10)
-    drho = require_hermitian(drho, "drho", atol=1e-10)
+    rho, drho = _stack(rho, "rho"), _stack(drho, "drho")
     if rho.shape != drho.shape:
         raise DimensionMismatchError("rho and drho dimensions differ")
-    w, v = _eigh_state(rho, eps_rank)
-    return _sld_from_eig(w, v, drho, eps_rank)
+    rho, drho = _require_hermitian(np.concatenate((rho, drho)), ("rho", "drho"), 1e-10)
+    w, v = _eigh_state(rho)
+    return _sld_from_eig(w, v, drho)
 
 
 def sld_residual(rho, drho, l_matrix) -> float:
@@ -352,8 +335,8 @@ def sld_residual(rho, drho, l_matrix) -> float:
 def qfi(family: StateFamily, theta: float) -> float:
     """Ensemble quantum sensitivity Tr(rho L^2)."""
     rho, drho = family.states((theta,))
-    w, v = _eigh_state(rho, RANK_EPS)
-    l_matrix = _sld_from_eig(w, v, drho, RANK_EPS)[0]
+    w, v = _eigh_state(rho)
+    l_matrix = _sld_from_eig(w, v, drho)[0]
     value = float(np.real(np.trace(rho[0] @ l_matrix @ l_matrix)))
     if not np.isfinite(value):
         raise NonFiniteError("QFI is not finite")
@@ -378,7 +361,7 @@ def _born_table(family: StateFamily, elements: np.ndarray, thetas: np.ndarray, s
     rho, drho = family.states(thetas)
     if rho.shape[1:] != elements.shape[1:]:
         raise DimensionMismatchError("POVM dimension does not match the state")
-    w, v = _eigh_state(rho, RANK_EPS, vectors=sld)
+    w, v = _eigh_state(rho, vectors=sld)
     probs = np.minimum(np.maximum(_traces(elements, rho), 0.0), 1.0)
     return probs, _traces(elements, drho) if score else None, (rho, drho, w, v)
 
@@ -390,7 +373,7 @@ def _sensitivities(elements, probs, states, labels, warned: set) -> np.ndarray:
     outcome of ``labels`` not in ``warned`` whose element has weight outside
     the support of a state where its probability is positive."""
     rho, drho, w, v = states
-    l_matrix = _sld_from_eig(w, v, drho, RANK_EPS)
+    l_matrix = _sld_from_eig(w, v, drho)
     with np.errstate(divide="ignore", invalid="ignore"):
         sens = _traces(elements, l_matrix @ l_matrix @ rho) / probs
     sens[(sens < 0.0) & (sens >= -STATE_ATOL)] = 0.0

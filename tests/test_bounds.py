@@ -481,6 +481,19 @@ def test_sweep_records_skipped_points(qubit):
     assert skipped[0].reason == "ZeroLikelihoodError"
 
 
+@pytest.mark.parametrize("entry", ["pmi", "sfi", "bound_theorem1", "bound_sweep"])
+def test_non_numeric_theta_raises_a_typed_error_naming_it(qubit, entry):
+    model, sens, prior = qubit
+    calls = {
+        "pmi": lambda: ib.pmi(model, prior, "+", "abc"),
+        "sfi": lambda: ib.sfi(model, "+", "abc"),
+        "bound_theorem1": lambda: ib.bound_theorem1(model, prior, "+", "abc", sens),
+        "bound_sweep": lambda: ib.bound_sweep(model, prior, "theorem1", ["+"], ["abc", 0.5], sensitivity=sens),
+    }
+    with pytest.raises(ib.InvalidParameterError, match="^theta is not a number: .*'abc'$"):
+        calls[entry]()
+
+
 def test_sweep_deterministic_order(langevin_uniform):
     model, prior = langevin_uniform
     xs = np.linspace(-2, 2, 5)

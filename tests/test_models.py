@@ -119,6 +119,12 @@ def test_gamma_prior_at_shape_two_or_more_names_a_grid_that_passes():
         ib.gamma_prior(2.2, 1.0, int(0.9 * n_points))
 
 
+@pytest.mark.parametrize("tail_mass", [0.0, 0.7])
+def test_gamma_prior_rejects_a_tail_mass_outside_the_open_half_interval(tail_mass):
+    with pytest.raises(ib.InvalidParameterError, match=r"^tail_mass must lie in \(0, 0\.5\)$"):
+        ib.gamma_prior(3.0, 1.0, tail_mass=tail_mass)
+
+
 @pytest.mark.parametrize("shape, scale", [(3.0, 0.5), (40.0, 0.1)])
 def test_gamma_prior_matches_scipy_gamma(shape, scale):
     dist = stats.gamma(a=shape, scale=scale)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,15 +40,14 @@ from .grids import _on_grid, quadrature
 from .information import (
     _Block,
     _fisher_rows,
-    _fisher_sum,
     _kept,
     _likelihood_error,
     _marginal_rows,
     _mi_rows,
     _on_positive,
     _outcome_row,
+    _outcome_sums,
     _prior_table,
-    _summed,
     _theta_array,
 )
 from .models import (
@@ -388,12 +388,13 @@ def mi_bound_average(model: ConditionalModel, prior: Prior, weight: WeightFuncti
     f), so the value is log(2 + integral of sqrt(F)).
     """
     _check_weight(prior, weight)
-    return _ensemble_bound(prior, weight, _fisher_sum(_prior_table(model, prior.grid, score=True)))
+    (fi,) = _outcome_sums(_prior_table(model, prior.grid, score=True), None, _fisher_rows)
+    return _ensemble_bound(prior, weight, fi)
 
 
-def _average_rows(block: _Block, prior: Prior, weight: WeightFunction, px: np.ndarray):
+def _average_rows(weight: WeightFunction, block: _Block, prior: Prior, joint, px: np.ndarray):
     """p(x) times the log of each row's bound argument: the row's share of
-    the joint average of the bound, penalty aside."""
+    the joint average of the bound, penalty aside: an ``_outcome_sums`` part."""
     boundary, integral = _bound_rows(block, prior, weight, px)
     argument = boundary + integral
     if np.any(argument <= 0.0):
@@ -417,11 +418,9 @@ def average_pointwise_bound(
     not hold the conditional mass at some prior node.
     """
     _check_weight(prior, weight)
-    total = 0.0
-    for block in _prior_table(model, prior.grid, True, sensitivity):
-        _, px = _marginal_rows(block, prior)
-        total = _summed(total, block, _average_rows(block, prior, weight, px))
-    return float(total) + _average_penalty(prior, weight)
+    blocks = _prior_table(model, prior.grid, True, sensitivity)
+    (avg,) = _outcome_sums(blocks, prior, partial(_average_rows, weight))
+    return float(avg) + _average_penalty(prior, weight)
 
 
 def mi_chain_values(
@@ -436,12 +435,8 @@ def mi_chain_values(
     is evaluated once; each value equals that of its own function.
     """
     _check_weight(prior, weight)
-    mi = avg = fi = 0.0
-    for block in _prior_table(model, prior.grid, True, sensitivity):
-        joint, px = _marginal_rows(block, prior)
-        mi = _summed(mi, block, _mi_rows(block, joint, px, prior))
-        avg = _summed(avg, block, _average_rows(block, prior, weight, px))
-        fi = _summed(fi, block, _fisher_rows(block))
+    blocks = _prior_table(model, prior.grid, True, sensitivity)
+    mi, avg, fi = _outcome_sums(blocks, prior, _mi_rows, partial(_average_rows, weight), _fisher_rows)
     return (
         float(mi),
         float(avg) + _average_penalty(prior, weight),

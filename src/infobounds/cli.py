@@ -381,14 +381,10 @@ def run_verify(cfg: dict) -> int:
     return 0 if summary.violations == 0 else 1
 
 
-def _chain_values(ctx: RunContext) -> tuple[float, float, float]:
-    return bounds.mi_chain_values(ctx.model, ctx.prior, ctx.weight, ctx.sensitivity)
-
-
 def run_mi_chain(cfg: dict) -> int:
     """Check MI <= averaged pointwise bound <= ensemble bound. Raises InfoBoundError."""
     ctx = RunContext(cfg)
-    mi, avg_bound, avg_limit = _chain_values(ctx)
+    mi, avg_bound, avg_limit = bounds.mi_chain_values(ctx.model, ctx.prior, ctx.weight, ctx.sensitivity)
     ok = bounds.chain_holds(mi, avg_bound, avg_limit, ctx.tolerance)
     values = {
         "mutual_information": mi,

@@ -5,7 +5,8 @@ rule; integrals over a continuous outcome run on the model's outcome grid.
 Every ensemble quantity, here and in :mod:`infobounds.bounds`, is an
 outcome sum over one joint table of ``log p(x|theta)``, the score and
 optionally a sensitivity, which :func:`_joint_table` evaluates block by
-block through :meth:`ConditionalModel.table`, each cell once.
+block through :meth:`ConditionalModel.table`, each cell once. One walk,
+:func:`_outcome_sums`, sums the parts (row functions) each caller asks for.
 """
 
 from __future__ import annotations
@@ -188,27 +189,30 @@ def _marginal_rows(block: _Block, prior: Prior) -> tuple[np.ndarray, np.ndarray]
     return joint, px
 
 
-def _mi_rows(block: _Block, joint: np.ndarray, px: np.ndarray, prior: Prior) -> np.ndarray:
+def _outcome_sums(blocks, prior: Prior | None, *parts) -> list:
+    """The outcome sum of each part's rows over ``blocks``, in one walk. A part
+    maps ``(block, prior, joint, px)`` to rows; ``joint, px`` are the block's
+    :func:`_marginal_rows` when ``prior`` is given, else None."""
+    totals = [0.0] * len(parts)
+    for block in blocks:
+        joint, px = (None, None) if prior is None else _marginal_rows(block, prior)
+        totals = [_summed(t, block, part(block, prior, joint, px)) for t, part in zip(totals, parts)]
+    return totals
+
+
+def _mi_rows(block: _Block, prior: Prior, joint: np.ndarray, px: np.ndarray) -> np.ndarray:
     """Prior integral of p(theta) p(x|theta) PMI(x, theta) for each row."""
     log_ratio = _on_positive(block.logpdf - np.log(px)[:, None], block.positive)
     return quadrature(joint * log_ratio, prior.grid)
 
 
-def _fisher_rows(block: _Block) -> np.ndarray:
+def _fisher_rows(block: _Block, *_) -> np.ndarray:
     """p(x|theta) score^2 at each cell of the block."""
     score = _on_positive(block.score, block.positive)
     term = block.pdf * score * score
     if not np.all(np.isfinite(term)):
         raise NonFiniteError("squared score diverges at a positive-probability outcome")
     return term
-
-
-def _fisher_sum(blocks) -> np.ndarray:
-    """The Fisher information at each parameter value of the blocks."""
-    fi = 0.0
-    for block in blocks:
-        fi = _summed(fi, block, _fisher_rows(block))
-    return fi
 
 
 def _marginal_row(model: ConditionalModel, prior: Prior, x) -> float:
@@ -239,12 +243,16 @@ def _likelihood_error(x, theta, log_likelihood: float):
     return None
 
 
-def _theta_array(thetas) -> np.ndarray:
-    """``thetas`` as a float array, or :class:`InvalidParameterError`."""
+def _theta_array(thetas, finite=False) -> np.ndarray:
+    """``thetas`` as a float array, all finite if ``finite`` (as a one-point
+    entry checks them, before any model call), or :class:`InvalidParameterError`."""
     try:
-        return np.array(thetas, dtype=float)
+        th = np.array(thetas, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"theta is not a number: {exc}") from None
+    if finite and not np.all(np.isfinite(th)):
+        raise InvalidParameterError(f"theta must be a finite number, got {thetas!r}")
+    return th
 
 
 def pmi(model: ConditionalModel, prior: Prior, x, theta: float) -> float:
@@ -253,8 +261,9 @@ def pmi(model: ConditionalModel, prior: Prior, x, theta: float) -> float:
     Sign-indefinite: a single realization can be misleading about the
     parameter, in which case the PMI is negative.
     """
+    th = _theta_array(theta, finite=True).reshape(1)
     px = marginal(model, prior, x)
-    log_likelihood = model.table((x,), _theta_array([theta]))[0][0, 0]
+    log_likelihood = model.table((x,), th)[0][0, 0]
     error = _likelihood_error(x, theta, log_likelihood)
     if error is not None:
         raise error
@@ -267,7 +276,8 @@ def sfi(model: ConditionalModel, x, theta: float) -> float:
     The per-realization sensitivity whose conditional average is the Fisher
     information.
     """
-    s = float(model.table((x,), _theta_array([theta]), score=True)[1][0, 0])
+    th = _theta_array(theta, finite=True).reshape(1)
+    s = float(model.table((x,), th, score=True)[1][0, 0])
     if not np.isfinite(s):
         raise NonFiniteError(f"score at ({x!r}, {theta}) is not finite")
     return s * s
@@ -279,6 +289,7 @@ def surprisal(prior: Prior, theta: float) -> float:
     In a thermodynamic reading this is the stochastic entropy of the
     parameter value.
     """
+    _theta_array(theta, finite=True)
     dens = prior.density_at(theta)
     if dens <= 0.0:
         raise OutsideSupportError(f"prior density vanishes at theta={theta}")
@@ -293,8 +304,8 @@ def fisher_information(model: ConditionalModel, theta):
     :class:`UnnormalizedOutcomeSpaceError` if the outcome space does not
     hold the conditional mass at some parameter value.
     """
-    th = np.asarray(theta, dtype=float)
-    fi = _fisher_sum(_joint_table(model, th.ravel(), score=True))
+    th = _theta_array(theta, finite=True)
+    (fi,) = _outcome_sums(_joint_table(model, th.ravel(), score=True), None, _fisher_rows)
     return float(fi[0]) if th.ndim == 0 else fi.reshape(th.shape)
 
 
@@ -305,8 +316,5 @@ def mutual_information(model: ConditionalModel, prior: Prior) -> float:
     :class:`UnnormalizedOutcomeSpaceError` if the outcome space does not
     hold the conditional mass at some prior node.
     """
-    total = 0.0
-    for block in _prior_table(model, prior.grid):
-        joint, px = _marginal_rows(block, prior)
-        total = _summed(total, block, _mi_rows(block, joint, px, prior))
-    return float(total)
+    (mi,) = _outcome_sums(_prior_table(model, prior.grid), prior, _mi_rows)
+    return float(mi)

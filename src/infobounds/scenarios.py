@@ -205,7 +205,7 @@ class DemonRecord:
         for name in ("beta", "work_extracted", "delta_free_energy", "theta"):
             value = getattr(self, name)
             try:
-                finite = math.isfinite(value)
+                finite = not isinstance(value, bool) and math.isfinite(value)
             except TypeError:
                 finite = False
             if not finite:

@@ -351,22 +351,86 @@ def test_average_pointwise_bound_unnormalized_outcome_grid():
         ib.average_pointwise_bound(model, prior, ib.boxcar_weight(prior.grid))
 
 
-def test_mi_chain_values_match_their_functions(langevin_uniform, qubit):
-    # one pass, same sums: the chain agrees with its three functions bit for bit
-    model, prior = langevin_uniform
-    weight = ib.boxcar_weight(prior.grid)
-    assert ib.mi_chain_values(model, prior, weight) == (
-        ib.mutual_information(model, prior),
-        ib.average_pointwise_bound(model, prior, weight),
-        ib.mi_bound_average(model, prior, weight),
-    )
-    model, sens, prior = qubit
-    weight = ib.boxcar_weight(prior.grid)
-    assert ib.mi_chain_values(model, prior, weight, sens) == (
+#: The NumPy version the chain records below were taken with. Under any other
+#: they agree within CHAIN_RTOL relative (as in test_reports.py).
+RECORDED_NUMPY = "2.4.6"
+CHAIN_RTOL = 1e-12
+
+#: name -> ((mutual information, averaged pointwise bound, ensemble bound),
+#: Fisher information at a quarter, half and three quarters of the grid span).
+CHAIN_RECORDS = {
+    "langevin-gaussian-prior": (
+        (0.011398441999742067, 1.203757855564239, 1.226114575677969),
+        (1.3775047642489522, 0.34494850664579824, 0.15339537581255902),
+    ),
+    "langevin-gaussian-bump": (
+        (0.011398441999742067, 3.818997907009336, 3.824731678990974),
+        (1.3775047642489522, 0.34494850664579824, 0.15339537581255902),
+    ),
+    "langevin-uniform-boxcar": (
+        (0.022814278890199175, 0.8960144207177728, 1.0213122406481623),
+        (0.8888888888888885, 0.4999999999999993, 0.31999999999999923),
+    ),
+    "qubit-sensitivity": (
+        (0.08765229724308082, 1.2683259027583358, 1.2726786503847314),
+        (1.0, 0.9999999999999998, 1.0),
+    ),
+    "qubit-squared-score": (
+        (0.08765229724308082, 1.0411558222633497, 1.2726786503847314),
+        (1.0, 0.9999999999999998, 1.0),
+    ),
+    "discrete20-boxcar": (
+        (0.20493452159457745, 1.3059387742721786, 1.467111507297589),
+        (1.2740239859521916, 1.6829405542153808, 1.554881198224547),
+    ),
+    "discrete20-prior": (
+        (0.06670593905514183, 1.2614390152239843, 1.3458392378613677),
+        (0.7972403291285636, 1.6829405542153808, 0.9610858879453842),
+    ),
+}
+
+
+def _chain_inputs(name, langevin_uniform, langevin_gaussian, qubit):
+    """(model, prior, weight, sensitivity) of a recorded chain."""
+    if name.startswith("langevin-gaussian"):
+        model, prior = langevin_gaussian
+        bump = ib.gaussian_weight(prior.grid, 1.0, 0.08)
+        return model, prior, ib.prior_weight(prior) if name.endswith("prior") else bump, None
+    if name == "langevin-uniform-boxcar":
+        model, prior = langevin_uniform
+        return model, prior, ib.boxcar_weight(prior.grid), None
+    if name.startswith("qubit"):
+        model, sens, prior = qubit
+        return model, prior, ib.boxcar_weight(prior.grid), sens if name.endswith("sensitivity") else None
+    # 20 outcomes on 2001 nodes: two blocks of the joint table
+    rng = np.random.default_rng(20)
+    model = ib.discrete_exponential_model(rng.normal(size=20), rng.normal(size=20))
+    if name.endswith("boxcar"):
+        prior = ib.uniform_prior(-1.0, 1.0)
+        return model, prior, ib.boxcar_weight(prior.grid), None
+    prior = ib.gaussian_prior(0.0, 0.3)
+    return model, prior, ib.prior_weight(prior), None
+
+
+@pytest.mark.parametrize("name", list(CHAIN_RECORDS))
+def test_chain_values_match_the_record(name, langevin_uniform, langevin_gaussian, qubit):
+    # one pass, same sums: the chain agrees with its three functions bit for
+    # bit, and all of them with the record
+    model, prior, weight, sens = _chain_inputs(name, langevin_uniform, langevin_gaussian, qubit)
+    chain = ib.mi_chain_values(model, prior, weight, sens)
+    assert chain == (
         ib.mutual_information(model, prior),
         ib.average_pointwise_bound(model, prior, weight, sens),
         ib.mi_bound_average(model, prior, weight),
     )
+    grid = prior.grid
+    fisher = ib.fisher_information(model, grid.theta_min + grid.span * np.array([0.25, 0.5, 0.75]))
+    recorded_chain, recorded_fisher = CHAIN_RECORDS[name]
+    got, recorded = (*chain, *fisher.tolist()), (*recorded_chain, *recorded_fisher)
+    if np.__version__ == RECORDED_NUMPY:
+        assert got == recorded
+    else:
+        assert got == pytest.approx(recorded, rel=CHAIN_RTOL, abs=0.0)
 
 
 def test_qubit_chain_masks_zero_probability_before_multiplying(qubit):

@@ -336,7 +336,7 @@ def test_mi_chain_theta_independent_model(tmp_path):
 def test_mi_chain_misordered_values_exit_one(tmp_path, monkeypatch):
     out = tmp_path / "chain.csv"
     cfg = _write(tmp_path, _qubit_cfg(str(out)))
-    monkeypatch.setattr(cli, "_chain_values", lambda ctx: (0.5, 0.4, 0.6))
+    monkeypatch.setattr(cli.bounds, "mi_chain_values", lambda *args: (0.5, 0.4, 0.6))
     assert cli.main(["mi-chain", "--config", cfg]) == 1
 
 

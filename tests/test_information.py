@@ -126,6 +126,35 @@ def test_surprisal_outside_support():
 
 
 # ---------------------------------------------------------------------------
+# a bad theta at a one-point entry
+# ---------------------------------------------------------------------------
+
+
+class _Untouchable:
+    """A model or prior that fails the test when any attribute is read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read {name!r} before checking theta")
+
+
+_ONE_POINT = {
+    "pmi": lambda model, prior, theta: ib.pmi(model, prior, "+", theta),
+    "sfi": lambda model, prior, theta: ib.sfi(model, "+", theta),
+    "fisher_information": lambda model, prior, theta: ib.fisher_information(model, theta),
+    "surprisal": lambda model, prior, theta: ib.surprisal(prior, theta),
+}
+
+
+@pytest.mark.parametrize("theta", [None, "a", math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", list(_ONE_POINT))
+def test_one_point_entry_rejects_a_bad_theta_first(name, theta):
+    # a typed error naming theta, raised before the model or prior is read
+    untouchable = _Untouchable()
+    with pytest.raises(ib.InvalidParameterError, match="^theta "):
+        _ONE_POINT[name](untouchable, untouchable, theta)
+
+
+# ---------------------------------------------------------------------------
 # fisher information
 # ---------------------------------------------------------------------------
 

@@ -164,7 +164,7 @@ def test_demon_record_validation():
     assert rec.lhs == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "a", None])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "a", None, True])
 @pytest.mark.parametrize("field", ["beta", "work_extracted", "delta_free_energy", "theta"])
 def test_demon_record_rejects_a_non_finite_field(field, value):
     fields = {"beta": 1.0, "work_extracted": 0.5, "delta_free_energy": 0.0, "outcome": "+", "theta": 0.3}

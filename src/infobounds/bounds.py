@@ -44,7 +44,6 @@ from .information import (
     _likelihood_error,
     _marginal_rows,
     _mi_rows,
-    _on_positive,
     _outcome_row,
     _outcome_sums,
     _prior_table,
@@ -88,22 +87,26 @@ def lambda_general(sensitivity, score, f, f_dot):
 
     Tiny negative excursions (within ``NEGATIVE_LAMBDA_RTOL`` of the term
     magnitudes) are clamped to zero; anything beyond that raises
-    :class:`NegativeLambdaError`, signalling sensitivity < score^2. Scalar
-    inputs give a float.
+    :class:`NegativeLambdaError`, signalling sensitivity < score^2. The
+    checks read reductions of the kernel (its minimum and maximum, which a
+    NaN propagates to) and of the sensitivity; the term magnitudes are only
+    formed when some value is negative. Scalar inputs give a float.
     """
     t0 = sensitivity * f * f
     t1 = f_dot * f_dot
     t2 = 2.0 * score * f * f_dot
-    value = t0 + t1 + t2
-    if not np.all(np.isfinite(value)):
+    value = np.asarray(t0 + t1 + t2)
+    low = value.min(initial=math.inf)
+    if not (-math.inf < low and value.max(initial=-math.inf) < math.inf):
         raise NonFiniteError("kernel inputs are not finite")
-    if np.any(np.less(sensitivity, 0.0)):
+    if np.asarray(sensitivity).min(initial=0.0) < 0.0:
         raise NegativeLambdaError("sensitivity must be nonnegative")
-    scale = np.maximum(1.0, np.maximum(t0, np.maximum(t1, np.abs(t2))))
-    if np.any(value < -NEGATIVE_LAMBDA_RTOL * scale):
-        raise NegativeLambdaError("kernel is negative beyond tolerance: sensitivity < score^2")
-    lam = np.maximum(value, 0.0)
-    return float(lam) if np.ndim(lam) == 0 else lam
+    if low < 0.0:
+        scale = np.maximum(1.0, np.maximum(t0, np.maximum(t1, np.abs(t2))))
+        if np.any(value < -NEGATIVE_LAMBDA_RTOL * scale):
+            raise NegativeLambdaError("kernel is negative beyond tolerance: sensitivity < score^2")
+        value = np.maximum(value, 0.0)
+    return float(value) if value.ndim == 0 else value
 
 
 def _sqrt_lambda(block: _Block, weight: WeightFunction) -> np.ndarray:
@@ -112,26 +115,25 @@ def _sqrt_lambda(block: _Block, weight: WeightFunction) -> np.ndarray:
     Classically (no sensitivity in the block) the kernel is the perfect
     square ``(score*f + fdot)**2`` and is evaluated in factored form
     ``|score*f + fdot|``, which is immune to the catastrophic cancellation
-    the expanded form suffers near its roots. With an explicit sensitivity
-    the expanded kernel is used, clamped at zero. Cells of zero probability
-    read zero.
+    the expanded form suffers near its roots; its maximum must be finite.
+    With an explicit sensitivity the expanded kernel is used, checked and
+    clamped at zero by :func:`lambda_general`. The block reads score and
+    sensitivity 0 at its cells of zero probability, so there the root is
+    ``|fdot|``, which the block's zero probability cancels.
     """
-    score = _on_positive(block.score, block.positive)
-    if block.sensitivity is None:
-        root = np.abs(score * weight.values + weight.derivative)
-    else:
-        sens = _on_positive(block.sensitivity, block.positive)
-        root = np.sqrt(lambda_general(sens, score, weight.values, weight.derivative))
-    root = _on_positive(root, block.positive)
-    if not np.all(np.isfinite(root)):
+    if block.sensitivity is not None:
+        return np.sqrt(lambda_general(block.sensitivity, block.score, weight.values, weight.derivative))
+    root = np.abs(block.score * weight.values + weight.derivative)
+    if not root.max() < math.inf:  # NaN fails too
         raise NonFiniteError("sqrt(Lambda) is not finite at a positive-probability node")
     return root
 
 
 def sqrt_lambda_nodes(model: ConditionalModel, weight: WeightFunction, x, sensitivity=None):
-    """sqrt(Lambda) at every grid node for one outcome; see :func:`_sqrt_lambda`."""
+    """sqrt(Lambda) at every grid node for one outcome (see :func:`_sqrt_lambda`),
+    0 where the outcome has zero probability."""
     block = _outcome_row(model, weight.grid, x, score=True, sensitivity=sensitivity)
-    return _sqrt_lambda(block, weight)[0]
+    return np.where(block.pdf[0] > 0.0, _sqrt_lambda(block, weight)[0], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +366,7 @@ def _average_penalty(prior: Prior, weight: WeightFunction) -> float:
 
 def _ensemble_bound(prior: Prior, weight: WeightFunction, fi: np.ndarray) -> float:
     """The ensemble bound from the Fisher information at the prior nodes."""
-    if not np.all(np.isfinite(fi)):
+    if not fi.max() < math.inf:  # NaN fails too
         raise NonFiniteError("Fisher information is not finite on the grid")
     if weight.kind == BOXCAR:
         total = 2.0 + quadrature(np.sqrt(fi), prior.grid)
@@ -374,7 +376,7 @@ def _ensemble_bound(prior: Prior, weight: WeightFunction, fi: np.ndarray) -> flo
     if total <= 0.0:
         raise NonFiniteError("average bound argument is nonpositive")
     value = float(np.log(total)) + _average_penalty(prior, weight)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NonFiniteError("average bound is not finite")
     return value
 
@@ -397,7 +399,7 @@ def _average_rows(weight: WeightFunction, block: _Block, prior: Prior, joint, px
     the joint average of the bound, penalty aside: an ``_outcome_sums`` part."""
     boundary, integral = _bound_rows(block, prior, weight, px)
     argument = boundary + integral
-    if np.any(argument <= 0.0):
+    if argument.min() <= 0.0:
         raise NonFiniteError("bound argument is nonpositive; the weight is degenerate")
     return px * np.log(argument)
 

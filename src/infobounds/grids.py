@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -90,17 +91,18 @@ def quadrature(values, grid: ParameterGrid):
     regardless of how callers partition surrounding sweeps: each row of a
     matrix integrates bit for bit like the same values passed alone. Raises
     :class:`LengthMismatchError` on a wrong row length and
-    :class:`NonFiniteError` on a NaN or infinite value.
+    :class:`NonFiniteError` when an estimate is not finite: a NaN or
+    infinite value reaches it, or finite values overflow their sum.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim not in (1, 2) or arr.shape[-1] != grid.n_points:
         raise LengthMismatchError(
             f"expected {grid.n_points} values per row, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("quadrature input contains NaN or infinity")
-    h = grid.spacing
-    out = h * (0.5 * arr[..., 0] + arr[..., 1:-1].sum(axis=-1) + 0.5 * arr[..., -1])
+    ends = 0.5 * arr[..., :: grid.n_points - 1]
+    out = grid.spacing * (ends[..., 0] + np.add.reduce(arr[..., 1:-1], axis=-1) + ends[..., 1])
+    if not (math.isfinite(out) if arr.ndim == 1 else np.isfinite(out).all()):
+        raise NonFiniteError("quadrature is not finite: its input holds NaN or infinity, or its sum overflows")
     return float(out) if arr.ndim == 1 else out
 
 

@@ -65,30 +65,33 @@ def _kept(fn: Callable, *args):
 class _Block(NamedTuple):
     """Rows of the joint table, one outcome per row, against an array of
     parameter values. ``weights`` are the trapezoid weights of a continuous
-    outcome grid's rows (None on a discrete space); ``positive`` marks the
-    cells of nonzero probability (None when all are); ``score`` and
-    ``sensitivity`` are None unless they were asked for."""
+    outcome grid's rows (None on a discrete space); ``score`` and
+    ``sensitivity`` are None unless they were asked for. Where ``pdf`` is 0,
+    ``logpdf``, ``score`` and ``sensitivity`` read 0: they may be infinite or
+    NaN there, and such a cell adds nothing to any outcome sum."""
 
     outcomes: Sequence
     weights: np.ndarray | None
     logpdf: np.ndarray
     pdf: np.ndarray
-    positive: np.ndarray | None
     score: np.ndarray | None
     sensitivity: np.ndarray | None
 
 
 def _table_rows(model, outcomes, thetas, weights=None, score=False, sensitivity=None) -> _Block:
     """One :meth:`ConditionalModel.table` block of ``outcomes`` against the
-    1-D ``thetas``, with its probabilities, which must be finite."""
-    logpdf, scores, sens = model.table(outcomes, thetas, score, sensitivity)
-    pdf = np.exp(logpdf)
-    finite = np.isfinite(pdf)
-    if not np.all(finite):
-        bad = outcomes[int(np.argmin(finite.all(axis=1)))]
+    1-D ``thetas``, with its probabilities, which must be finite, and its
+    zero-probability cells masked (see :class:`_Block`)."""
+    values = model.table(outcomes, thetas, score, sensitivity)
+    pdf = np.exp(values[0])
+    if not pdf.max() < math.inf:  # NaN fails too
+        bad = outcomes[int(np.argmin(np.isfinite(pdf).all(axis=1)))]
         raise NonFiniteError(f"conditional density is not finite for outcome {bad!r}")
-    positive = pdf > 0.0
-    return _Block(outcomes, weights, logpdf, pdf, None if positive.all() else positive, scores, sens)
+    if pdf.min() == 0.0:
+        zero = pdf == 0.0
+        values = [None if a is None else np.where(zero, 0.0, a) for a in values]
+    logpdf, scores, sens = values
+    return _Block(outcomes, weights, logpdf, pdf, scores, sens)
 
 
 def _summed(total, block: _Block, rows):
@@ -168,23 +171,13 @@ def _outcome_row(model: ConditionalModel, grid: ParameterGrid, x, score=False, s
     return _Block((x,), None, *(None if a is None else a[i : i + 1] for a in kept[2:]))
 
 
-def _on_positive(values: np.ndarray, positive: np.ndarray | None) -> np.ndarray:
-    """``values`` on the cells of positive probability and 0 elsewhere.
-
-    Masking comes before any product, since a log-density, score or
-    sensitivity may be infinite or NaN where the probability vanishes.
-    """
-    return values if positive is None else np.where(positive, values, 0.0)
-
-
 def _marginal_rows(block: _Block, prior: Prior) -> tuple[np.ndarray, np.ndarray]:
     """Joint density p(theta) p(x|theta) of each row and its marginal p(x),
     which must exceed ``MARGINAL_FLOOR``."""
     joint = block.pdf * prior.density
     px = quadrature(joint, prior.grid)
-    degenerate = px <= MARGINAL_FLOOR
-    if np.any(degenerate):
-        x = block.outcomes[int(np.argmax(degenerate))]
+    if px.min() <= MARGINAL_FLOOR:
+        x = block.outcomes[int(np.argmax(px <= MARGINAL_FLOOR))]
         raise DegenerateMarginalError(f"marginal probability of {x!r} is degenerate")
     return joint, px
 
@@ -202,15 +195,13 @@ def _outcome_sums(blocks, prior: Prior | None, *parts) -> list:
 
 def _mi_rows(block: _Block, prior: Prior, joint: np.ndarray, px: np.ndarray) -> np.ndarray:
     """Prior integral of p(theta) p(x|theta) PMI(x, theta) for each row."""
-    log_ratio = _on_positive(block.logpdf - np.log(px)[:, None], block.positive)
-    return quadrature(joint * log_ratio, prior.grid)
+    return quadrature(joint * (block.logpdf - np.log(px)[:, None]), prior.grid)
 
 
 def _fisher_rows(block: _Block, *_) -> np.ndarray:
     """p(x|theta) score^2 at each cell of the block."""
-    score = _on_positive(block.score, block.positive)
-    term = block.pdf * score * score
-    if not np.all(np.isfinite(term)):
+    term = block.pdf * block.score * block.score
+    if not term.max() < math.inf:  # NaN fails too
         raise NonFiniteError("squared score diverges at a positive-probability outcome")
     return term
 
@@ -243,16 +234,19 @@ def _likelihood_error(x, theta, log_likelihood: float):
     return None
 
 
-def _theta_array(thetas, finite=False) -> np.ndarray:
-    """``thetas`` as a float array, all finite if ``finite`` (as a one-point
-    entry checks them, before any model call), or :class:`InvalidParameterError`."""
+def _theta_array(thetas, finite=False, point=False) -> np.ndarray:
+    """``thetas`` as a float array, all finite if ``finite`` and of shape (1,)
+    if ``point`` (as a one-point entry checks them, before any model call),
+    or :class:`InvalidParameterError`."""
     try:
         th = np.array(thetas, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"theta is not a number: {exc}") from None
     if finite and not np.all(np.isfinite(th)):
         raise InvalidParameterError(f"theta must be a finite number, got {thetas!r}")
-    return th
+    if point and th.size != 1:
+        raise InvalidParameterError(f"theta must be one number, got {thetas!r}")
+    return th.reshape(1) if point else th
 
 
 def pmi(model: ConditionalModel, prior: Prior, x, theta: float) -> float:
@@ -261,7 +255,7 @@ def pmi(model: ConditionalModel, prior: Prior, x, theta: float) -> float:
     Sign-indefinite: a single realization can be misleading about the
     parameter, in which case the PMI is negative.
     """
-    th = _theta_array(theta, finite=True).reshape(1)
+    th = _theta_array(theta, finite=True, point=True)
     px = marginal(model, prior, x)
     log_likelihood = model.table((x,), th)[0][0, 0]
     error = _likelihood_error(x, theta, log_likelihood)
@@ -276,7 +270,7 @@ def sfi(model: ConditionalModel, x, theta: float) -> float:
     The per-realization sensitivity whose conditional average is the Fisher
     information.
     """
-    th = _theta_array(theta, finite=True).reshape(1)
+    th = _theta_array(theta, finite=True, point=True)
     s = float(model.table((x,), th, score=True)[1][0, 0])
     if not np.isfinite(s):
         raise NonFiniteError(f"score at ({x!r}, {theta}) is not finite")
@@ -289,8 +283,8 @@ def surprisal(prior: Prior, theta: float) -> float:
     In a thermodynamic reading this is the stochastic entropy of the
     parameter value.
     """
-    _theta_array(theta, finite=True)
-    dens = prior.density_at(theta)
+    th = _theta_array(theta, finite=True, point=True)
+    dens = prior.density_at(float(th[0]))
     if dens <= 0.0:
         raise OutsideSupportError(f"prior density vanishes at theta={theta}")
     return float(-np.log(dens))

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from statistics import NormalDist
 from typing import Callable, Union
 
 import numpy as np
@@ -251,6 +250,8 @@ def gaussian_prior(
         raise InvalidParameterError("sigma must be positive")
     if not 0.0 < tail_mass < 0.5:
         raise InvalidParameterError("tail_mass must lie in (0, 0.5)")
+    from statistics import NormalDist  # it loads fractions, decimal and random; no other prior needs them
+
     lo = NormalDist(mean, sigma).inv_cdf(tail_mass)
     hi = mean + (mean - lo)
     cuts = []

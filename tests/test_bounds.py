@@ -519,6 +519,87 @@ def test_chain_holds_ordering():
 
 
 # ---------------------------------------------------------------------------
+# One bad cell of a 2 x 2001 table: each check reads a reduction
+# ---------------------------------------------------------------------------
+
+#: Outcome "+" at theta = 0.51, where the weight below has a nonzero slope.
+_BAD = (0, 1020)
+
+
+def _two_outcome_tables():
+    """(log p, score, squared score) of p(+|theta) = 1/4 + theta/2 against the
+    nodes of the uniform prior on [0, 1], as (2, 2001) tables."""
+    prior = ib.uniform_prior(0.0, 1.0)
+    plus = 0.25 + 0.5 * prior.grid.nodes
+    pdf = np.array([plus, 1.0 - plus])
+    score = np.array([0.5 / plus, -0.5 / (1.0 - plus)])
+    return prior, np.log(pdf), score, score * score
+
+
+def _tabulated(logpdf, score):
+    """A two-outcome model that reads (2, n) tables; only called on the grid."""
+
+    def reader(table):
+        return lambda x, theta: table[("+", "-").index(x)]
+
+    return ib.ConditionalModel(reader(logpdf), ib.DiscreteOutcomes(("+", "-")), score=reader(score)), reader
+
+
+#: name -> (table set to the bad value, the value, error, message)
+_BAD_CELLS = {
+    "score-nan": ("score", math.nan, ib.NonFiniteError, "kernel inputs are not finite"),
+    "score-inf": ("score", math.inf, ib.NonFiniteError, "kernel inputs are not finite"),
+    "score-minus-inf": ("score", -math.inf, ib.NonFiniteError, "kernel inputs are not finite"),
+    "negative-sensitivity": ("sensitivity", -1.0, ib.NegativeLambdaError, "sensitivity must be nonnegative"),
+    "negative-lambda": (
+        "sensitivity", 0.0, ib.NegativeLambdaError, r"kernel is negative beyond tolerance: sensitivity < score\^2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_CELLS))
+def test_one_bad_cell_raises_through_the_chain_and_the_kernel(name):
+    table, value, error, message = _BAD_CELLS[name]
+    prior, logpdf, score, sensitivity = _two_outcome_tables()
+    (score if table == "score" else sensitivity)[_BAD] = value
+    weight = ib.gaussian_weight(prior.grid, 0.5, 0.1)
+    model, reader = _tabulated(logpdf, score)
+    with pytest.raises(error, match=f"^{message}$"):
+        ib.lambda_general(sensitivity, score, weight.values, weight.derivative)
+    with pytest.raises(error, match=f"^{message}$"):
+        ib.mi_chain_values(model, prior, weight, reader(sensitivity))
+    if table == "score":  # the classical kernel and the Fisher information
+        with pytest.raises(ib.NonFiniteError, match="^sqrt\\(Lambda\\) is not finite at a positive-probability node$"):
+            ib.mi_chain_values(model, prior, weight)
+        with pytest.raises(ib.NonFiniteError, match="^squared score diverges at a positive-probability outcome$"):
+            ib.mi_bound_average(model, prior, weight)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_one_non_finite_density_raises_through_the_chain(value):
+    prior, logpdf, score, sensitivity = _two_outcome_tables()
+    logpdf[_BAD] = value
+    model, reader = _tabulated(logpdf, score)
+    with pytest.raises(ib.NonFiniteError, match="^conditional density is not finite for outcome '\\+'$"):
+        ib.mi_chain_values(model, prior, ib.boxcar_weight(prior.grid), reader(sensitivity))
+
+
+def test_a_nan_on_a_zero_probability_cell_is_masked():
+    # "+" has zero probability at theta = 0, where its log-density is -inf and
+    # its score and sensitivity are NaN: the chain reads them as 0
+    prior, logpdf, score, sensitivity = _two_outcome_tables()
+    logpdf[:, 0] = -math.inf, 0.0
+    weight = ib.gaussian_weight(prior.grid, 0.5, 0.1)
+    chains = []
+    for bad in (math.nan, 0.0):
+        score[0, 0] = sensitivity[0, 0] = bad
+        model, reader = _tabulated(logpdf.copy(), score.copy())
+        chains.append(ib.mi_chain_values(model, prior, weight, reader(sensitivity.copy())))
+    assert chains[0] == chains[1]
+    assert all(math.isfinite(v) for v in chains[0])
+
+
+# ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
 

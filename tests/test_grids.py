@@ -56,6 +56,12 @@ def test_quadrature_errors():
     bad[3] = np.inf
     with pytest.raises(ib.NonFiniteError):
         ib.quadrature(bad, g)
+    # finite values whose sum overflows, alone and as rows of a matrix
+    big = ib.ParameterGrid(0.0, 1.0, 2001)
+    for values in (np.full(2001, 1e308), np.full((2, 2001), 1e308)):
+        with pytest.raises(ib.NonFiniteError, match="overflows"):
+            with pytest.warns(RuntimeWarning, match="overflow encountered"):
+                ib.quadrature(values, big)
 
 
 def test_quadrature_deterministic():

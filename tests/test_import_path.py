@@ -133,6 +133,16 @@ def test_langevin_verify_runs_no_quantum_code(tmp_path):
     assert "infobounds.quantum" not in modules
 
 
+def test_uniform_prior_verify_loads_no_statistics(tmp_path):
+    # only gaussian_prior needs statistics.NormalDist, which pulls in
+    # fractions, decimal and random
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_LANGEVIN))
+    modules = _imported_by([_CLI, "verify", "--config", str(path)])
+    assert "infobounds.models" in modules
+    assert "statistics" not in modules
+
+
 def test_a_failed_submodule_run_raises_the_same_error_on_every_use():
     # With NumPy blocked, no library submodule can run. Each use must raise
     # the import error again, not an AttributeError of a half-run module,

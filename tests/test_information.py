@@ -145,8 +145,17 @@ _ONE_POINT = {
 }
 
 
-@pytest.mark.parametrize("theta", [None, "a", math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", list(_ONE_POINT))
+#: Bad values of theta; fisher_information takes an array, so it is not
+#: given one of more than one value.
+_BAD_THETAS = [None, "a", math.nan, math.inf, -math.inf]
+_ONE_POINT_CASES = [(name, theta) for name in _ONE_POINT for theta in _BAD_THETAS] + [
+    (name, [0.6, 0.7]) for name in ("pmi", "sfi", "surprisal")
+]
+
+
+@pytest.mark.parametrize(
+    "name, theta", _ONE_POINT_CASES, ids=[f"{name}-{theta}" for name, theta in _ONE_POINT_CASES]
+)
 def test_one_point_entry_rejects_a_bad_theta_first(name, theta):
     # a typed error naming theta, raised before the model or prior is read
     untouchable = _Untouchable()

@@ -32,30 +32,26 @@ from .errors import (
     InvalidWeightError,
     NegativeLambdaError,
     NonFiniteError,
-    OutsideSupportError,
-    ThetaOutsideSupportError,
-    ZeroWeightError,
 )
-from .grids import _on_grid, quadrature
+from .grids import quadrature
 from .information import (
     _Block,
     _fisher_rows,
-    _kept,
     _likelihood_error,
     _marginal_rows,
     _mi_rows,
     _outcome_row,
     _outcome_sums,
     _prior_table,
-    _theta_array,
+    _theta_terms,
 )
 from .models import (
     BOXCAR,
-    PRIOR_MATCHED,
     ConditionalModel,
     FiniteSupport,
     Prior,
     WeightFunction,
+    _kept,
     boxcar_weight,
     prior_weight,
 )
@@ -187,11 +183,9 @@ class SweepSummary:
 
 
 def _check_weight(prior: Prior, weight: WeightFunction) -> None:
-    """Check that ``weight`` is admissible for ``prior``. A pair that passes
-    is remembered on the weight, so repeat calls skip the grid scan; an
-    invalid pair raises on every call."""
-    if weight.__dict__.get("_checked_prior") is prior:
-        return
+    """Check that ``weight`` is admissible for ``prior``. Callers run it
+    through the memo, so a pair that passes skips the grid scan while it is
+    kept; an invalid pair raises on every call."""
     if weight.grid != prior.grid:
         raise InvalidWeightError("weight and prior must share one grid")
     covered = prior.density > 0.0
@@ -207,7 +201,6 @@ def _check_weight(prior: Prior, weight: WeightFunction) -> None:
             "weight does not vanish at the grid boundaries; "
             "use a boxcar weight for non-decaying support"
         )
-    weight.__dict__["_checked_prior"] = prior
 
 
 def _bound_rows(block: _Block, prior: Prior, weight: WeightFunction, px: np.ndarray):
@@ -217,28 +210,6 @@ def _bound_rows(block: _Block, prior: Prior, weight: WeightFunction, px: np.ndar
     if weight.kind == BOXCAR:
         return (block.pdf[:, 0] + block.pdf[:, -1]) / px, integral
     return np.zeros_like(px), integral
-
-
-def _theta_terms(prior: Prior, weight: WeightFunction, thetas: list) -> tuple[list, list]:
-    """Each theta sample's penalty -log f(theta), and the error that rules it out (or None)."""
-    grid, th = prior.grid, _theta_array(thetas)
-    if weight.kind == BOXCAR:
-        inside = grid.contains(th, slop=1e-12 * max(1.0, grid.span)).tolist()
-        return [0.0] * th.size, [None if ok else ThetaOutsideSupportError(
-            f"theta={t} outside the finite support [{grid.theta_min}, {grid.theta_max}]"
-        ) for t, ok in zip(thetas, inside)]
-    on_grid = _on_grid(grid, th)
-    f = np.interp(th, grid.nodes, prior.density if weight.kind == PRIOR_MATCHED else weight.values)
-    usable = on_grid & (f > 0.0)
-    errors = [None] * th.size
-    for i in np.flatnonzero(~usable):
-        if not on_grid[i]:
-            errors[i] = OutsideSupportError(f"theta={thetas[i]} outside grid [{grid.theta_min}, {grid.theta_max}]")
-        elif weight.kind == PRIOR_MATCHED:
-            errors[i] = OutsideSupportError(f"prior density vanishes at theta={thetas[i]}")
-        else:
-            errors[i] = ZeroWeightError(f"weight vanishes at theta={thetas[i]}")
-    return (-np.log(np.where(usable, f, 1.0))).tolist(), errors
 
 
 def _outcome_terms(model, prior, weight, sensitivity, x) -> tuple:
@@ -257,7 +228,7 @@ def _evaluate(model, prior, weight, outcomes: list, thetas: list, sensitivity) -
     outcome's grid row, its theta sample, its bound and its likelihood.
 
     The outcome terms are evaluated once per outcome and kept (see
-    :func:`information._kept`), the penalty once per theta sample, and the
+    :func:`models._kept`), the penalty once per theta sample, and the
     likelihood as one table of the points that passed every other check.
     """
     penalty, theta_errors = _theta_terms(prior, weight, thetas)
@@ -312,7 +283,7 @@ def bound_general(
         broadcast a column of outcomes against a row of thetas when it is
         averaged over a continuous outcome grid.
     """
-    _check_weight(prior, weight)
+    _kept(_check_weight, prior, weight)
     ((point,),) = _evaluate(model, prior, weight, [x], [theta], sensitivity)
     if isinstance(point, InfoBoundError):
         raise point
@@ -389,7 +360,7 @@ def mi_bound_average(model: ConditionalModel, prior: Prior, weight: WeightFuncti
     constant 2 inside the logarithm (each edge contributes the full jump of
     f), so the value is log(2 + integral of sqrt(F)).
     """
-    _check_weight(prior, weight)
+    _kept(_check_weight, prior, weight)
     (fi,) = _outcome_sums(_prior_table(model, prior.grid, score=True), None, _fisher_rows)
     return _ensemble_bound(prior, weight, fi)
 
@@ -419,7 +390,7 @@ def average_pointwise_bound(
     Raises :class:`UnnormalizedOutcomeSpaceError` if the outcome space does
     not hold the conditional mass at some prior node.
     """
-    _check_weight(prior, weight)
+    _kept(_check_weight, prior, weight)
     blocks = _prior_table(model, prior.grid, True, sensitivity)
     (avg,) = _outcome_sums(blocks, prior, partial(_average_rows, weight))
     return float(avg) + _average_penalty(prior, weight)
@@ -436,7 +407,7 @@ def mi_chain_values(
     All three come from one pass over the joint table, so every model cell
     is evaluated once; each value equals that of its own function.
     """
-    _check_weight(prior, weight)
+    _kept(_check_weight, prior, weight)
     blocks = _prior_table(model, prior.grid, True, sensitivity)
     mi, avg, fi = _outcome_sums(blocks, prior, _mi_rows, partial(_average_rows, weight), _fisher_rows)
     return (
@@ -487,7 +458,7 @@ def bound_sweep(
     violation elsewhere.
     """
     wt = _weight_for_kind(prior, bound_kind, weight)
-    _check_weight(prior, wt)
+    _kept(_check_weight, prior, wt)
     outcomes, thetas = list(x_samples), list(theta_samples)
     reports, skipped = [], []
     for x, row in zip(outcomes, _evaluate(model, prior, wt, outcomes, thetas, sensitivity)):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -12,10 +13,10 @@ from .errors import (
     InvalidParameterError,
     LengthMismatchError,
     NonFiniteError,
-    OutsideSupportError,
 )
 
-#: Relative tolerance for accepting a node sequence as uniformly spaced.
+#: Relative slop at the grid ends within which a parameter value still lies
+#: on a grid, for a weight read by interpolation.
 UNIFORM_SPACING_RTOL = 1e-12
 
 
@@ -40,13 +41,16 @@ class ParameterGrid:
     n_points: int
 
     def __post_init__(self):
+        for name in ("theta_min", "theta_max", "n_points"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise InvalidParameterError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (np.isfinite(self.theta_min) and np.isfinite(self.theta_max)):
             raise NonFiniteError("grid endpoints must be finite")
         if not self.theta_min < self.theta_max:
             raise InvalidParameterError(
                 f"theta_min must be < theta_max, got [{self.theta_min}, {self.theta_max}]"
             )
-        if int(self.n_points) != self.n_points or self.n_points < 3:
+        if not 3 <= self.n_points < math.inf or int(self.n_points) != self.n_points:
             raise InvalidParameterError(f"n_points must be an integer >= 3, got {self.n_points}")
 
     @cached_property
@@ -63,20 +67,6 @@ class ParameterGrid:
     @property
     def span(self) -> float:
         return self.theta_max - self.theta_min
-
-    @classmethod
-    def from_nodes(cls, nodes) -> "ParameterGrid":
-        """Build a grid from an explicit node sequence, checking uniformity."""
-        arr = np.asarray(nodes, dtype=float)
-        if arr.ndim != 1 or arr.size < 3:
-            raise InvalidParameterError("nodes must be a 1-d sequence with at least 3 entries")
-        steps = np.diff(arr)
-        if np.any(steps <= 0):
-            raise InvalidParameterError("nodes must be strictly increasing")
-        h = (arr[-1] - arr[0]) / (arr.size - 1)
-        if np.max(np.abs(steps - h)) > UNIFORM_SPACING_RTOL * max(abs(h), 1e-300):
-            raise InvalidParameterError("nodes are not uniformly spaced")
-        return cls(float(arr[0]), float(arr[-1]), int(arr.size))
 
     def contains(self, theta, *, slop: float = 0.0):
         return (self.theta_min - slop <= theta) & (theta <= self.theta_max + slop)
@@ -108,22 +98,3 @@ def quadrature(values, grid: ParameterGrid):
 
 #: Row-wise name of :func:`quadrature`, for a (rows, n_points) matrix.
 quadrature_rows = quadrature
-
-
-def _on_grid(grid: ParameterGrid, theta):
-    """Whether :func:`interp_on_grid` accepts ``theta``; elementwise."""
-    slop = UNIFORM_SPACING_RTOL * max(1.0, abs(grid.theta_min), abs(grid.theta_max))
-    return grid.contains(theta, slop=slop)
-
-
-def interp_on_grid(grid: ParameterGrid, values: np.ndarray, theta: float) -> float:
-    """Linear interpolation of node values at an off-node parameter point.
-
-    Consistent with the trapezoid rule, which integrates exactly this
-    piecewise-linear interpolant.
-    """
-    if not _on_grid(grid, theta):
-        raise OutsideSupportError(
-            f"theta={theta} outside grid [{grid.theta_min}, {grid.theta_max}]"
-        )
-    return float(np.interp(theta, grid.nodes, values))

@@ -12,8 +12,7 @@ block through :meth:`ConditionalModel.table`, each cell once. One walk,
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,11 +21,22 @@ from .errors import (
     InvalidParameterError,
     NonFiniteError,
     OutsideSupportError,
+    ThetaOutsideSupportError,
     UnnormalizedOutcomeSpaceError,
     ZeroLikelihoodError,
+    ZeroWeightError,
 )
-from .grids import ParameterGrid, quadrature
-from .models import ConditionalModel, DiscreteOutcomes, Prior
+from .grids import UNIFORM_SPACING_RTOL, ParameterGrid, quadrature
+from .models import (
+    BOXCAR,
+    PRIOR_MATCHED,
+    ConditionalModel,
+    DiscreteOutcomes,
+    Prior,
+    WeightFunction,
+    _kept,
+    prior_weight,
+)
 
 #: Marginals at or below this value make the log ratio meaningless.
 MARGINAL_FLOOR = 1e-300
@@ -36,31 +46,6 @@ OUTCOME_MASS_TOL = 1e-3
 
 #: Cells (outcomes x parameter values) of the joint table evaluated at once.
 _BLOCK_CELLS = 1 << 15
-
-#: Entries :func:`_kept` holds, each at most one block of the joint table and
-#: its model, prior, weight and sensitivity: the memory the memo can pin.
-_KEPT_ROWS = 64
-
-
-@lru_cache(maxsize=_KEPT_ROWS, typed=True)
-def _kept_call(fn: Callable, *args):
-    return fn(*args)
-
-
-def _kept(fn: Callable, *args):
-    """``fn(*args)`` from a bounded memo shared by the table and row functions.
-
-    Arguments are keyed by hash, equality and type: models, priors and
-    weights by identity, grids and labels by value, a sensitivity by ``==``
-    (a bound method is a new object on each access); an unhashable argument
-    bypasses the memo. Only results are kept, so a call that raises raises
-    each time. Models and their callables are pure (see ConditionalModel)."""
-    try:
-        hash(args)
-    except TypeError:
-        return fn(*args)
-    return _kept_call(fn, *args)
-
 
 class _Block(NamedTuple):
     """Rows of the joint table, one outcome per row, against an array of
@@ -277,17 +262,41 @@ def sfi(model: ConditionalModel, x, theta: float) -> float:
     return s * s
 
 
+def _theta_terms(prior: Prior, weight: WeightFunction, thetas: list) -> tuple[list, list]:
+    """Each theta sample's penalty -log f(theta), and the error that rules it out (or None)."""
+    grid, th = prior.grid, _theta_array(thetas)
+    if weight.kind == BOXCAR:
+        inside = grid.contains(th, slop=1e-12 * max(1.0, grid.span)).tolist()
+        return [0.0] * th.size, [None if ok else ThetaOutsideSupportError(
+            f"theta={t} outside the finite support [{grid.theta_min}, {grid.theta_max}]"
+        ) for t, ok in zip(thetas, inside)]
+    slop = UNIFORM_SPACING_RTOL * max(1.0, abs(grid.theta_min), abs(grid.theta_max))
+    on_grid = grid.contains(th, slop=slop)
+    f = np.interp(th, grid.nodes, prior.density if weight.kind == PRIOR_MATCHED else weight.values)
+    usable = on_grid & (f > 0.0)
+    errors = [None] * th.size
+    for i in np.flatnonzero(~usable):
+        if not on_grid[i]:
+            errors[i] = OutsideSupportError(f"theta={thetas[i]} outside grid [{grid.theta_min}, {grid.theta_max}]")
+        elif weight.kind == PRIOR_MATCHED:
+            errors[i] = OutsideSupportError(f"prior density vanishes at theta={thetas[i]}")
+        else:
+            errors[i] = ZeroWeightError(f"weight vanishes at theta={thetas[i]}")
+    return (-np.log(np.where(usable, f, 1.0))).tolist(), errors
+
+
 def surprisal(prior: Prior, theta: float) -> float:
-    """Negative log prior density, -log p(theta).
+    """Negative log prior density, -log p(theta): the penalty of the
+    prior-matched weight, from the same theta stage as the bounds.
 
     In a thermodynamic reading this is the stochastic entropy of the
     parameter value.
     """
     th = _theta_array(theta, finite=True, point=True)
-    dens = prior.density_at(float(th[0]))
-    if dens <= 0.0:
-        raise OutsideSupportError(f"prior density vanishes at theta={theta}")
-    return float(-np.log(dens))
+    (penalty,), (error,) = _theta_terms(prior, prior_weight(prior), th.tolist())
+    if error is not None:
+        raise error
+    return penalty
 
 
 def fisher_information(model: ConditionalModel, theta):
@@ -299,6 +308,8 @@ def fisher_information(model: ConditionalModel, theta):
     hold the conditional mass at some parameter value.
     """
     th = _theta_array(theta, finite=True)
+    if th.size == 0:
+        raise InvalidParameterError(f"theta must hold at least one number, got {theta!r}")
     (fi,) = _outcome_sums(_joint_table(model, th.ravel(), score=True), None, _fisher_rows)
     return float(fi[0]) if th.ndim == 0 else fi.reshape(th.shape)
 

@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Union
 
 import numpy as np
 
 from .errors import InvalidParameterError, LengthMismatchError, NonFiniteError, OutsideSupportError
-from .grids import ParameterGrid, interp_on_grid, quadrature
+from .grids import ParameterGrid, quadrature
 
 #: Allowed deviation of the grid quadrature of a prior density from 1.
 NORMALIZATION_TOL = 1e-6
@@ -21,6 +21,32 @@ DEFAULT_TAIL_MASS = 1e-12
 
 #: Relative/absolute step for finite-difference scores.
 DEFAULT_SCORE_STEP = 1e-5
+
+#: Entries :func:`_kept` holds, each at most one block of the joint table or
+#: one weight, and its model, prior, weight and sensitivity: the memory the
+#: memo can pin.
+_KEPT_ROWS = 64
+
+
+@lru_cache(maxsize=_KEPT_ROWS, typed=True)
+def _kept_call(fn: Callable, *args):
+    return fn(*args)
+
+
+def _kept(fn: Callable, *args):
+    """``fn(*args)`` from the one bounded memo of the package, which keeps
+    joint tables, outcome terms, marginals, weights and weight checks.
+
+    Arguments are keyed by hash, equality and type: models, priors and
+    weights by identity, grids and labels by value, a sensitivity by ``==``
+    (a bound method is a new object on each access); an unhashable argument
+    bypasses the memo. Only results are kept, so a call that raises raises
+    each time. Models and their callables are pure (see ConditionalModel)."""
+    try:
+        hash(args)
+    except TypeError:
+        return fn(*args)
+    return _kept_call(fn, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +152,19 @@ class ConditionalModel:
         unless asked for; ``sensitivity`` is a callable like ``log_pdf``.
         Calls each callable once per label on a discrete space, where a label
         outside it raises :class:`OutsideSupportError`, and once with a
-        column of the outcomes on a continuous one."""
+        column of the outcomes on a continuous one, where an outcome that is
+        not one number raises :class:`InvalidParameterError`."""
         if isinstance(self.outcome_space, DiscreteOutcomes):
             for x in outcomes:
                 self.outcome_space.index(x)
+        else:
+            try:
+                column = np.array(outcomes, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise InvalidParameterError(f"outcome is not a number: {exc}") from None
+            if column.shape != (len(outcomes),):
+                raise InvalidParameterError(f"each outcome must be one number, got {outcomes!r}")
+            outcomes = column
         columns = (self.log_pdf, self.score if score else None, sensitivity)
         return tuple(None if fn is None else self._rows(fn, outcomes, thetas) for fn in columns)
 
@@ -139,7 +174,7 @@ class ConditionalModel:
         if isinstance(self.outcome_space, DiscreteOutcomes):
             rows = (np.asarray(fn(x, thetas), dtype=float) for x in outcomes)
             return np.array([np.broadcast_to(row, shape[1:]) for row in rows])
-        values = fn(np.asarray(outcomes, dtype=float)[:, None], thetas[None, :])
+        values = fn(outcomes[:, None], thetas[None, :])
         return np.broadcast_to(np.asarray(values, dtype=float), shape)
 
 
@@ -217,9 +252,6 @@ class Prior:
                 or abs(self.support.upper - self.grid.theta_max) > slop
             ):
                 raise InvalidParameterError("finite support must coincide with the grid interval")
-
-    def density_at(self, theta: float) -> float:
-        return interp_on_grid(self.grid, self.density, theta)
 
 
 def uniform_prior(theta_min: float, theta_max: float, n_points: int = 2001) -> Prior:
@@ -352,35 +384,28 @@ class WeightFunction:
         _freeze_on_grid(self, "weight", ("values", "derivative"))
 
 
-def _once_per(owner, name: str, build: Callable):
-    """``build()``, made once per ``owner`` object and kept on it, as
-    ``functools.cached_property`` keeps its value."""
-    kept = owner.__dict__.get(name)
-    if kept is None:
-        kept = owner.__dict__[name] = build()
-    return kept
+def _boxcar(grid: ParameterGrid) -> WeightFunction:
+    return WeightFunction(grid, np.ones(grid.n_points), np.zeros(grid.n_points), BOXCAR)
+
+
+def _matched(prior: Prior) -> WeightFunction:
+    return WeightFunction(prior.grid, prior.density, prior.derivative, PRIOR_MATCHED)
 
 
 def boxcar_weight(grid: ParameterGrid) -> WeightFunction:
     """Indicator weight: 1 on the grid interval, 0 outside.
 
-    One object per grid object: repeat calls return the same weight.
+    Built through the memo: equal grids give one object while it is kept.
     """
-    n = grid.n_points
-    return _once_per(
-        grid, "_boxcar_weight", lambda: WeightFunction(grid, np.ones(n), np.zeros(n), BOXCAR)
-    )
+    return _kept(_boxcar, grid)
 
 
 def prior_weight(prior: Prior) -> WeightFunction:
     """Weight matched to the prior density itself.
 
-    One object per prior: repeat calls return the same weight.
+    Built through the memo: one object per prior while it is kept.
     """
-    return _once_per(
-        prior, "_prior_weight",
-        lambda: WeightFunction(prior.grid, prior.density, prior.derivative, PRIOR_MATCHED),
-    )
+    return _kept(_matched, prior)
 
 
 def gaussian_weight(grid: ParameterGrid, center: float, width: float) -> WeightFunction:

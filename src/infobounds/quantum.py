@@ -21,6 +21,7 @@ from .errors import (
     NonFiniteError,
     ZeroOutcomeProbabilityError,
 )
+from .information import _theta_array
 from .models import ConditionalModel, DiscreteOutcomes
 
 #: Eigenvalue-sum threshold below which the SLD is left zero (off-support).
@@ -224,11 +225,11 @@ class StateFamily:
         return "analytic" if self._drho_stack is not None else "finite_difference"
 
     def rho(self, theta: float) -> np.ndarray:
-        thetas = np.array([theta], dtype=float)
+        thetas = _theta_array(theta, point=True)
         return _require_states(_stack(self._rho_stack(thetas), "rho", thetas), thetas, ("rho",))[0]
 
     def drho(self, theta: float) -> np.ndarray:
-        thetas = np.array([theta], dtype=float)
+        thetas = _theta_array(theta, point=True)
         return _require_states(self._drho(thetas), thetas, ("drho",))[0]
 
     def states(self, thetas) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +241,7 @@ class StateFamily:
         ``STATE_ATOL`` for rho and trace 0 within 1e-8 for drho, and one
         dimension for both. An error names the first offending value.
         """
-        thetas = np.asarray(thetas, dtype=float)
+        thetas = _theta_array(thetas)
         if len(thetas) == 0:
             raise DimensionMismatchError("rho needs at least one parameter value")
         rho, drho = _stack(self._rho_stack(thetas), "rho", thetas), self._drho(thetas)
@@ -334,7 +335,7 @@ def sld_residual(rho, drho, l_matrix) -> float:
 
 def qfi(family: StateFamily, theta: float) -> float:
     """Ensemble quantum sensitivity Tr(rho L^2)."""
-    rho, drho = family.states((theta,))
+    rho, drho = family.states(_theta_array(theta, finite=True, point=True))
     w, v = _eigh_state(rho)
     l_matrix = _sld_from_eig(w, v, drho)[0]
     value = float(np.real(np.trace(rho[0] @ l_matrix @ l_matrix)))
@@ -404,10 +405,14 @@ def cqfi(family: StateFamily, povm: Povm, x_index: int, theta: float) -> float:
     """Per-outcome quantum sensitivity Tr(Pi L^2 rho) / Tr(rho Pi).
 
     A random variable over outcomes that averages to the QFI under the
-    Born distribution for any complete POVM.
+    Born distribution for any complete POVM. ``x_index`` is the position of
+    an element of ``povm``.
     """
+    th = _theta_array(theta, finite=True, point=True)
+    if isinstance(x_index, bool) or not isinstance(x_index, int) or not 0 <= x_index < len(povm):
+        raise InvalidParameterError(f"x_index must be an int in range({len(povm)}), got {x_index!r}")
     elements = povm.elements[x_index][None]
-    probs, _, states = _born_table(family, elements, np.array([float(theta)]), score=False, sld=True)
+    probs, _, states = _born_table(family, elements, th, score=False, sld=True)
     if probs[0, 0] <= PROB_EPS:
         raise ZeroOutcomeProbabilityError(
             f"outcome {x_index} has probability {probs[0, 0]:.3e} at theta={theta}"

@@ -692,7 +692,7 @@ def test_grid_refinement_stability(langevin_uniform):
 
 
 def _kept_rows():
-    return ib.information._kept_call.cache_info()
+    return ib.models._kept_call.cache_info()
 
 
 def _kept_case(case: str, finite: bool):
@@ -729,8 +729,8 @@ def test_kept_outcome_terms_give_the_cold_report_bit_for_bit(case, kind):
         first = repr(ib.bound_general(model, prior, weight, x, theta, sens))
         before = _kept_rows()
         warm = repr(ib.bound_general(model, prior, weight, x, theta, sens))
-        # a warm call reads its outcome's kept terms and nothing else
-        assert (_kept_rows().hits, _kept_rows().misses) == (before.hits + 1, before.misses)
+        # a warm call reads its kept weight check and outcome terms and nothing else
+        assert (_kept_rows().hits, _kept_rows().misses) == (before.hits + 2, before.misses)
         assert first == warm == cold
 
 
@@ -759,14 +759,15 @@ def test_failing_outcome_row_raises_again_on_each_call():
 def test_kept_outcome_rows_stay_bounded():
     model, prior = ib.langevin_model(1.0), ib.uniform_prior(0.5, 1.5, 201)
     weight = ib.boxcar_weight(prior.grid)
-    for x in np.linspace(-3.0, 3.0, 3 * ib.information._KEPT_ROWS):
+    for x in np.linspace(-3.0, 3.0, 3 * ib.models._KEPT_ROWS):
         ib.bound_general(model, prior, weight, float(x), 1.0)
-        assert _kept_rows().currsize <= ib.information._KEPT_ROWS
-    # a label that cannot be hashed bypasses the memo and gives the same report
+        assert _kept_rows().currsize <= ib.models._KEPT_ROWS
+    # a label that cannot be hashed bypasses the memo and gives the same
+    # report; only the weight check is read from it
     before = _kept_rows()
     report = ib.bound_general(model, prior, weight, np.array(0.5), 1.0)
     after = _kept_rows()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     hashed = ib.bound_general(model, prior, weight, 0.5, 1.0)
     assert repr(dataclasses.replace(report, x=0.5)) == repr(hashed)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import infobounds as ib
-from infobounds.grids import interp_on_grid
 
 
 def test_grid_nodes_uniform_and_increasing():
@@ -20,13 +19,6 @@ def test_grid_rejects_bad_arguments():
         ib.ParameterGrid(0.0, 1.0, 2)
     with pytest.raises(ib.NonFiniteError):
         ib.ParameterGrid(0.0, np.inf, 11)
-
-
-def test_from_nodes_roundtrip_and_uniformity_check():
-    g = ib.ParameterGrid.from_nodes(np.linspace(-1.0, 2.0, 31))
-    assert (g.theta_min, g.theta_max, g.n_points) == (-1.0, 2.0, 31)
-    with pytest.raises(ValueError):
-        ib.ParameterGrid.from_nodes([0.0, 0.1, 0.3, 0.4])
 
 
 def test_quadrature_constant_is_exact():
@@ -69,10 +61,3 @@ def test_quadrature_deterministic():
     vals = np.cos(g.nodes) ** 2
     assert ib.quadrature(vals, g) == ib.quadrature(vals.copy(), g)
 
-
-def test_interp_on_grid_linear_and_support():
-    g = ib.ParameterGrid(0.0, 1.0, 11)
-    vals = 2.0 * g.nodes
-    assert interp_on_grid(g, vals, 0.55) == pytest.approx(1.1, abs=1e-15)
-    with pytest.raises(ib.OutsideSupportError):
-        interp_on_grid(g, vals, 1.5)

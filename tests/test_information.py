@@ -164,6 +164,65 @@ def test_one_point_entry_rejects_a_bad_theta_first(name, theta):
 
 
 # ---------------------------------------------------------------------------
+# an argument that is not of its kind, at the library boundary
+# ---------------------------------------------------------------------------
+
+
+def _qubit_phase(call):
+    """``call(family, povm)`` on the qubit phase family under sigma-x."""
+    return lambda: call(ib.qubit_phase_family(), ib.sigma_x_povm())
+
+
+def _langevin(call, x=None):
+    """``call(model, prior, x)`` on the Langevin model under a uniform prior."""
+    return lambda: call(ib.langevin_model(1.0), ib.uniform_prior(0.5, 1.5, 201), x)
+
+
+#: The entries that read one outcome of a continuous model.
+_OUTCOME_ENTRIES = {
+    "pmi": lambda model, prior, x: ib.pmi(model, prior, x, 1.0),
+    "sfi": lambda model, prior, x: ib.sfi(model, x, 1.0),
+    "marginal": lambda model, prior, x: ib.marginal(model, prior, x),
+    "bound_theorem1": lambda model, prior, x: ib.bound_theorem1(model, prior, x, 1.0),
+}
+
+#: Each call, and how its error message starts: with the argument it names.
+_BAD_ARGUMENTS = {
+    **{f"cqfi-index-{i}": (_qubit_phase(lambda f, e, i=i: ib.cqfi(f, e, i, 0.3)), "x_index must be an int in range")
+       for i in (-1, True, 2)},
+    "cqfi-theta-a": (_qubit_phase(lambda f, e: ib.cqfi(f, e, 0, "a")), "theta is not a number"),
+    "qfi-theta-a": (_qubit_phase(lambda f, e: ib.qfi(f, "a")), "theta is not a number"),
+    "qfi-theta-pair": (_qubit_phase(lambda f, e: ib.qfi(f, [0.1, 0.2])), "theta must be one number"),
+    "rho-theta-a": (_qubit_phase(lambda f, e: f.rho("a")), "theta is not a number"),
+    "states-theta-a": (_qubit_phase(lambda f, e: f.states(["a"])), "theta is not a number"),
+    "fisher_information-empty": (_langevin(lambda m, p, x: ib.fisher_information(m, [])), "theta must hold"),
+    **{f"{name}-outcome-a": (_langevin(call, "a"), "outcome is not a number")
+       for name, call in _OUTCOME_ENTRIES.items()},
+    **{f"{name}-outcome-pair": (_langevin(call, [0.1, 0.2]), "each outcome must be one number")
+       for name, call in _OUTCOME_ENTRIES.items()},
+    "grid-theta_min-None": (lambda: ib.ParameterGrid(None, 1, 3), "theta_min must be a number"),
+    "grid-n_points-None": (lambda: ib.ParameterGrid(0, 1, None), "n_points must be a number"),
+    "grid-n_points-nan": (lambda: ib.ParameterGrid(0, 1, math.nan), "n_points must be an integer"),
+    "uniform_prior-theta_min-None": (lambda: ib.uniform_prior(None, 1), "theta_min must be a number"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_ARGUMENTS))
+def test_bad_argument_raises_a_typed_error_naming_it(case):
+    call, message = _BAD_ARGUMENTS[case]
+    with pytest.raises(ib.InvalidParameterError, match="^" + message):
+        call()
+
+
+@pytest.mark.parametrize("x", ["a", [0.1, 0.2]], ids=["a", "pair"])
+def test_sweep_skips_an_outcome_that_is_not_one_number(langevin_uniform, x):
+    model, prior = langevin_uniform
+    reports, skipped = ib.bound_sweep(model, prior, "theorem1", [0.1, x, 0.3], [1.0])
+    assert [r.x for r in reports] == [0.1, 0.3]
+    assert skipped == [ib.SkippedPoint(x, 1.0, "InvalidParameterError")]
+
+
+# ---------------------------------------------------------------------------
 # fisher information
 # ---------------------------------------------------------------------------
 

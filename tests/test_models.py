@@ -151,10 +151,13 @@ def test_prior_validation_errors():
 
 
 def test_prior_interpolation():
-    prior = ib.uniform_prior(0.0, 2.0, 21)
-    assert prior.density_at(1.234) == pytest.approx(0.5, rel=1e-12)
-    with pytest.raises(ib.OutsideSupportError):
-        prior.density_at(2.5)
+    # off a node the surprisal reads the linear interpolant of the density
+    prior = ib.gaussian_prior(1.0, 0.3, 21)
+    theta = float(prior.grid.nodes[7] + 0.37 * prior.grid.spacing)
+    expected = float(-np.log(np.interp(theta, prior.grid.nodes, prior.density)))
+    assert ib.surprisal(prior, theta) == expected
+    with pytest.raises(ib.OutsideSupportError, match=r"^theta=2\.5 outside grid \["):
+        ib.surprisal(ib.uniform_prior(0.0, 2.0, 21), 2.5)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,13 @@ and the bound is
     pmi(x, theta) <= log( integral of (p(x|theta')/p(x)) * sqrt(Lambda) )
                      - log f(theta).
 
-The boxcar weight turns its boundary jumps into the exact boundary
-probability term (p(x|a) + p(x|b))/p(x) with zero penalty; the
-prior-matched weight turns the penalty into the surprisal -log p(theta).
-The classical sensitivity is the squared score, making Lambda a perfect
-square that is evaluated in factored form; a quantum sensitivity replaces
-it pointwise.
+The boxcar weight (f = 1, fdot = 0) turns its boundary jumps into the
+exact boundary probability term (p(x|a) + p(x|b))/p(x) with zero penalty,
+and its kernel is the sensitivity itself; the prior-matched weight turns
+the penalty into the surprisal -log p(theta). The classical sensitivity is
+the squared score, making Lambda a perfect square that is evaluated in
+factored form (for the boxcar weight, the root is |score|); a quantum
+sensitivity replaces it pointwise.
 """
 
 from __future__ import annotations
@@ -43,10 +44,12 @@ from .information import (
     _outcome_row,
     _outcome_sums,
     _prior_table,
+    _theta_array,
     _theta_terms,
 )
 from .models import (
     BOXCAR,
+    PRIOR_MATCHED,
     ConditionalModel,
     FiniteSupport,
     Prior,
@@ -113,13 +116,26 @@ def _sqrt_lambda(block: _Block, weight: WeightFunction) -> np.ndarray:
     ``|score*f + fdot|``, which is immune to the catastrophic cancellation
     the expanded form suffers near its roots; its maximum must be finite.
     With an explicit sensitivity the expanded kernel is used, checked and
-    clamped at zero by :func:`lambda_general`. The block reads score and
-    sensitivity 0 at its cells of zero probability, so there the root is
+    clamped at zero by :func:`lambda_general`. The boxcar weight (f = 1,
+    fdot = 0) makes the kernel the sensitivity itself, or the squared score
+    classically, so its root is taken directly: ``sqrt(sensitivity)`` after
+    :func:`lambda_general`'s checks, or ``|score|``. The block reads score
+    and sensitivity 0 at its cells of zero probability, so there the root is
     ``|fdot|``, which the block's zero probability cancels.
     """
+    boxcar = weight.kind == BOXCAR
     if block.sensitivity is not None:
-        return np.sqrt(lambda_general(block.sensitivity, block.score, weight.values, weight.derivative))
-    root = np.abs(block.score * weight.values + weight.derivative)
+        if not boxcar:
+            return np.sqrt(lambda_general(block.sensitivity, block.score, weight.values, weight.derivative))
+        sensitivity, score = block.sensitivity, block.score
+        low = sensitivity.min()
+        finite = -math.inf < low and sensitivity.max() < math.inf
+        if not (finite and -math.inf < score.min() and score.max() < math.inf):  # NaN fails too
+            raise NonFiniteError("kernel inputs are not finite")
+        if low < 0.0:
+            raise NegativeLambdaError("sensitivity must be nonnegative")
+        return np.sqrt(sensitivity)
+    root = np.abs(block.score) if boxcar else np.abs(block.score * weight.values + weight.derivative)
     if not root.max() < math.inf:  # NaN fails too
         raise NonFiniteError("sqrt(Lambda) is not finite at a positive-probability node")
     return root
@@ -188,6 +204,10 @@ def _check_weight(prior: Prior, weight: WeightFunction) -> None:
     kept; an invalid pair raises on every call."""
     if weight.grid != prior.grid:
         raise InvalidWeightError("weight and prior must share one grid")
+    if weight.kind == PRIOR_MATCHED and not (
+        np.array_equal(weight.values, prior.density) and np.array_equal(weight.derivative, prior.derivative)
+    ):
+        raise InvalidWeightError("prior-matched weight must carry its prior's density and derivative")
     covered = prior.density > 0.0
     if np.any(weight.values[covered] <= 0.0):
         raise InvalidWeightError("weight must be positive wherever the prior is")
@@ -284,7 +304,8 @@ def bound_general(
         averaged over a continuous outcome grid.
     """
     _kept(_check_weight, prior, weight)
-    ((point,),) = _evaluate(model, prior, weight, [x], [theta], sensitivity)
+    thetas = _theta_array(theta, point=True).tolist()
+    ((point,),) = _evaluate(model, prior, weight, [x], thetas, sensitivity)
     if isinstance(point, InfoBoundError):
         raise point
     return point

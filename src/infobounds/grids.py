@@ -50,8 +50,8 @@ class ParameterGrid:
             raise InvalidParameterError(
                 f"theta_min must be < theta_max, got [{self.theta_min}, {self.theta_max}]"
             )
-        if not 3 <= self.n_points < math.inf or int(self.n_points) != self.n_points:
-            raise InvalidParameterError(f"n_points must be an integer >= 3, got {self.n_points}")
+        if not isinstance(self.n_points, numbers.Integral) or isinstance(self.n_points, bool) or self.n_points < 3:
+            raise InvalidParameterError(f"n_points must be an integer >= 3, got {self.n_points!r}")
 
     @cached_property
     def nodes(self) -> np.ndarray:

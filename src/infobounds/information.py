@@ -272,7 +272,7 @@ def _theta_terms(prior: Prior, weight: WeightFunction, thetas: list) -> tuple[li
         ) for t, ok in zip(thetas, inside)]
     slop = UNIFORM_SPACING_RTOL * max(1.0, abs(grid.theta_min), abs(grid.theta_max))
     on_grid = grid.contains(th, slop=slop)
-    f = np.interp(th, grid.nodes, prior.density if weight.kind == PRIOR_MATCHED else weight.values)
+    f = np.interp(th, grid.nodes, weight.values)  # a prior-matched weight carries the prior's density
     usable = on_grid & (f > 0.0)
     errors = [None] * th.size
     for i in np.flatnonzero(~usable):

@@ -10,7 +10,14 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import InvalidParameterError, LengthMismatchError, NonFiniteError, OutsideSupportError
+from .errors import (
+    DimensionMismatchError,
+    InvalidParameterError,
+    InvalidWeightError,
+    LengthMismatchError,
+    NonFiniteError,
+    OutsideSupportError,
+)
 from .grids import ParameterGrid, quadrature
 
 #: Allowed deviation of the grid quadrature of a prior density from 1.
@@ -43,10 +50,13 @@ def _kept(fn: Callable, *args):
     bypasses the memo. Only results are kept, so a call that raises raises
     each time. Models and their callables are pure (see ConditionalModel)."""
     try:
-        hash(args)
+        return _kept_call(fn, *args)
     except TypeError:
-        return fn(*args)
-    return _kept_call(fn, *args)
+        try:  # the arguments are unhashable, or fn itself raised
+            hash(args)
+        except TypeError:
+            return fn(*args)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +179,24 @@ class ConditionalModel:
         return tuple(None if fn is None else self._rows(fn, outcomes, thetas) for fn in columns)
 
     def _rows(self, fn: Callable, outcomes, thetas: np.ndarray) -> np.ndarray:
-        """``fn`` at each outcome against ``thetas``, broadcast to one row per outcome."""
+        """``fn`` at each outcome against ``thetas``, broadcast to one row per
+        outcome, or :class:`DimensionMismatchError` naming a shape that does not
+        broadcast."""
         shape = (len(outcomes), thetas.size)
         if isinstance(self.outcome_space, DiscreteOutcomes):
             rows = (np.asarray(fn(x, thetas), dtype=float) for x in outcomes)
-            return np.array([np.broadcast_to(row, shape[1:]) for row in rows])
+            return np.array([_broadcast(row, shape[1:]) for row in rows])
         values = fn(outcomes[:, None], thetas[None, :])
-        return np.broadcast_to(np.asarray(values, dtype=float), shape)
+        return _broadcast(np.asarray(values, dtype=float), shape)
+
+
+def _broadcast(values: np.ndarray, shape: tuple) -> np.ndarray:
+    try:
+        return np.broadcast_to(values, shape)
+    except ValueError:
+        raise DimensionMismatchError(
+            f"model callable returned shape {values.shape}, expected one that broadcasts to {shape}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +391,9 @@ class WeightFunction:
 
     The boxcar kind carries its boundary jumps analytically (they enter the
     bounds as boundary probability terms, never as numerical derivatives),
-    so its tabulated derivative is identically zero.
+    so its values are identically one and its tabulated derivative
+    identically zero; a boxcar weight of other values raises
+    :class:`InvalidWeightError`, since every evaluator relies on them.
     """
 
     grid: ParameterGrid
@@ -382,6 +405,8 @@ class WeightFunction:
         if self.kind not in _WEIGHT_KINDS:
             raise InvalidParameterError(f"unknown weight kind {self.kind!r}")
         _freeze_on_grid(self, "weight", ("values", "derivative"))
+        if self.kind == BOXCAR and not (np.all(self.values == 1.0) and not self.derivative.any()):
+            raise InvalidWeightError("boxcar weight must be 1 with a zero derivative at every node")
 
 
 def _boxcar(grid: ParameterGrid) -> WeightFunction:

@@ -242,6 +242,8 @@ class StateFamily:
         dimension for both. An error names the first offending value.
         """
         thetas = _theta_array(thetas)
+        if thetas.ndim != 1:
+            raise InvalidParameterError(f"thetas must be a 1-D sequence of numbers, got shape {thetas.shape}")
         if len(thetas) == 0:
             raise DimensionMismatchError("rho needs at least one parameter value")
         rho, drho = _stack(self._rho_stack(thetas), "rho", thetas), self._drho(thetas)

@@ -208,6 +208,21 @@ def test_general_weight_support_checks(langevin_uniform):
         ib.bound_general(model, prior, wide, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("entry", ["bound_general", "bound_sweep", "mi_chain_values"])
+@pytest.mark.parametrize("scale", [(1.5, 1.5), (1.0, 0.5)], ids=["density", "derivative"])
+def test_prior_matched_weight_must_carry_its_prior(langevin_gaussian, entry, scale):
+    # the penalty reads the prior's density, the kernel the weight's: they must agree
+    model, prior = langevin_gaussian
+    weight = ib.WeightFunction(prior.grid, scale[0] * prior.density, scale[1] * prior.derivative, "prior")
+    calls = {
+        "bound_general": lambda: ib.bound_general(model, prior, weight, 0.5, 1.0),
+        "bound_sweep": lambda: ib.bound_sweep(model, prior, "general", [0.5], [1.0], weight),
+        "mi_chain_values": lambda: ib.mi_chain_values(model, prior, weight),
+    }
+    with pytest.raises(ib.InvalidWeightError, match="^prior-matched weight must carry its prior's density and derivative$"):
+        calls[entry]()
+
+
 def _hat_problem():
     """A hat prior on [0.25, 0.75] and a wider hat weight on [0.125, 0.875],
     both on the grid [0, 1]."""
@@ -562,17 +577,25 @@ def test_one_bad_cell_raises_through_the_chain_and_the_kernel(name):
     table, value, error, message = _BAD_CELLS[name]
     prior, logpdf, score, sensitivity = _two_outcome_tables()
     (score if table == "score" else sensitivity)[_BAD] = value
-    weight = ib.gaussian_weight(prior.grid, 0.5, 0.1)
     model, reader = _tabulated(logpdf, score)
-    with pytest.raises(error, match=f"^{message}$"):
-        ib.lambda_general(sensitivity, score, weight.values, weight.derivative)
-    with pytest.raises(error, match=f"^{message}$"):
-        ib.mi_chain_values(model, prior, weight, reader(sensitivity))
-    if table == "score":  # the classical kernel and the Fisher information
-        with pytest.raises(ib.NonFiniteError, match="^sqrt\\(Lambda\\) is not finite at a positive-probability node$"):
-            ib.mi_chain_values(model, prior, weight)
-        with pytest.raises(ib.NonFiniteError, match="^squared score diverges at a positive-probability outcome$"):
-            ib.mi_bound_average(model, prior, weight)
+    for weight in ib.gaussian_weight(prior.grid, 0.5, 0.1), ib.boxcar_weight(prior.grid):
+        evaluators = (ib.mi_chain_values, ib.average_pointwise_bound)
+        if name == "negative-lambda" and weight.kind == "boxcar":
+            # with fdot = 0 the kernel is the sensitivity itself, here nonnegative
+            ib.lambda_general(sensitivity, score, weight.values, weight.derivative)
+            for evaluate in evaluators:
+                evaluate(model, prior, weight, reader(sensitivity))
+            continue
+        with pytest.raises(error, match=f"^{message}$"), np.errstate(invalid="ignore"):  # inf * fdot = 0
+            ib.lambda_general(sensitivity, score, weight.values, weight.derivative)
+        for evaluate in evaluators:
+            with pytest.raises(error, match=f"^{message}$"):
+                evaluate(model, prior, weight, reader(sensitivity))
+        if table == "score":  # the classical kernel and the Fisher information
+            with pytest.raises(ib.NonFiniteError, match="^sqrt\\(Lambda\\) is not finite at a positive-probability node$"):
+                ib.mi_chain_values(model, prior, weight)
+            with pytest.raises(ib.NonFiniteError, match="^squared score diverges at a positive-probability outcome$"):
+                ib.mi_bound_average(model, prior, weight)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

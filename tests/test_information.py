@@ -178,6 +178,16 @@ def _langevin(call, x=None):
     return lambda: call(ib.langevin_model(1.0), ib.uniform_prior(0.5, 1.5, 201), x)
 
 
+def _qubit_bound(theta):
+    """``bound_theorem1`` at outcome "+" and ``theta`` on the qubit under its quantum sensitivity."""
+
+    def call():
+        model, sensitivity = ib.qubit_measurement_model()
+        return ib.bound_theorem1(model, ib.uniform_prior(0.0, math.pi / 2, 201), "+", theta, sensitivity)
+
+    return call
+
+
 #: The entries that read one outcome of a continuous model.
 _OUTCOME_ENTRIES = {
     "pmi": lambda model, prior, x: ib.pmi(model, prior, x, 1.0),
@@ -195,6 +205,7 @@ _BAD_ARGUMENTS = {
     "qfi-theta-pair": (_qubit_phase(lambda f, e: ib.qfi(f, [0.1, 0.2])), "theta must be one number"),
     "rho-theta-a": (_qubit_phase(lambda f, e: f.rho("a")), "theta is not a number"),
     "states-theta-a": (_qubit_phase(lambda f, e: f.states(["a"])), "theta is not a number"),
+    "states-theta-scalar": (_qubit_phase(lambda f, e: f.states(0.3)), "thetas must be a 1-D sequence"),
     "fisher_information-empty": (_langevin(lambda m, p, x: ib.fisher_information(m, [])), "theta must hold"),
     **{f"{name}-outcome-a": (_langevin(call, "a"), "outcome is not a number")
        for name, call in _OUTCOME_ENTRIES.items()},
@@ -203,6 +214,9 @@ _BAD_ARGUMENTS = {
     "grid-theta_min-None": (lambda: ib.ParameterGrid(None, 1, 3), "theta_min must be a number"),
     "grid-n_points-None": (lambda: ib.ParameterGrid(0, 1, None), "n_points must be a number"),
     "grid-n_points-nan": (lambda: ib.ParameterGrid(0, 1, math.nan), "n_points must be an integer"),
+    "grid-n_points-float": (lambda: ib.ParameterGrid(0.0, 1.0, 3.0).nodes, "n_points must be an integer"),
+    "uniform_prior-n_points-float": (lambda: ib.uniform_prior(0.0, 1.0, 3.0), "n_points must be an integer"),
+    "bound_theorem1-theta-pair": (_qubit_bound([0.1, 0.2]), "theta must be one number"),
     "uniform_prior-theta_min-None": (lambda: ib.uniform_prior(None, 1), "theta_min must be a number"),
 }
 
@@ -211,6 +225,17 @@ _BAD_ARGUMENTS = {
 def test_bad_argument_raises_a_typed_error_naming_it(case):
     call, message = _BAD_ARGUMENTS[case]
     with pytest.raises(ib.InvalidParameterError, match="^" + message):
+        call()
+
+
+@pytest.mark.parametrize("space", [ib.DiscreteOutcomes((0, 1)), ib.ContinuousOutcomes(0.0, 1.0, 5)],
+                         ids=["discrete", "continuous"])
+@pytest.mark.parametrize("entry", ["pmi", "mutual_information"])
+def test_model_callable_of_the_wrong_shape_raises_a_typed_error(space, entry):
+    model = ib.ConditionalModel(lambda x, th: np.zeros(3), space)
+    prior = ib.uniform_prior(0.0, 1.0, 11)
+    call = (lambda: ib.pmi(model, prior, 0, 0.3)) if entry == "pmi" else (lambda: ib.mutual_information(model, prior))
+    with pytest.raises(ib.DimensionMismatchError, match=r"^model callable returned shape \(3,\), expected one that"):
         call()
 
 

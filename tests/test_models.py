@@ -264,3 +264,26 @@ def test_weight_rejects_negative_values():
     grid = ib.ParameterGrid(0.0, 1.0, 11)
     with pytest.raises(ValueError):
         ib.WeightFunction(grid, -np.ones(11), np.zeros(11), "custom")
+
+
+@pytest.mark.parametrize("values, derivative", [(2.0, 0.0), (1.0, 1e-3)], ids=["values", "derivative"])
+def test_boxcar_weight_must_be_one_with_a_zero_derivative(values, derivative):
+    # every evaluator reads a boxcar weight as f = 1, fdot = 0
+    grid = ib.ParameterGrid(0.0, 1.0, 11)
+    with pytest.raises(ib.InvalidWeightError, match="^boxcar weight must be 1 with a zero derivative at every node$"):
+        ib.WeightFunction(grid, np.full(11, values), np.full(11, derivative), "boxcar")
+
+
+def test_kept_raises_a_type_error_of_the_function_once():
+    # hashable arguments: the function's own TypeError is not mistaken for
+    # an unhashable key, so the function runs once
+    calls = []
+
+    def fails(x):
+        calls.append(x)
+        raise TypeError("from the function")
+
+    with pytest.raises(TypeError, match="^from the function$"):
+        ib.models._kept(fails, 1.5)
+    assert calls == [1.5]
+    assert ib.models._kept(len, [1, 2]) == 2  # an unhashable argument bypasses the memo

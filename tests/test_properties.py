@@ -12,6 +12,7 @@ import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,6 +71,32 @@ def _stacked(fn, outcomes) -> np.ndarray:
     return np.array([fn(x, THETAS) for x in outcomes])
 
 
+def _check_boxcar_root(model, sensitivity, grid: ib.ParameterGrid) -> None:
+    """The boxcar weight's root of the kernel, with and without a sensitivity
+    (the squared score for a classical model), is bit for bit the general
+    kernel's at f = 1, fdot = 0, block by block of the joint table."""
+
+    def squared_score(x, theta):
+        return np.square(model.score(x, theta))
+
+    weight, ones, zeros = ib.boxcar_weight(grid), np.ones(grid.n_points), np.zeros(grid.n_points)
+    for block in ib.information._joint_table(model, grid.nodes, True, sensitivity or squared_score):
+        expanded = np.sqrt(ib.lambda_general(block.sensitivity, block.score, ones, zeros))
+        assert np.array_equal(ib.bounds._sqrt_lambda(block, weight), expanded)
+        classical = block._replace(sensitivity=None)
+        assert np.array_equal(ib.bounds._sqrt_lambda(classical, weight), np.abs(block.score * 1.0 + 0.0))
+
+
+@pytest.mark.parametrize("povm", ["sigma_x", "sigma_y", "sigma_z"])
+def test_boxcar_root_is_the_kernel_on_the_qubit(povm):
+    model, sensitivity = ib.qubit_measurement_model(getattr(ib, f"{povm}_povm")())
+    _check_boxcar_root(model, sensitivity, ib.uniform_prior(0.0, np.pi / 2).grid)
+
+
+def test_boxcar_root_is_the_kernel_on_langevin_rows():
+    _check_boxcar_root(ib.langevin_model(1.0), None, ib.uniform_prior(0.5, 1.5, 201).grid)
+
+
 def _check_model(model, sensitivity, n_points: int) -> None:
     outcomes = model.outcome_space.outcomes
     third = sensitivity or model.score  # any callable fills the sensitivity column
@@ -87,6 +114,7 @@ def _check_model(model, sensitivity, n_points: int) -> None:
         with mock.patch.object(ib.information, "_BLOCK_CELLS", n_points):
             assert ib.mi_chain_values(model, prior, weight, sens) == cold
     assert ib.chain_holds(*ib.mi_chain_values(model, prior, weight))
+    _check_boxcar_root(model, sensitivity, prior.grid)
 
 
 @EXAMPLES

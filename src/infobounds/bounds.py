@@ -242,16 +242,18 @@ def _outcome_terms(model, prior, weight, sensitivity, x) -> tuple:
     return float(np.log(px[0])), boundary, integral, None if argument <= 0.0 else float(np.log(argument))
 
 
-def _evaluate(model, prior, weight, outcomes: list, thetas: list, sensitivity) -> list[list]:
+def _evaluate(model, prior, weight, outcomes: list, th: np.ndarray, sensitivity) -> list[list]:
     """One row per outcome of each point's :class:`BoundReport`, or of the
     :class:`InfoBoundError` that rules the point out: the first error of its
-    outcome's grid row, its theta sample, its bound and its likelihood.
+    outcome's grid row, its theta sample, its bound and its likelihood. The
+    theta samples ``th`` are already parsed by :func:`_theta_array`.
 
     The outcome terms are evaluated once per outcome and kept (see
     :func:`models._kept`), the penalty once per theta sample, and the
     likelihood as one table of the points that passed every other check.
     """
-    penalty, theta_errors = _theta_terms(prior, weight, thetas)
+    penalty, theta_errors = _theta_terms(prior, weight, th)
+    thetas = th.tolist()
     rows, terms = [], {}
     for k, x in enumerate(outcomes):
         try:
@@ -271,7 +273,7 @@ def _evaluate(model, prior, weight, outcomes: list, thetas: list, sensitivity) -
     if not todo:
         return rows
     columns = [i for i in range(len(thetas)) if any(rows[k][i] is None for k in todo)]
-    table = model.table([outcomes[k] for k in todo], np.array([thetas[i] for i in columns], dtype=float))
+    table = model.table([outcomes[k] for k in todo], th[columns])
     for k, values in zip(todo, table[0].tolist()):
         log_px, boundary, integral, bounds = terms[k]
         row, x = rows[k], outcomes[k]
@@ -304,8 +306,7 @@ def bound_general(
         averaged over a continuous outcome grid.
     """
     _kept(_check_weight, prior, weight)
-    thetas = _theta_array(theta, point=True).tolist()
-    ((point,),) = _evaluate(model, prior, weight, [x], thetas, sensitivity)
+    ((point,),) = _evaluate(model, prior, weight, [x], _theta_array(theta, point=True), sensitivity)
     if isinstance(point, InfoBoundError):
         raise point
     return point
@@ -482,7 +483,7 @@ def bound_sweep(
     _kept(_check_weight, prior, wt)
     outcomes, thetas = list(x_samples), list(theta_samples)
     reports, skipped = [], []
-    for x, row in zip(outcomes, _evaluate(model, prior, wt, outcomes, thetas, sensitivity)):
+    for x, row in zip(outcomes, _evaluate(model, prior, wt, outcomes, _theta_array(thetas), sensitivity)):
         for theta, point in zip(thetas, row):
             if isinstance(point, BoundReport):
                 reports.append(point)

@@ -262,9 +262,10 @@ def sfi(model: ConditionalModel, x, theta: float) -> float:
     return s * s
 
 
-def _theta_terms(prior: Prior, weight: WeightFunction, thetas: list) -> tuple[list, list]:
-    """Each theta sample's penalty -log f(theta), and the error that rules it out (or None)."""
-    grid, th = prior.grid, _theta_array(thetas)
+def _theta_terms(prior: Prior, weight: WeightFunction, th: np.ndarray) -> tuple[list, list]:
+    """Each theta sample's penalty -log f(theta), and the error that rules it
+    out (or None), for the samples ``th`` already parsed by :func:`_theta_array`."""
+    grid, thetas = prior.grid, th.tolist()
     if weight.kind == BOXCAR:
         inside = grid.contains(th, slop=1e-12 * max(1.0, grid.span)).tolist()
         return [0.0] * th.size, [None if ok else ThetaOutsideSupportError(
@@ -293,7 +294,7 @@ def surprisal(prior: Prior, theta: float) -> float:
     parameter value.
     """
     th = _theta_array(theta, finite=True, point=True)
-    (penalty,), (error,) = _theta_terms(prior, prior_weight(prior), th.tolist())
+    (penalty,), (error,) = _theta_terms(prior, prior_weight(prior), th)
     if error is not None:
         raise error
     return penalty

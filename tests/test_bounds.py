@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 
@@ -586,7 +587,10 @@ def test_one_bad_cell_raises_through_the_chain_and_the_kernel(name):
             for evaluate in evaluators:
                 evaluate(model, prior, weight, reader(sensitivity))
             continue
-        with pytest.raises(error, match=f"^{message}$"), np.errstate(invalid="ignore"):  # inf * fdot = 0
+        # with fdot = 0 an infinite score makes 2*score*f*fdot NaN, which NumPy
+        # warns about before the typed error; the Gaussian cell has fdot != 0
+        quiet = np.errstate(invalid="ignore") if weight.kind == "boxcar" else contextlib.nullcontext()
+        with pytest.raises(error, match=f"^{message}$"), quiet:
             ib.lambda_general(sensitivity, score, weight.values, weight.derivative)
         for evaluate in evaluators:
             with pytest.raises(error, match=f"^{message}$"):

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import (
     InfoBoundError,
+    InvalidParameterError,
     InvalidWeightError,
     NegativeLambdaError,
     NonFiniteError,
@@ -37,6 +38,7 @@ from .errors import (
 from .grids import quadrature
 from .information import (
     _Block,
+    _finite_number,
     _fisher_rows,
     _likelihood_error,
     _marginal_rows,
@@ -91,10 +93,11 @@ def lambda_general(sensitivity, score, f, f_dot):
     NaN propagates to) and of the sensitivity; the term magnitudes are only
     formed when some value is negative. Scalar inputs give a float.
     """
-    t0 = sensitivity * f * f
-    t1 = f_dot * f_dot
-    t2 = 2.0 * score * f * f_dot
-    value = np.asarray(t0 + t1 + t2)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and overflow fail the check below
+        t0 = sensitivity * f * f
+        t1 = f_dot * f_dot
+        t2 = 2.0 * score * f * f_dot
+        value = np.asarray(t0 + t1 + t2)
     low = value.min(initial=math.inf)
     if not (-math.inf < low and value.max(initial=-math.inf) < math.inf):
         raise NonFiniteError("kernel inputs are not finite")
@@ -249,13 +252,17 @@ def _evaluate(model, prior, weight, outcomes: list, th: np.ndarray, sensitivity)
     theta samples ``th`` are already parsed by :func:`_theta_array`.
 
     The outcome terms are evaluated once per outcome and kept (see
-    :func:`models._kept`), the penalty once per theta sample, and the
-    likelihood as one table of the points that passed every other check.
+    :func:`models._kept`), the penalty once per theta sample. The outcomes
+    with a point left open are collected once, with their rows and terms,
+    and their likelihood is one table against the theta samples that passed
+    their own checks (``th`` itself when all did): such a row's log argument
+    is finite, as is every penalty of a weight's finite values, so its open
+    points are exactly those samples.
     """
     penalty, theta_errors = _theta_terms(prior, weight, th)
     thetas = th.tolist()
-    rows, terms = [], {}
-    for k, x in enumerate(outcomes):
+    rows, pending = [], []
+    for x in outcomes:
         try:
             log_px, boundary, integral, log_argument = _kept(_outcome_terms, model, prior, weight, sensitivity, x)
         except InfoBoundError as exc:
@@ -266,23 +273,21 @@ def _evaluate(model, prior, weight, outcomes: list, th: np.ndarray, sensitivity)
             rows.append([e or degenerate for e in theta_errors])
             continue
         bounds = [log_argument + p for p in penalty]
-        rows.append([e or (None if math.isfinite(b) else NonFiniteError("bound value is not finite"))
-                     for e, b in zip(theta_errors, bounds)])
-        terms[k] = (log_px, boundary, integral, bounds)
-    todo = [k for k in terms if None in rows[k]]
-    if not todo:
+        row = [e or (None if math.isfinite(b) else NonFiniteError("bound value is not finite"))
+               for e, b in zip(theta_errors, bounds)]
+        rows.append(row)
+        if None in row:
+            pending.append((x, row, log_px, boundary, integral, bounds))
+    if not pending:
         return rows
-    columns = [i for i in range(len(thetas)) if any(rows[k][i] is None for k in todo)]
-    table = model.table([outcomes[k] for k in todo], th[columns])
-    for k, values in zip(todo, table[0].tolist()):
-        log_px, boundary, integral, bounds = terms[k]
-        row, x = rows[k], outcomes[k]
+    columns = [i for i, e in enumerate(theta_errors) if e is None]
+    table = model.table([x for x, *_ in pending], th if len(columns) == len(thetas) else th[columns])
+    for (x, row, log_px, boundary, integral, bounds), values in zip(pending, table[0].tolist()):
         for i, value in zip(columns, values):
-            if row[i] is None:
-                pmi = value - log_px
-                row[i] = _likelihood_error(x, thetas[i], value) or BoundReport(
-                    x, float(thetas[i]), pmi, bounds[i], bounds[i] - pmi, boundary, integral, penalty[i]
-                )
+            pmi = value - log_px
+            row[i] = _likelihood_error(x, thetas[i], value) or BoundReport(
+                x, thetas[i], pmi, bounds[i], bounds[i] - pmi, boundary, integral, penalty[i]
+            )
     return rows
 
 
@@ -440,7 +445,11 @@ def mi_chain_values(
 
 
 def chain_holds(mi: float, avg_bound: float, avg_limit: float, tolerance: float = DEFAULT_SLACK_TOL) -> bool:
-    """True iff mi <= avg_bound <= avg_limit within the tolerance."""
+    """True iff mi <= avg_bound <= avg_limit within the tolerance. The three
+    values must be finite numbers and the tolerance a finite nonnegative one."""
+    for name, value in (("mi", mi), ("avg_bound", avg_bound), ("avg_limit", avg_limit)):
+        _finite_number(value, name)
+    _finite_number(tolerance, "tolerance", nonnegative=True)
     return mi <= avg_bound + tolerance and avg_bound <= avg_limit + tolerance
 
 
@@ -481,14 +490,16 @@ def bound_sweep(
     """
     wt = _weight_for_kind(prior, bound_kind, weight)
     _kept(_check_weight, prior, wt)
-    outcomes, thetas = list(x_samples), list(theta_samples)
-    reports, skipped = [], []
-    for x, row in zip(outcomes, _evaluate(model, prior, wt, outcomes, _theta_array(thetas), sensitivity)):
+    outcomes, th = list(x_samples), _theta_array(theta_samples)
+    if th.ndim != 1:
+        raise InvalidParameterError(f"theta samples must be a 1-D sequence of numbers, got shape {th.shape}")
+    reports, skipped, thetas = [], [], th.tolist()
+    for x, row in zip(outcomes, _evaluate(model, prior, wt, outcomes, th, sensitivity)):
         for theta, point in zip(thetas, row):
             if isinstance(point, BoundReport):
                 reports.append(point)
             else:
-                skipped.append(SkippedPoint(x, float(theta), type(point).__name__))
+                skipped.append(SkippedPoint(x, theta, type(point).__name__))
     return reports, skipped
 
 

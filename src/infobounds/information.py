@@ -234,6 +234,18 @@ def _theta_array(thetas, finite=False, point=False) -> np.ndarray:
     return th.reshape(1) if point else th
 
 
+def _finite_number(value, name: str, nonnegative: bool = False) -> None:
+    """Raise :class:`InvalidParameterError` naming ``name`` unless ``value`` is
+    a finite real number, not a bool, and if ``nonnegative`` not below 0."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value) and not (nonnegative and value < 0)
+    except TypeError:
+        ok = False
+    if not ok:
+        kind = "finite nonnegative" if nonnegative else "finite"
+        raise InvalidParameterError(f"{name} must be a {kind} number, got {value!r}")
+
+
 def pmi(model: ConditionalModel, prior: Prior, x, theta: float) -> float:
     """Pointwise mutual information log[p(x|theta) / p(x)].
 
@@ -266,11 +278,12 @@ def _theta_terms(prior: Prior, weight: WeightFunction, th: np.ndarray) -> tuple[
     """Each theta sample's penalty -log f(theta), and the error that rules it
     out (or None), for the samples ``th`` already parsed by :func:`_theta_array`."""
     grid, thetas = prior.grid, th.tolist()
-    if weight.kind == BOXCAR:
-        inside = grid.contains(th, slop=1e-12 * max(1.0, grid.span)).tolist()
-        return [0.0] * th.size, [None if ok else ThetaOutsideSupportError(
+    if weight.kind == BOXCAR:  # grid.contains's float comparisons, on Python floats; NaN fails them
+        slop = 1e-12 * max(1.0, grid.span)
+        low, high = grid.theta_min - slop, grid.theta_max + slop
+        return [0.0] * len(thetas), [None if low <= t <= high else ThetaOutsideSupportError(
             f"theta={t} outside the finite support [{grid.theta_min}, {grid.theta_max}]"
-        ) for t, ok in zip(thetas, inside)]
+        ) for t in thetas]
     slop = UNIFORM_SPACING_RTOL * max(1.0, abs(grid.theta_min), abs(grid.theta_max))
     on_grid = grid.contains(th, slop=slop)
     f = np.interp(th, grid.nodes, weight.values)  # a prior-matched weight carries the prior's density

@@ -13,6 +13,7 @@ import numpy as np
 from . import quantum
 from .bounds import bound_theorem1
 from .errors import InvalidParameterError, NonPositiveDiffusionError
+from .information import _finite_number
 from .models import ConditionalModel, ContinuousOutcomes, DiscreteOutcomes, Prior
 
 #: Half-width of the outcome grid in units of the widest conditional sigma.
@@ -203,13 +204,7 @@ class DemonRecord:
 
     def __post_init__(self):
         for name in ("beta", "work_extracted", "delta_free_energy", "theta"):
-            value = getattr(self, name)
-            try:
-                finite = not isinstance(value, bool) and math.isfinite(value)
-            except TypeError:
-                finite = False
-            if not finite:
-                raise InvalidParameterError(f"{name} must be a finite number, got {value!r}")
+            _finite_number(getattr(self, name), name)
         if self.beta <= 0:
             raise InvalidParameterError("beta must be positive")
 
@@ -243,9 +238,11 @@ def demon_work_check(
     ``chained_ok`` tests the weaker, measurement-free budget lhs <= bound,
     where the bound is the finite-support PMI bound at the record's
     (outcome, theta) — classical when ``sensitivity`` is None, quantum
-    otherwise. The checker verifies consistency of supplied records; it
-    does not simulate feedback.
+    otherwise. ``tolerance`` must be a finite nonnegative number. The
+    checker verifies consistency of supplied records; it does not simulate
+    feedback.
     """
+    _finite_number(tolerance, "tolerance", nonnegative=True)
     report = bound_theorem1(model, prior, record.outcome, record.theta, sensitivity)
-    lhs = record.lhs
-    return DemonCheck(lhs, report.pmi, report.bound, lhs <= report.pmi + tolerance, lhs <= report.bound + tolerance)
+    lhs, pmi, bound = record.lhs, report.pmi, report.bound
+    return DemonCheck(lhs, pmi, bound, lhs <= pmi + tolerance, lhs <= bound + tolerance)

@@ -1,6 +1,6 @@
-import contextlib
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -532,6 +532,20 @@ def test_chain_holds_ordering():
     assert ib.chain_holds(0.1, 0.5, 0.6)
     assert not ib.chain_holds(0.5, 0.4, 0.6, 1e-9)
     assert not ib.chain_holds(0.1, 0.7, 0.6, 1e-9)
+    assert ib.chain_holds(-0.1, 0.5, 0.5, 0)  # a negative value and a zero tolerance are numbers
+
+
+@pytest.mark.parametrize("position, value", [
+    *((position, value) for position in range(4) for value in ("a", None, True, 1j, math.nan, math.inf, -math.inf)),
+    (3, -1.0),
+])
+def test_chain_holds_rejects_a_value_that_is_not_a_finite_number(position, value):
+    args = [0.1, 0.5, 0.6, 1e-6]
+    args[position] = value
+    name = ("mi", "avg_bound", "avg_limit", "tolerance")[position]
+    kind = "finite nonnegative" if name == "tolerance" else "finite"
+    with pytest.raises(ib.InvalidParameterError, match=f"^{name} must be a {kind} number, got {re.escape(repr(value))}$"):
+        ib.chain_holds(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +601,9 @@ def test_one_bad_cell_raises_through_the_chain_and_the_kernel(name):
             for evaluate in evaluators:
                 evaluate(model, prior, weight, reader(sensitivity))
             continue
-        # with fdot = 0 an infinite score makes 2*score*f*fdot NaN, which NumPy
-        # warns about before the typed error; the Gaussian cell has fdot != 0
-        quiet = np.errstate(invalid="ignore") if weight.kind == "boxcar" else contextlib.nullcontext()
-        with pytest.raises(error, match=f"^{message}$"), quiet:
+        # with fdot = 0 an infinite score makes 2*score*f*fdot NaN, and the
+        # typed error still comes first, with no NumPy warning before it
+        with pytest.raises(error, match=f"^{message}$"):
             ib.lambda_general(sensitivity, score, weight.values, weight.derivative)
         for evaluate in evaluators:
             with pytest.raises(error, match=f"^{message}$"):
@@ -664,6 +677,88 @@ def test_non_numeric_theta_raises_a_typed_error_naming_it(qubit, entry):
     }
     with pytest.raises(ib.InvalidParameterError, match="^theta is not a number: .*'abc'$"):
         calls[entry]()
+
+
+def _sweep_case(case, langevin_uniform, langevin_gaussian):
+    """(model, prior, kind, sensitivity, outcomes, thetas, skip reasons): rows
+    that mix an outcome outside the space, theta outside the support and,
+    on the qubit, zero likelihood, with points that pass."""
+    qubit_thetas = [0.0, 0.3, 1.1, math.pi / 2, -0.1, 2.0, math.nan]
+    if case.startswith("qubit"):
+        axis = case.split("-")[1]
+        povm = {"x": ib.sigma_x_povm, "y": ib.sigma_y_povm, "z": ib.sigma_z_povm}[axis]()
+        model, sensitivity = ib.qubit_measurement_model(povm)
+        prior = ib.uniform_prior(0.0, math.pi / 2)
+        reasons = {"OutsideSupportError", "ThetaOutsideSupportError"}
+        if axis != "z":  # sigma-x "-" at 0 and sigma-y "-" at pi/2 have probability 0
+            reasons.add("ZeroLikelihoodError")
+        sens = sensitivity if case.endswith("sensitivity") else None
+        return model, prior, "theorem1", sens, ["+", "?", "-"], qubit_thetas, reasons
+    if case == "langevin-theorem1":
+        model, prior = langevin_uniform
+        return model, prior, "theorem1", None, [0.0, "a", 1.0], [0.5, 0.7, 1.5, 0.3, 1.6, math.nan], {
+            "InvalidParameterError", "ThetaOutsideSupportError"}
+    if case == "langevin-theorem2":
+        model, prior = langevin_gaussian
+        return model, prior, "theorem2", None, [0.0, "a", 1.0], [0.9, 1.0, 1.3, 0.0, 2.5, math.nan], {
+            "InvalidParameterError", "OutsideSupportError"}
+    model = ib.discrete_exponential_model(np.log([0.2, 0.3, 0.5]), [-1.0, 0.0, 1.0])
+    prior = ib.uniform_prior(-1.0, 1.0)
+    return model, prior, "theorem1", None, [0, 5, 2], [-1.0, 0.0, 0.7, 1.5, math.nan], {
+        "OutsideSupportError", "ThetaOutsideSupportError"}
+
+
+_SWEEP_CASES = [
+    *(f"qubit-{axis}{sens}" for axis in "xyz" for sens in ("", "-sensitivity")),
+    "langevin-theorem1", "langevin-theorem2", "discrete",
+]
+
+
+@pytest.mark.parametrize("case", _SWEEP_CASES)
+def test_point_path_matches_the_sweep_bit_for_bit(case, langevin_uniform, langevin_gaussian):
+    # Each bound_general point is the sweep's report bit for bit, or raises the
+    # error type the sweep skips it for; one-point and many-point bookkeeping agree.
+    model, prior, kind, sensitivity, outcomes, thetas, reasons = _sweep_case(case, langevin_uniform, langevin_gaussian)
+    weight = ib.boxcar_weight(prior.grid) if kind == "theorem1" else ib.prior_weight(prior)
+    reports, skipped = ib.bound_sweep(model, prior, kind, outcomes, thetas, sensitivity=sensitivity)
+    assert reports and {s.reason for s in skipped} == reasons
+    reports, skipped = iter(reports), iter(skipped)
+    for x in outcomes:
+        for theta in thetas:
+            try:
+                point = ib.bound_general(model, prior, weight, x, theta, sensitivity)
+            except ib.InfoBoundError as exc:
+                skip = next(skipped)
+                assert (skip.x, type(exc).__name__) == (x, skip.reason)
+                assert repr(skip.theta) == repr(float(theta))
+            else:
+                assert repr(point) == repr(next(reports))  # repr tells every float bit
+    assert next(reports, None) is None and next(skipped, None) is None
+
+
+def test_sweep_rejects_theta_samples_that_are_not_one_dimensional(qubit):
+    model, sens, prior = qubit
+    for thetas in ([[0.1, 0.2]], [[0.1], [0.2]], 0.3):
+        with pytest.raises(ib.InvalidParameterError, match="^theta samples must be a 1-D sequence of numbers"):
+            ib.bound_sweep(model, prior, "theorem1", ["+"], thetas, sensitivity=sens)
+
+
+def test_boxcar_theta_check_reads_the_support_with_its_slop(langevin_uniform):
+    # Inside within slop = 1e-12 * max(1, span); NaN and infinity are outside.
+    model, prior = langevin_uniform
+    grid = prior.grid
+    slop = 1e-12 * max(1.0, grid.span)
+    inside = [grid.theta_min - slop / 2, grid.theta_max + slop / 2]
+    outside = [grid.theta_min - 2 * slop, grid.theta_max + 2 * slop, math.nan, math.inf, -math.inf]
+    for theta in inside:
+        assert ib.bound_theorem1(model, prior, 0.0, theta).theta == theta
+    for theta in outside:
+        message = f"theta={theta} outside the finite support [0.5, 1.5]"
+        with pytest.raises(ib.ThetaOutsideSupportError, match=f"^{re.escape(message)}$"):
+            ib.bound_theorem1(model, prior, 0.0, theta)
+    reports, skipped = ib.bound_sweep(model, prior, "theorem1", [0.0], inside + outside)
+    assert [r.theta for r in reports] == inside
+    assert [s.reason for s in skipped] == ["ThetaOutsideSupportError"] * len(outside)
 
 
 def test_sweep_deterministic_order(langevin_uniform):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import infobounds as ib
+from infobounds.quantum import RANK_EPS
 from conftest import basis_povm, diagonal_family, three_level_family
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -130,6 +131,25 @@ def test_sld_ill_conditioned_window():
     rho = np.diag([1 - 5e-11, 5e-11]).astype(complex)
     drho = np.diag([1.0, -1.0]).astype(complex)
     with pytest.raises(ib.IllConditionedError):
+        ib.sld(rho, drho)
+
+
+_LOW, _HIGH = RANK_EPS / 10.0, RANK_EPS
+
+
+@pytest.mark.parametrize("eps, ambiguous", [
+    (0.0, False), (1e-12, False), (_LOW, False), (np.nextafter(_LOW, 1.0), True), (5.5e-11, True),
+    (np.nextafter(_HIGH, 0.0), True), (_HIGH, False), (2e-10, False),
+])
+def test_rank_ambiguity_window_is_open_and_exact_at_its_ends(eps, ambiguous):
+    # The window (RANK_EPS / 10, RANK_EPS) is open: its ends pass, the values next to them do not.
+    rho = np.diag([1 - eps, eps]).astype(complex)
+    drho = np.diag([1.0, -1.0]).astype(complex)
+    assert np.linalg.eigvalsh(rho)[0] == eps
+    if ambiguous:
+        with pytest.raises(ib.IllConditionedError, match=f"^eigenvalue {eps:.3e} inside the rank ambiguity window"):
+            ib.sld(rho, drho)
+    else:
         ib.sld(rho, drho)
 
 

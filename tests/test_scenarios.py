@@ -172,6 +172,23 @@ def test_demon_record_rejects_a_non_finite_field(field, value):
         ib.DemonRecord(**{**fields, field: value})
 
 
+@pytest.mark.parametrize("tolerance", ["a", None, True, 1j, math.nan, math.inf, -1.0, -1e-300])
+def test_demon_check_rejects_a_tolerance_that_is_not_a_finite_nonnegative_number(qubit, tolerance):
+    model, sensitivity, prior = qubit
+    rec = ib.DemonRecord(1.0, 0.1, 0.0, "+", 0.3)
+    with pytest.raises(ib.InvalidParameterError, match="^tolerance must be a finite nonnegative number, got "):
+        ib.demon_work_check(rec, model, prior, sensitivity, tolerance=tolerance)
+
+
+def test_demon_check_takes_any_finite_nonnegative_tolerance(qubit):
+    model, sensitivity, prior = qubit
+    rec = ib.DemonRecord(1.0, 0.1, 0.0, "+", 0.3)
+    default = ib.demon_work_check(rec, model, prior, sensitivity)
+    for tolerance in (0, 0.0, np.float64(1e-9), 2):
+        check = ib.demon_work_check(rec, model, prior, sensitivity, tolerance=tolerance)
+        assert (check.lhs, check.pmi, check.bound) == (default.lhs, default.pmi, default.bound)
+
+
 def test_demon_budget_zero_work(qubit):
     model, sensitivity, prior = qubit
     rec = ib.DemonRecord(1.0, 0.7, 0.7, "+", 0.2)  # W_ext == delta_F

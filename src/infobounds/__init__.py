@@ -14,6 +14,7 @@ through the module itself.
 """
 
 import importlib.util
+import operator
 import sys
 import types
 
@@ -146,13 +147,14 @@ grids, models, information, bounds, quantum, scenarios = map(
 )
 
 
-def __getattr__(name: str):
-    # Read from the submodule on every access, never cached here: a function
-    # replaced in its submodule (perfbench/tracer.py swaps functions for
-    # timed wrappers and back) must be what the package returns too.
-    if name not in _ORIGIN:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(globals()[_ORIGIN[name]], name)
+# The package's module class. Each public name is a property that reads
+# ``submodule.name`` on every access, never cached here: a function replaced
+# in its submodule (perfbench/tracer.py swaps functions for timed wrappers and
+# back) must be what the package returns too. A property is found before the
+# module's dict, where a PEP 562 ``__getattr__`` would run only after a miss.
+sys.modules[__name__].__class__ = type("_Package", (types.ModuleType,), {
+    name: property(operator.attrgetter(f"{module}.{name}")) for name, module in _ORIGIN.items()
+})
 
 
 def __dir__():

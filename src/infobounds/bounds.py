@@ -35,10 +35,9 @@ from .errors import (
     NegativeLambdaError,
     NonFiniteError,
 )
-from .grids import quadrature
+from .grids import _finite_number, quadrature
 from .information import (
     _Block,
-    _finite_number,
     _fisher_rows,
     _likelihood_error,
     _marginal_rows,
@@ -98,10 +97,10 @@ def lambda_general(sensitivity, score, f, f_dot):
         t1 = f_dot * f_dot
         t2 = 2.0 * score * f * f_dot
         value = np.asarray(t0 + t1 + t2)
-    low = value.min(initial=math.inf)
-    if not (-math.inf < low and value.max(initial=-math.inf) < math.inf):
+    low = np.minimum.reduce(value, axis=None, initial=math.inf)
+    if not (-math.inf < low and np.maximum.reduce(value, axis=None, initial=-math.inf) < math.inf):
         raise NonFiniteError("kernel inputs are not finite")
-    if np.asarray(sensitivity).min(initial=0.0) < 0.0:
+    if np.minimum.reduce(np.asarray(sensitivity), axis=None, initial=0.0) < 0.0:
         raise NegativeLambdaError("sensitivity must be nonnegative")
     if low < 0.0:
         scale = np.maximum(1.0, np.maximum(t0, np.maximum(t1, np.abs(t2))))
@@ -131,15 +130,16 @@ def _sqrt_lambda(block: _Block, weight: WeightFunction) -> np.ndarray:
         if not boxcar:
             return np.sqrt(lambda_general(block.sensitivity, block.score, weight.values, weight.derivative))
         sensitivity, score = block.sensitivity, block.score
-        low = sensitivity.min()
-        finite = -math.inf < low and sensitivity.max() < math.inf
-        if not (finite and -math.inf < score.min() and score.max() < math.inf):  # NaN fails too
+        low = np.minimum.reduce(sensitivity, axis=None)
+        finite = (-math.inf < low and np.maximum.reduce(sensitivity, axis=None) < math.inf
+                  and -math.inf < np.minimum.reduce(score, axis=None) and np.maximum.reduce(score, axis=None) < math.inf)
+        if not finite:  # NaN fails too
             raise NonFiniteError("kernel inputs are not finite")
         if low < 0.0:
             raise NegativeLambdaError("sensitivity must be nonnegative")
         return np.sqrt(sensitivity)
     root = np.abs(block.score) if boxcar else np.abs(block.score * weight.values + weight.derivative)
-    if not root.max() < math.inf:  # NaN fails too
+    if not np.maximum.reduce(root, axis=None) < math.inf:  # NaN fails too
         raise NonFiniteError("sqrt(Lambda) is not finite at a positive-probability node")
     return root
 
@@ -364,7 +364,7 @@ def _average_penalty(prior: Prior, weight: WeightFunction) -> float:
 
 def _ensemble_bound(prior: Prior, weight: WeightFunction, fi: np.ndarray) -> float:
     """The ensemble bound from the Fisher information at the prior nodes."""
-    if not fi.max() < math.inf:  # NaN fails too
+    if not np.maximum.reduce(fi, axis=None) < math.inf:  # NaN fails too
         raise NonFiniteError("Fisher information is not finite on the grid")
     if weight.kind == BOXCAR:
         total = 2.0 + quadrature(np.sqrt(fi), prior.grid)
@@ -397,7 +397,7 @@ def _average_rows(weight: WeightFunction, block: _Block, prior: Prior, joint, px
     the joint average of the bound, penalty aside: an ``_outcome_sums`` part."""
     boundary, integral = _bound_rows(block, prior, weight, px)
     argument = boundary + integral
-    if argument.min() <= 0.0:
+    if np.minimum.reduce(argument, axis=None) <= 0.0:
         raise NonFiniteError("bound argument is nonpositive; the weight is degenerate")
     return px * np.log(argument)
 

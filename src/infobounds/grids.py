@@ -20,6 +20,18 @@ from .errors import (
 UNIFORM_SPACING_RTOL = 1e-12
 
 
+def _finite_number(value, name: str, nonnegative: bool = False) -> None:
+    """Raise :class:`InvalidParameterError` naming ``name`` unless ``value`` is
+    a finite real number, not a bool, and if ``nonnegative`` not below 0."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value) and not (nonnegative and value < 0)
+    except TypeError:
+        ok = False
+    if not ok:
+        kind = "finite nonnegative" if nonnegative else "finite"
+        raise InvalidParameterError(f"{name} must be a {kind} number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ParameterGrid:
     """Uniformly spaced nodes over a closed parameter interval.
@@ -89,9 +101,9 @@ def quadrature(values, grid: ParameterGrid):
         raise LengthMismatchError(
             f"expected {grid.n_points} values per row, got shape {arr.shape}"
         )
-    ends = 0.5 * arr[..., :: grid.n_points - 1]
-    out = grid.spacing * (ends[..., 0] + np.add.reduce(arr[..., 1:-1], axis=-1) + ends[..., 1])
-    if not (math.isfinite(out) if arr.ndim == 1 else np.isfinite(out).all()):
+    first, last = arr.T[0], arr.T[-1]  # scalars for a vector, not 0-d arrays
+    out = grid.spacing * (0.5 * first + np.add.reduce(arr[..., 1:-1], axis=-1) + 0.5 * last)
+    if not (math.isfinite(out) if arr.ndim == 1 else np.logical_and.reduce(np.isfinite(out), axis=None)):
         raise NonFiniteError("quadrature is not finite: its input holds NaN or infinity, or its sum overflows")
     return float(out) if arr.ndim == 1 else out
 

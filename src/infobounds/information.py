@@ -69,10 +69,10 @@ def _table_rows(model, outcomes, thetas, weights=None, score=False, sensitivity=
     zero-probability cells masked (see :class:`_Block`)."""
     values = model.table(outcomes, thetas, score, sensitivity)
     pdf = np.exp(values[0])
-    if not pdf.max() < math.inf:  # NaN fails too
+    if not np.maximum.reduce(pdf, axis=None) < math.inf:  # NaN fails too
         bad = outcomes[int(np.argmin(np.isfinite(pdf).all(axis=1)))]
         raise NonFiniteError(f"conditional density is not finite for outcome {bad!r}")
-    if pdf.min() == 0.0:
+    if np.minimum.reduce(pdf, axis=None) == 0.0:
         zero = pdf == 0.0
         values = [None if a is None else np.where(zero, 0.0, a) for a in values]
     logpdf, scores, sens = values
@@ -161,7 +161,7 @@ def _marginal_rows(block: _Block, prior: Prior) -> tuple[np.ndarray, np.ndarray]
     which must exceed ``MARGINAL_FLOOR``."""
     joint = block.pdf * prior.density
     px = quadrature(joint, prior.grid)
-    if px.min() <= MARGINAL_FLOOR:
+    if np.minimum.reduce(px, axis=None) <= MARGINAL_FLOOR:
         x = block.outcomes[int(np.argmax(px <= MARGINAL_FLOOR))]
         raise DegenerateMarginalError(f"marginal probability of {x!r} is degenerate")
     return joint, px
@@ -186,7 +186,7 @@ def _mi_rows(block: _Block, prior: Prior, joint: np.ndarray, px: np.ndarray) -> 
 def _fisher_rows(block: _Block, *_) -> np.ndarray:
     """p(x|theta) score^2 at each cell of the block."""
     term = block.pdf * block.score * block.score
-    if not term.max() < math.inf:  # NaN fails too
+    if not np.maximum.reduce(term, axis=None) < math.inf:  # NaN fails too
         raise NonFiniteError("squared score diverges at a positive-probability outcome")
     return term
 
@@ -227,23 +227,11 @@ def _theta_array(thetas, finite=False, point=False) -> np.ndarray:
         th = np.array(thetas, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"theta is not a number: {exc}") from None
-    if finite and not np.all(np.isfinite(th)):
+    if finite and not np.logical_and.reduce(np.isfinite(th), axis=None):
         raise InvalidParameterError(f"theta must be a finite number, got {thetas!r}")
     if point and th.size != 1:
         raise InvalidParameterError(f"theta must be one number, got {thetas!r}")
     return th.reshape(1) if point else th
-
-
-def _finite_number(value, name: str, nonnegative: bool = False) -> None:
-    """Raise :class:`InvalidParameterError` naming ``name`` unless ``value`` is
-    a finite real number, not a bool, and if ``nonnegative`` not below 0."""
-    try:
-        ok = not isinstance(value, bool) and math.isfinite(value) and not (nonnegative and value < 0)
-    except TypeError:
-        ok = False
-    if not ok:
-        kind = "finite nonnegative" if nonnegative else "finite"
-        raise InvalidParameterError(f"{name} must be a {kind} number, got {value!r}")
 
 
 def pmi(model: ConditionalModel, prior: Prior, x, theta: float) -> float:

@@ -18,7 +18,7 @@ from .errors import (
     NonFiniteError,
     OutsideSupportError,
 )
-from .grids import ParameterGrid, quadrature
+from .grids import ParameterGrid, _finite_number, quadrature
 
 #: Allowed deviation of the grid quadrature of a prior density from 1.
 NORMALIZATION_TOL = 1e-6
@@ -93,6 +93,8 @@ class ContinuousOutcomes:
     n_x: int
 
     def __post_init__(self):
+        _finite_number(self.x_min, "x_min")
+        _finite_number(self.x_max, "x_max")
         if not self.x_min < self.x_max:
             raise InvalidParameterError("x_min must be < x_max")
         if self.n_x < 3:
@@ -299,10 +301,12 @@ def gaussian_prior(
     renormalised, so a cut that discards more than ``NORMALIZATION_TOL`` of
     the mass raises :class:`InvalidParameterError` naming the cut.
     """
+    _finite_number(sigma, "sigma")
     if sigma <= 0:
         raise InvalidParameterError("sigma must be positive")
     if not 0.0 < tail_mass < 0.5:
         raise InvalidParameterError("tail_mass must lie in (0, 0.5)")
+    _finite_number(mean, "mean")
     from statistics import NormalDist  # it loads fractions, decimal and random; no other prior needs them
 
     lo = NormalDist(mean, sigma).inv_cdf(tail_mass)
@@ -347,6 +351,8 @@ def gamma_prior(
     imports ``scipy.special`` on first call, which keeps ``import infobounds``
     down to NumPy.
     """
+    _finite_number(shape, "shape")
+    _finite_number(scale, "scale")
     if shape <= 0 or scale <= 0:
         raise InvalidParameterError("shape and scale must be positive")
     if not 0.0 < tail_mass < 0.5:

@@ -80,7 +80,7 @@ def _require_hermitian(m: np.ndarray, names: tuple, atol: float, thetas: np.ndar
     entrywise; an error names the first offending one (see :func:`_name`),
     as :class:`NonFiniteError` if it has a non-finite entry."""
     dev = np.abs(m - _dagger(m))
-    if not dev.max() <= atol:  # NaN fails too
+    if not np.maximum.reduce(dev, axis=None) <= atol:  # NaN fails too
         dev = dev.max(axis=(1, 2))
         i = int(np.argmax(~(dev <= atol)))
         if not np.isfinite(dev[i]):
@@ -105,7 +105,7 @@ def _require_states(m: np.ndarray, thetas: np.ndarray, names: tuple) -> np.ndarr
     tr = np.einsum("nii->n", m).real.reshape(len(names), n)
     expected, atol = _TRACE_COLUMNS[names]
     bad = np.abs(tr - expected) > atol
-    if bad.any():
+    if np.logical_or.reduce(bad, axis=None):
         i = int(np.argmax(bad))
         raise InfoBoundError(
             f"{_name(names, thetas, i)} has trace {float(tr.flat[i])}, expected {_TRACES[names[i // n]][0]}"
@@ -190,8 +190,9 @@ class StateFamily:
 
     A family is a pair of stack callables, ``thetas (n,) -> (n, d, d)``, as
     :meth:`from_stacks` takes them; the constructor wraps callables of one
-    parameter value into that form. :meth:`states` evaluates each stack once
-    for all n values and validates both in one pass.
+    parameter value into that form. :meth:`states` takes both stacks at all
+    n values from one pair call (:meth:`_pair`) and validates them in one
+    pass; :meth:`rho` evaluates the rho stack alone.
 
     Without an analytic derivative, central finite differences with
     Hermitian symmetrization are used, from one call of the rho stack at all
@@ -222,6 +223,15 @@ class StateFamily:
         family._rho_stack, family._drho_stack = rho_stack, drho_stack
         return family
 
+    @classmethod
+    def _from_pair(cls, rho_stack, pair: Callable[[np.ndarray], tuple]) -> "StateFamily":
+        """An analytic family whose ``pair`` maps n parameter values to the
+        rho and drho stacks at once, sharing their work, and whose
+        ``rho_stack`` gives rho alone, bit for bit the first of the pair."""
+        family = cls.from_stacks(rho_stack, lambda thetas: pair(thetas)[1])
+        family._pair = partial(_checked_pair, pair)
+        return family
+
     @property
     def derivative_kind(self) -> str:
         return "analytic" if self._drho_stack is not None else "finite_difference"
@@ -248,13 +258,18 @@ class StateFamily:
             raise InvalidParameterError(f"thetas must be a 1-D sequence of numbers, got shape {thetas.shape}")
         if len(thetas) == 0:
             raise DimensionMismatchError("rho needs at least one parameter value")
-        rho, drho = _stack(self._rho_stack(thetas), "rho", thetas), self._drho(thetas)
+        rho, drho = self._pair(thetas)
         if drho.shape != rho.shape:
             raise DimensionMismatchError(
                 f"drho dimension {drho.shape[-1]} != rho dimension {rho.shape[-1]}"
             )
         both = _require_states(np.concatenate((rho, drho)), thetas, ("rho", "drho"))
         return both[: len(thetas)], both[len(thetas) :]
+
+    def _pair(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rho and drho stacks at ``thetas``, each checked by :func:`_stack`;
+        rho is evaluated and checked before drho is evaluated."""
+        return _stack(self._rho_stack(thetas), "rho", thetas), self._drho(thetas)
 
     def _drho(self, thetas: np.ndarray) -> np.ndarray:
         """The unvalidated drho stack, analytic or by finite differences."""
@@ -264,6 +279,12 @@ class StateFamily:
         shifted = np.concatenate((thetas + h, thetas - h))
         rho = _stack(self._rho_stack(shifted), "rho", shifted)
         return hermitize((rho[: len(thetas)] - rho[len(thetas) :]) / (2.0 * h))
+
+
+def _checked_pair(pair: Callable[[np.ndarray], tuple], thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two stacks of ``pair`` at ``thetas``, each checked by :func:`_stack`."""
+    rho, drho = pair(thetas)
+    return _stack(rho, "rho", thetas), _stack(drho, "drho", thetas)
 
 
 def _evaluate(of: Callable[[float], np.ndarray], thetas, name: str) -> np.ndarray:
@@ -294,14 +315,14 @@ def _eigh_state(rho: np.ndarray, vectors: bool = True):
     w, v = np.linalg.eigh(rho) if vectors else (np.linalg.eigvalsh(rho), None)
     # One reduction that every eigenvalue inside the window passes, with room
     # for rounding, screens for the exact test.
-    if np.abs(w - 0.55 * RANK_EPS).min() <= 0.46 * RANK_EPS:
+    if np.minimum.reduce(np.abs(w - 0.55 * RANK_EPS), axis=None) <= 0.46 * RANK_EPS:
         ambiguous = (w > RANK_EPS / 10.0) & (w < RANK_EPS)
         if ambiguous.any():
             raise IllConditionedError(
                 f"eigenvalue {w[ambiguous][0]:.3e} inside the rank ambiguity window "
                 f"({RANK_EPS / 10.0:.0e}, {RANK_EPS:.0e})"
             )
-    if w.min() < -STATE_ATOL:
+    if np.minimum.reduce(w, axis=None) < -STATE_ATOL:
         raise InfoBoundError(f"state has negative eigenvalue {w.min():.3e}")
     return w, v
 
@@ -387,7 +408,7 @@ def _sensitivities(elements, probs, states, labels, warned: set) -> np.ndarray:
     sens[(sens < 0.0) & (sens >= -STATE_ATOL)] = 0.0
     sens[~(probs > PROB_EPS)] = np.nan
     off = w <= RANK_EPS  # eigenvectors outside each state's support
-    if np.any(off):
+    if np.logical_or.reduce(off, axis=None):
         leak = np.sum(np.einsum("nai,kab,nbi->kni", v.conj(), elements, v).real * off, axis=-1)
         for x, p, out in zip(labels, probs, leak):
             if x not in warned and np.any((p > PROB_EPS) & (out > SUPPORT_LEAK_TOL)):
@@ -463,7 +484,7 @@ class MeasuredStateFamily(ConditionalModel):
         probs, dprobs, states = _born_table(self.family, self._elements, thetas, score, own)
         if not self._warned_zero_prob:
             positive = probs > PROB_EPS
-            if not positive.all():
+            if not np.logical_and.reduce(positive, axis=None):
                 self._warned_zero_prob = True
                 node = int(np.argmax(~positive.all(axis=0)))
                 x = self.outcome_space.outcomes[int(np.argmin(positive[:, node]))]

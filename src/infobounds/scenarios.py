@@ -13,7 +13,7 @@ import numpy as np
 from . import quantum
 from .bounds import bound_theorem1
 from .errors import InvalidParameterError, NonPositiveDiffusionError
-from .information import _finite_number
+from .grids import _finite_number
 from .models import ConditionalModel, ContinuousOutcomes, DiscreteOutcomes, Prior
 
 #: Half-width of the outcome grid in units of the widest conditional sigma.
@@ -45,8 +45,10 @@ def langevin_model(
     (the one at ``theta_min``, the lower end of the stiffness prior), which
     keeps the unresolved tail mass far below quadrature error.
     """
+    _finite_number(diffusion, "diffusion")
     if diffusion <= 0:
         raise NonPositiveDiffusionError(f"diffusion must be positive, got {diffusion}")
+    _finite_number(theta_min, "theta_min")
     if theta_min <= 0:
         raise InvalidParameterError("trap stiffness prior must be supported on theta > 0")
     d = float(diffusion)
@@ -97,7 +99,8 @@ def sigma_z_povm() -> quantum.Povm:
 
 def qubit_phase_family() -> quantum.StateFamily:
     """Pure family (|0> + e^{-i theta} |1>)/sqrt(2) as density matrices,
-    evaluated as stacks over all parameter values at once.
+    evaluated as stacks over all parameter values at once, rho and drho from
+    one exponential.
 
     The global phase of the underlying rotation is dropped; density
     matrices are phase-invariant, and keeping it would only inject complex
@@ -107,10 +110,11 @@ def qubit_phase_family() -> quantum.StateFamily:
     def rho_stack(thetas: np.ndarray) -> np.ndarray:
         return 0.5 * np.exp(thetas[:, None, None] * _PHASE_SIGNS)
 
-    def drho_stack(thetas: np.ndarray) -> np.ndarray:
-        return 0.5 * (_PHASE_SIGNS * np.exp(thetas[:, None, None] * _PHASE_SIGNS))
+    def pair(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        e = np.exp(thetas[:, None, None] * _PHASE_SIGNS)
+        return 0.5 * e, 0.5 * (_PHASE_SIGNS * e)  # not S * (0.5 * e): halving a subnormal rounds
 
-    return quantum.StateFamily.from_stacks(rho_stack, drho_stack)
+    return quantum.StateFamily._from_pair(rho_stack, pair)
 
 
 def qubit_phase_scenario(povm: quantum.Povm | None = None) -> tuple[quantum.StateFamily, quantum.Povm]:

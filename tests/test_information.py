@@ -218,6 +218,17 @@ _BAD_ARGUMENTS = {
     "uniform_prior-n_points-float": (lambda: ib.uniform_prior(0.0, 1.0, 3.0), "n_points must be an integer"),
     "bound_theorem1-theta-pair": (_qubit_bound([0.1, 0.2]), "theta must be one number"),
     "uniform_prior-theta_min-None": (lambda: ib.uniform_prior(None, 1), "theta_min must be a number"),
+    "langevin_model-diffusion-x": (lambda: ib.langevin_model("x"), "diffusion must be a finite number"),
+    "langevin_model-theta_min-x": (lambda: ib.langevin_model(1.0, "x"), "theta_min must be a finite number"),
+    "gaussian_prior-mean-a": (lambda: ib.gaussian_prior("a", 1), "mean must be a finite number"),
+    "gaussian_prior-sigma-a": (lambda: ib.gaussian_prior(0, "a"), "sigma must be a finite number"),
+    "gaussian_prior-sigma-0": (lambda: ib.gaussian_prior(0, 0), "sigma must be positive"),
+    "gamma_prior-shape-a": (lambda: ib.gamma_prior("a", 1), "shape must be a finite number"),
+    "gamma_prior-scale-a": (lambda: ib.gamma_prior(3, "a"), "scale must be a finite number"),
+    "gamma_prior-shape-0": (lambda: ib.gamma_prior(0, 1), "shape and scale must be positive"),
+    "ContinuousOutcomes-x_min-a": (lambda: ib.ContinuousOutcomes("a", 1, 5), "x_min must be a finite number"),
+    "ContinuousOutcomes-x_max-a": (lambda: ib.ContinuousOutcomes(0, "a", 5), "x_max must be a finite number"),
+    "ContinuousOutcomes-reversed": (lambda: ib.ContinuousOutcomes(1, 0, 5), "x_min must be < x_max"),
 }
 
 

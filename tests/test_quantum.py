@@ -867,6 +867,31 @@ def test_scalar_rho_of_a_stacked_family_does_not_call_the_derivative_stack():
     assert ib.qubit_phase_family().rho(0.0)[0, 1] == 0.5
 
 
+def test_the_qubit_pair_gives_the_states_of_its_one_value_formulas_bit_for_bit():
+    # exp(theta * S) once for both stacks, drho as 0.5 * (S * E): at the
+    # subnormal 5e-324, S * (0.5 * E) would round a signed zero differently
+    signs = ib.scenarios._PHASE_SIGNS
+    scalar = ib.StateFamily(lambda t: 0.5 * np.exp(t * signs), lambda t: 0.5 * (signs * np.exp(t * signs)))
+    stacked = ib.StateFamily.from_stacks(
+        lambda th: 0.5 * np.exp(th[:, None, None] * signs),
+        lambda th: 0.5 * (signs * np.exp(th[:, None, None] * signs)),
+    )
+    qubit = ib.qubit_phase_family()
+    pair, calls = qubit._pair, []
+    qubit._pair = lambda thetas: calls.append(len(thetas)) or pair(thetas)
+    thetas = np.array([5e-324, -5e-324, -0.0, 0.0, math.pi / 2, 0.3, -2.0])
+    expected = [a.tobytes() for a in scalar.states(thetas)]
+    for family in (stacked, qubit):
+        assert [a.tobytes() for a in family.states(thetas)] == expected
+    assert calls == [len(thetas)]
+    for i, theta in enumerate(thetas):
+        assert qubit.rho(theta).tobytes() == scalar.rho(theta).tobytes() == expected[0][64 * i : 64 * (i + 1)]
+    assert calls == [len(thetas)]  # rho alone comes from the rho stack
+    for i, theta in enumerate(thetas):
+        assert qubit.drho(theta).tobytes() == scalar.drho(theta).tobytes() == expected[1][64 * i : 64 * (i + 1)]
+    assert qubit.derivative_kind == "analytic"
+
+
 def test_povm_copies_the_callers_arrays():
     e0, e1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
     povm = ib.Povm((e0, e1))

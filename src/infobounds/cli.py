@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from itertools import chain, repeat
+from operator import attrgetter
 from pathlib import Path
 
 from . import bounds, models, scenarios
@@ -307,33 +310,55 @@ def _cell(value) -> str:
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
-def _row_dict(row) -> dict:
-    """One report row by column; a skipped point has no numeric columns."""
+def _texts(values: list, cell, fast) -> list[str]:
+    """The text of each value: ``cell`` once per value object, or ``fast`` (the
+    same text, without a Python call) when all are finite floats. Values are
+    matched by identity, as 0.0 and -0.0, or 1 and 1.0, compare equal but
+    print apart; ``values`` holds every object, so no id is reused meanwhile."""
+    ids = list(map(id, values))
+    distinct = dict(zip(ids, values))
+    objects = distinct.values()
+    if all(map(isinstance, objects, repeat(float))) and all(map(math.isfinite, objects)):
+        cell = fast
+    if len(distinct) == len(ids):
+        return list(map(cell, objects))
+    return list(map(dict(zip(distinct, map(cell, objects))).__getitem__, ids))
+
+
+def _row_lines(rows, cell, fast, ok: str, skipped: str) -> list[str]:
+    """One line per verify report row, in order: the ``ok`` template filled
+    with a report's nine cells, or ``skipped`` with a skipped point's x, theta
+    and status. Cells are made column by column (:func:`_texts`), so a value
+    of a column that repeats per outcome (x and the outcome terms) or per
+    theta sample (theta and the penalty) is formatted once. An x from NumPy
+    prints as its Python value."""
     import numpy as np
 
-    x = row.x.item() if isinstance(row.x, np.generic) else row.x
-    if isinstance(row, bounds.SkippedPoint):
-        return {"x": x, "theta": row.theta, "status": f"skipped:{row.reason}"}
-    return {"x": x, **{c: getattr(row, c) for c in _COLUMNS[1:-1]}, "status": "ok"}
+    label = lambda x: cell(x.item() if isinstance(x, np.generic) else x)  # noqa: E731
+    done = [r for r in rows if not isinstance(r, bounds.SkippedPoint)]
+    columns = [list(map(attrgetter(c), done)) for c in _COLUMNS[:-1]]
+    cells = [_texts(column, label if i == 0 else cell, fast) for i, column in enumerate(columns)]
+    parts = [repeat(part) for part in ok.split("%s")]  # the text around the cells
+    lines = map("".join, zip(parts[0], *chain(*zip([*cells, repeat(cell("ok"))], parts[1:]))))
+    return [skipped % (label(r.x), cell(r.theta), cell(f"skipped:{r.reason}"))
+            if isinstance(r, bounds.SkippedPoint) else next(lines) for r in rows]
 
 
 def render_verify_csv(rows, summary) -> str:
-    lines = [",".join(_COLUMNS)]
-    for row in rows:
-        cells = _row_dict(row)
-        lines.append(",".join(_cell(cells.get(c, "")) for c in _COLUMNS))
+    lines = [",".join(_COLUMNS), *_row_lines(rows, _cell, "{:.17g}".format, ",".join(["%s"] * 9), "%s,%s,,,,,,,%s")]
     lines += [f"# {name}={_cell(getattr(summary, name))}" for name in _SUMMARY]
     return "\n".join(lines) + "\n"
 
 
 def render_verify_json(rows, summary) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "verify",
-        "rows": [_row_dict(r) for r in rows],
-        "summary": {name: getattr(summary, name) for name in _SUMMARY},
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The text of ``json.dumps(doc, indent=2)``, with the rows laid out here."""
+    doc = {"schema_version": SCHEMA_VERSION, "kind": "verify", "rows": [],
+           "summary": {name: getattr(summary, name) for name in _SUMMARY}}
+    ok, skipped = ("    {\n" + ",\n".join(f'      "{c}": %s' for c in keys) + "\n    }"
+                   for keys in (_COLUMNS, ("x", "theta", "status")))
+    lines = _row_lines(rows, json.dumps, float.__repr__, ok, skipped)
+    text = json.dumps(doc, indent=2) + "\n"
+    return text.replace('"rows": []', '"rows": [\n' + ",\n".join(lines) + "\n  ]", 1) if lines else text
 
 
 def render_chain_csv(values: dict) -> str:
@@ -375,8 +400,10 @@ def run_verify(cfg: dict) -> int:
         weight=ctx.weight, sensitivity=ctx.sensitivity,
     )
     summary = bounds.summarize_sweep(reports, ctx.tolerance, n_skipped=len(skipped))
-    points = {(p.x, p.theta): p for p in [*reports, *skipped]}  # evaluation is pure: equal points, equal rows
-    rows = [points[x, float(theta)] for x in ctx.x_samples for theta in ctx.theta_samples]
+    # A point is skipped iff it is the next skipped one: both lists are x-major, and evaluation is pure.
+    reported, left = iter(reports), skipped[::-1]
+    rows = [left.pop() if left and left[-1].x is x and left[-1].theta == theta else next(reported)
+            for x in ctx.x_samples for theta in ctx.theta_samples]
     _emit(ctx, render_verify_csv, render_verify_json, rows, summary)
     return 0 if summary.violations == 0 else 1
 

@@ -4,6 +4,7 @@ and the weight functions that generate the bound family."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Union
@@ -97,6 +98,8 @@ class ContinuousOutcomes:
         _finite_number(self.x_max, "x_max")
         if not self.x_min < self.x_max:
             raise InvalidParameterError("x_min must be < x_max")
+        if isinstance(self.n_x, bool) or not isinstance(self.n_x, numbers.Integral):
+            raise InvalidParameterError(f"n_x must be an integer, got {self.n_x!r}")
         if self.n_x < 3:
             raise InvalidParameterError("n_x must be >= 3")
 
@@ -304,6 +307,7 @@ def gaussian_prior(
     _finite_number(sigma, "sigma")
     if sigma <= 0:
         raise InvalidParameterError("sigma must be positive")
+    _finite_number(tail_mass, "tail_mass")
     if not 0.0 < tail_mass < 0.5:
         raise InvalidParameterError("tail_mass must lie in (0, 0.5)")
     _finite_number(mean, "mean")
@@ -355,6 +359,7 @@ def gamma_prior(
     _finite_number(scale, "scale")
     if shape <= 0 or scale <= 0:
         raise InvalidParameterError("shape and scale must be positive")
+    _finite_number(tail_mass, "tail_mass")
     if not 0.0 < tail_mass < 0.5:
         raise InvalidParameterError("tail_mass must lie in (0, 0.5)")
     from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, gammaln

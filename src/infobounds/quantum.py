@@ -420,13 +420,21 @@ def _sensitivities(elements, probs, states, labels, warned: set) -> np.ndarray:
 
 def _warn(message: str) -> None:
     """A RuntimeWarning attributed to the first caller outside this package
-    with a source file, else (as under ``python -m``) to its outermost frame."""
-    frame, level, outermost = sys._getframe(1), 2, 2
+    with a source file. Without one (as under ``python -m``) it comes from
+    line 0 of the package's outermost frame's file, so its text does not
+    move when that file is edited."""
+    frame = outermost = sys._getframe(1)
+    level = 2
     while frame is not None and frame.f_code.co_filename.startswith((_PACKAGE_DIR, "<")):
         if frame.f_code.co_filename.startswith(_PACKAGE_DIR):
-            outermost = level
+            outermost = frame
         frame, level = frame.f_back, level + 1
-    warnings.warn(message, RuntimeWarning, stacklevel=outermost if frame is None else level)
+    if frame is not None:
+        warnings.warn(message, RuntimeWarning, stacklevel=level)
+    else:  # with the module and registry that warnings.warn would use
+        names = outermost.f_globals
+        warnings.warn_explicit(message, RuntimeWarning, outermost.f_code.co_filename, 0, names.get("__name__"),
+                               names.setdefault("__warningregistry__", {}))
 
 
 def cqfi(family: StateFamily, povm: Povm, x_index: int, theta: float) -> float:

@@ -229,6 +229,9 @@ _BAD_ARGUMENTS = {
     "ContinuousOutcomes-x_min-a": (lambda: ib.ContinuousOutcomes("a", 1, 5), "x_min must be a finite number"),
     "ContinuousOutcomes-x_max-a": (lambda: ib.ContinuousOutcomes(0, "a", 5), "x_max must be a finite number"),
     "ContinuousOutcomes-reversed": (lambda: ib.ContinuousOutcomes(1, 0, 5), "x_min must be < x_max"),
+    "ContinuousOutcomes-n_x-a": (lambda: ib.ContinuousOutcomes(0, 1, "a"), "n_x must be an integer, got 'a'"),
+    "gaussian_prior-tail_mass-a": (lambda: ib.gaussian_prior(0, 1, tail_mass="a"), "tail_mass must be a finite number"),
+    "gamma_prior-tail_mass-a": (lambda: ib.gamma_prior(3, 1, tail_mass="a"), "tail_mass must be a finite number"),
 }
 
 

@@ -78,6 +78,25 @@ def test_traced_cli_run_renders_through_the_traced_names(perfbench, tmp_path, ca
     assert counts["bounds.sweep_points"] == 3 * workloads.SWEEP_THETAS
 
 
+def test_traced_cli_json_run_counts_one_render_and_its_bytes(perfbench, tmp_path, capsys):
+    # The JSON report is laid out by hand, not by json.dumps of the rows; the
+    # tracer still sees one render call and every byte it wrote.
+    tracer, workloads = perfbench
+    cfg = workloads.CLI_CONFIGS["langevin_theorem2"]
+    assert cfg["output"]["format"] == "json"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, **cfg}))
+    traced = tracer.Tracer()
+    with traced.installed():
+        assert cli.main(["verify", "--config", str(path)]) == 0
+    report = capsys.readouterr().out
+    counts = traced.values()
+    assert counts["cli.context_calls"] == 1 and counts["cli.render_calls"] == 1
+    assert counts["cli.report_bytes"] == len(report.encode())
+    assert counts["bounds.sweep_points"] == cfg["sweep"]["x_count"] * cfg["sweep"]["theta_count"]
+    assert len(json.loads(report)["rows"]) == counts["bounds.sweep_points"]
+
+
 def test_traced_cli_runs_in_a_fresh_interpreter(perfbench, tmp_path):
     # The in-process test above runs with every submodule loaded already; a
     # fresh interpreter checks what traced_cli.py finds right after it

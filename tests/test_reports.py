@@ -15,6 +15,10 @@ and every footer number within 1e-12 relative.
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,3 +169,29 @@ def test_report_matches_the_record(name, tmp_path, capsys):
     got = _footer(text)
     assert got.keys() == footer.keys()
     assert all(_agrees(footer[key], got[key]) for key in footer), (footer, got)
+
+
+#: The stderr of the qubit_theorem3 run under ``python -m infobounds.cli``.
+#: No frame outside the package has a source file there, so each adapter
+#: warning comes from line 0 of cli.py, whatever that file's length.
+QUBIT_THEOREM3_STDERR = "".join(f"{{cli}}:0: RuntimeWarning: {message}\n" for message in (
+    "outcome '-' has zero probability at theta=0.0; such nodes are excluded from integrals",
+    "POVM element '+' has weight outside the state support; the support-restricted SLD convention applies there",
+    "POVM element '-' has weight outside the state support; the support-restricted SLD convention applies there",
+))
+
+
+def test_qubit_report_stderr_under_python_m_is_pinned(tmp_path):
+    path = tmp_path / "qubit_theorem3.json"
+    path.write_text(json.dumps({"schema_version": 1, **CONFIGS["qubit_theorem3"][1]}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "infobounds.cli", "verify", "--config", str(path)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == RECORDED["qubit_theorem3"][0]
+    assert proc.stderr == QUBIT_THEOREM3_STDERR.format(cli=os.path.join(src, "infobounds", "cli.py"))
+    if np.__version__ == RECORDED_NUMPY:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == RECORDED["qubit_theorem3"][1]

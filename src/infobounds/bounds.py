@@ -35,7 +35,7 @@ from .errors import (
     NegativeLambdaError,
     NonFiniteError,
 )
-from .grids import _finite_number, quadrature
+from .grids import _finite_number, _real_array, quadrature
 from .information import (
     _Block,
     _fisher_rows,
@@ -90,8 +90,12 @@ def lambda_general(sensitivity, score, f, f_dot):
     :class:`NegativeLambdaError`, signalling sensitivity < score^2. The
     checks read reductions of the kernel (its minimum and maximum, which a
     NaN propagates to) and of the sensitivity; the term magnitudes are only
-    formed when some value is negative. Scalar inputs give a float.
+    formed when some value is negative. Scalar inputs give a float; inputs
+    that are not real numbers raise :class:`InvalidParameterError` naming
+    the first of them.
     """
+    names = ("sensitivity", "score", "f", "f_dot")
+    sensitivity, score, f, f_dot = map(_real_array, (sensitivity, score, f, f_dot), names)
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and overflow fail the check below
         t0 = sensitivity * f * f
         t1 = f_dot * f_dot
@@ -100,7 +104,7 @@ def lambda_general(sensitivity, score, f, f_dot):
     low = np.minimum.reduce(value, axis=None, initial=math.inf)
     if not (-math.inf < low and np.maximum.reduce(value, axis=None, initial=-math.inf) < math.inf):
         raise NonFiniteError("kernel inputs are not finite")
-    if np.minimum.reduce(np.asarray(sensitivity), axis=None, initial=0.0) < 0.0:
+    if np.minimum.reduce(sensitivity, axis=None, initial=0.0) < 0.0:
         raise NegativeLambdaError("sensitivity must be nonnegative")
     if low < 0.0:
         scale = np.maximum(1.0, np.maximum(t0, np.maximum(t1, np.abs(t2))))
@@ -205,6 +209,8 @@ def _check_weight(prior: Prior, weight: WeightFunction) -> None:
     """Check that ``weight`` is admissible for ``prior``. Callers run it
     through the memo, so a pair that passes skips the grid scan while it is
     kept; an invalid pair raises on every call."""
+    if not isinstance(weight, WeightFunction):
+        raise InvalidWeightError(f"weight must be a WeightFunction, got {weight!r}")
     if weight.grid != prior.grid:
         raise InvalidWeightError("weight and prior must share one grid")
     if weight.kind == PRIOR_MATCHED and not (
@@ -246,10 +252,12 @@ def _outcome_terms(model, prior, weight, sensitivity, x) -> tuple:
 
 
 def _evaluate(model, prior, weight, outcomes: list, th: np.ndarray, sensitivity) -> list[list]:
-    """One row per outcome of each point's :class:`BoundReport`, or of the
-    :class:`InfoBoundError` that rules the point out: the first error of its
-    outcome's grid row, its theta sample, its bound and its likelihood. The
-    theta samples ``th`` are already parsed by :func:`_theta_array`.
+    """The sweep evaluator: one row per outcome of each point's
+    :class:`BoundReport`, or of the :class:`InfoBoundError` that rules the
+    point out: the first error of its outcome's grid row, its theta sample,
+    its bound and its likelihood. The theta samples ``th`` are already
+    parsed by :func:`_theta_array`. A single point goes through
+    :func:`_point` instead, which keeps this order.
 
     The outcome terms are evaluated once per outcome and kept (see
     :func:`models._kept`), the penalty once per theta sample. The outcomes
@@ -291,6 +299,33 @@ def _evaluate(model, prior, weight, outcomes: list, th: np.ndarray, sensitivity)
     return rows
 
 
+def _point(model, prior, weight, x, theta, sensitivity) -> tuple:
+    """One point as ``(theta, pmi, bound, boundary, integral, penalty)``,
+    ``theta`` the Python float of the parsed sample, or the point's first
+    error in :func:`_evaluate`'s order: its outcome's grid row, its theta
+    sample, a nonpositive bound argument, a non-finite bound, its
+    likelihood. The weight is checked and theta parsed as one number first,
+    before any model call; the likelihood is one (1, 1) table.
+    """
+    _kept(_check_weight, prior, weight)
+    th = _theta_array(theta, point=True)
+    log_px, boundary, integral, log_argument = _kept(_outcome_terms, model, prior, weight, sensitivity, x)
+    (penalty,), (error,) = _theta_terms(prior, weight, th)
+    if error is not None:
+        raise error
+    if log_argument is None:
+        raise NonFiniteError("bound argument is nonpositive; the weight is degenerate")
+    bound = log_argument + penalty
+    if not math.isfinite(bound):
+        raise NonFiniteError("bound value is not finite")
+    theta = th.item()
+    value = model.table((x,), th)[0].item()
+    error = _likelihood_error(x, theta, value)
+    if error is not None:
+        raise error
+    return theta, value - log_px, bound, boundary, integral, penalty
+
+
 def bound_general(
     model: ConditionalModel,
     prior: Prior,
@@ -310,11 +345,8 @@ def bound_general(
         broadcast a column of outcomes against a row of thetas when it is
         averaged over a continuous outcome grid.
     """
-    _kept(_check_weight, prior, weight)
-    ((point,),) = _evaluate(model, prior, weight, [x], _theta_array(theta, point=True), sensitivity)
-    if isinstance(point, InfoBoundError):
-        raise point
-    return point
+    theta, pmi, bound, boundary, integral, penalty = _point(model, prior, weight, x, theta, sensitivity)
+    return BoundReport(x, theta, pmi, bound, bound - pmi, boundary, integral, penalty)
 
 
 def bound_theorem1(

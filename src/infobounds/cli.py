@@ -303,11 +303,20 @@ _COLUMNS = (
 _SUMMARY = ("n_evaluations", "n_skipped", "violations", "min_slack", "mean_slack", "tolerance")
 
 
+#: Characters that put a CSV cell in quotes (RFC 4180).
+_QUOTED = frozenset(',"\r\n')
+
+
 def _cell(value) -> str:
-    """A CSV cell; floats carry 17 significant digits, so they round-trip."""
+    """A CSV cell; floats carry 17 significant digits, so they round-trip. A
+    text holding a comma, quote or line break is quoted, its quotes doubled
+    (RFC 4180)."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return f"{value:.17g}" if isinstance(value, float) else str(value)
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    text = str(value)
+    return text if _QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
 
 def _texts(values: list, cell, fast) -> list[str]:

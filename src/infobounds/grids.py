@@ -32,6 +32,15 @@ def _finite_number(value, name: str, nonnegative: bool = False) -> None:
         raise InvalidParameterError(f"{name} must be a {kind} number, got {value!r}")
 
 
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array, or :class:`InvalidParameterError` naming
+    ``name`` when they are not real numbers."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{name} must be real numbers: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ParameterGrid:
     """Uniformly spaced nodes over a closed parameter interval.
@@ -92,11 +101,12 @@ def quadrature(values, grid: ParameterGrid):
     piecewise-linear data on the grid and deterministic for fixed inputs
     regardless of how callers partition surrounding sweeps: each row of a
     matrix integrates bit for bit like the same values passed alone. Raises
+    :class:`InvalidParameterError` when ``values`` are not real numbers,
     :class:`LengthMismatchError` on a wrong row length and
     :class:`NonFiniteError` when an estimate is not finite: a NaN or
     infinite value reaches it, or finite values overflow their sum.
     """
-    arr = np.asarray(values, dtype=float)
+    arr = _real_array(values, "quadrature values")
     if arr.ndim not in (1, 2) or arr.shape[-1] != grid.n_points:
         raise LengthMismatchError(
             f"expected {grid.n_points} values per row, got shape {arr.shape}"

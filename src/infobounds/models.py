@@ -72,9 +72,13 @@ class DiscreteOutcomes:
     outcomes: tuple
 
     def __post_init__(self):
-        if len(self.outcomes) == 0:
+        try:
+            n, distinct = len(self.outcomes), len(set(self.outcomes))
+        except TypeError:
+            raise InvalidParameterError(f"outcomes must be hashable labels, got {self.outcomes!r}") from None
+        if n == 0:
             raise InvalidParameterError("outcome list must be non-empty")
-        if len(set(self.outcomes)) != len(self.outcomes):
+        if distinct != n:
             raise InvalidParameterError("outcome list contains duplicates")
 
     def index(self, x) -> int:
@@ -447,6 +451,8 @@ def prior_weight(prior: Prior) -> WeightFunction:
 def gaussian_weight(grid: ParameterGrid, center: float, width: float) -> WeightFunction:
     """Unnormalized Gaussian bump; a smooth custom weight that decays at the
     grid boundaries when ``width`` is small against the grid span."""
+    _finite_number(center, "center")
+    _finite_number(width, "width")
     if width <= 0:
         raise InvalidParameterError("width must be positive")
     z = (grid.nodes - center) / width

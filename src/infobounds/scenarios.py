@@ -11,10 +11,10 @@ from typing import Callable
 import numpy as np
 
 from . import quantum
-from .bounds import bound_theorem1
+from .bounds import _point
 from .errors import InvalidParameterError, NonPositiveDiffusionError
-from .grids import _finite_number
-from .models import ConditionalModel, ContinuousOutcomes, DiscreteOutcomes, Prior
+from .grids import _finite_number, _real_array
+from .models import ConditionalModel, ContinuousOutcomes, DiscreteOutcomes, Prior, boxcar_weight
 
 #: Half-width of the outcome grid in units of the widest conditional sigma.
 LANGEVIN_GRID_SIGMAS = 8.0
@@ -159,8 +159,8 @@ def discrete_exponential_model(log_weights, coefficients) -> ConditionalModel:
     under p(. | theta). Equal coefficients give a theta-independent model
     with arbitrary fixed outcome probabilities.
     """
-    lw = np.asarray(log_weights, dtype=float)
-    c = np.asarray(coefficients, dtype=float)
+    lw = _real_array(log_weights, "log_weights")
+    c = _real_array(coefficients, "coefficients")
     if lw.shape != c.shape or lw.ndim != 1 or lw.size < 2:
         raise InvalidParameterError(
             "log_weights and coefficients must be equal-length 1-d, size >= 2"
@@ -242,11 +242,13 @@ def demon_work_check(
     ``chained_ok`` tests the weaker, measurement-free budget lhs <= bound,
     where the bound is the finite-support PMI bound at the record's
     (outcome, theta) — classical when ``sensitivity`` is None, quantum
-    otherwise. ``tolerance`` must be a finite nonnegative number. The
-    checker verifies consistency of supplied records; it does not simulate
-    feedback.
+    otherwise. ``record`` must be a :class:`DemonRecord` and ``tolerance``
+    a finite nonnegative number. The checker verifies consistency of
+    supplied records; it does not simulate feedback.
     """
     _finite_number(tolerance, "tolerance", nonnegative=True)
-    report = bound_theorem1(model, prior, record.outcome, record.theta, sensitivity)
-    lhs, pmi, bound = record.lhs, report.pmi, report.bound
+    if not isinstance(record, DemonRecord):
+        raise InvalidParameterError(f"record must be a DemonRecord, got {record!r}")
+    _, pmi, bound, *_ = _point(model, prior, boxcar_weight(prior.grid), record.outcome, record.theta, sensitivity)
+    lhs = record.lhs
     return DemonCheck(lhs, pmi, bound, lhs <= pmi + tolerance, lhs <= bound + tolerance)

@@ -736,6 +736,48 @@ def test_point_path_matches_the_sweep_bit_for_bit(case, langevin_uniform, langev
     assert next(reports, None) is None and next(skipped, None) is None
 
 
+def _random_point_case(scenario, langevin_uniform, langevin_gaussian):
+    """(model, sensitivity, finite-support prior, decaying prior, outcomes with
+    one outside the space) of a scenario."""
+    if scenario == "qubit":
+        model, sensitivity = ib.qubit_measurement_model()
+        return model, sensitivity, ib.uniform_prior(0.0, math.pi / 2), ib.gaussian_prior(0.8, 0.15), ["+", "-", "?"]
+    if scenario == "langevin":
+        return langevin_uniform[0], None, langevin_uniform[1], langevin_gaussian[1], [0.0, -0.7, 2.5, "a"]
+    model = ib.discrete_exponential_model(np.log([0.2, 0.3, 0.5]), [-1.0, 0.0, 1.0])
+    return model, None, ib.uniform_prior(-1.0, 1.0), ib.gaussian_prior(0.0, 0.3), [0, 1, 2, 7]
+
+
+@pytest.mark.parametrize("weight_kind", ["boxcar", "prior", "gaussian"])
+@pytest.mark.parametrize("scenario", ["qubit", "langevin", "discrete"])
+def test_random_points_agree_with_the_sweep(scenario, weight_kind, langevin_uniform, langevin_gaussian):
+    # Seeded random (x, theta) points, some of them off the grid or outside the
+    # outcome space: each bound_general report is the sweep's report for that
+    # point (repr tells every float bit), each error's type the sweep's reason.
+    model, sensitivity, finite, decaying, outcomes = _random_point_case(scenario, langevin_uniform, langevin_gaussian)
+    prior = decaying if weight_kind == "prior" else finite
+    grid = prior.grid
+    kind, weight = {
+        "boxcar": ("theorem1", ib.boxcar_weight(grid)),
+        "prior": ("theorem2", ib.prior_weight(prior)),
+        "gaussian": ("general", ib.gaussian_weight(grid, grid.theta_min + grid.span / 2, grid.span / 10)),
+    }[weight_kind]
+    rng = np.random.default_rng([len(scenario), len(weight_kind)])
+    thetas = [float(t) for t in rng.uniform(grid.theta_min - 0.1 * grid.span, grid.theta_max + 0.1 * grid.span, 12)]
+    thetas += [grid.theta_min, grid.theta_max, float(grid.nodes[int(rng.integers(grid.n_points))])]
+    points = [(outcomes[int(rng.integers(len(outcomes)))], theta) for theta in thetas for _ in range(2)]
+    reports, skipped = ib.bound_sweep(model, prior, kind, outcomes, thetas, weight, sensitivity)
+    swept = {(repr(r.x), r.theta): repr(r) for r in reports}
+    swept.update({(repr(s.x), s.theta): s.reason for s in skipped})
+    assert len(swept) == len(outcomes) * len(thetas) and reports and skipped
+    for x, theta in points:
+        try:
+            point = repr(ib.bound_general(model, prior, weight, x, theta, sensitivity))
+        except ib.InfoBoundError as exc:
+            point = type(exc).__name__
+        assert point == swept[repr(x), theta]
+
+
 def test_sweep_rejects_theta_samples_that_are_not_one_dimensional(qubit):
     model, sens, prior = qubit
     for thetas in ([[0.1, 0.2]], [[0.1], [0.2]], 0.3):

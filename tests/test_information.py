@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -239,6 +240,39 @@ _BAD_ARGUMENTS = {
 def test_bad_argument_raises_a_typed_error_naming_it(case):
     call, message = _BAD_ARGUMENTS[case]
     with pytest.raises(ib.InvalidParameterError, match="^" + message):
+        call()
+
+
+def _discrete_pair(call):
+    return lambda: call(ib.discrete_exponential_model([0.0, 0.0], [1.0, -1.0]), ib.uniform_prior(-1.0, 1.0, 201))
+
+
+#: Library calls with an argument of the wrong kind: the typed error each
+#: raises and how its message starts, with the argument it names.
+_WRONG_KINDS = {
+    "quadrature-values": (lambda: ib.quadrature("a", ib.ParameterGrid(0.0, 1.0, 11)),
+                          ib.InvalidParameterError, "quadrature values must be real numbers"),
+    "discrete_exponential_model-coefficients": (lambda: ib.discrete_exponential_model([0, 0], [1, "a"]),
+                                                ib.InvalidParameterError, "coefficients must be real numbers"),
+    "gaussian_weight-center": (lambda: ib.gaussian_weight(ib.ParameterGrid(0.0, 1.0, 11), "a", 1),
+                               ib.InvalidParameterError, "center must be a finite number"),
+    "gaussian_weight-width": (lambda: ib.gaussian_weight(ib.ParameterGrid(0.0, 1.0, 11), 0.5, "a"),
+                              ib.InvalidParameterError, "width must be a finite number"),
+    "DiscreteOutcomes-outcomes": (lambda: ib.DiscreteOutcomes(([1], [2])),
+                                  ib.InvalidParameterError, "outcomes must be hashable labels"),
+    "lambda_general-sensitivity": (lambda: ib.lambda_general("a", 1, 1, 1),
+                                   ib.InvalidParameterError, "sensitivity must be real numbers"),
+    "mi_chain_values-weight": (_discrete_pair(lambda model, prior: ib.mi_chain_values(model, prior, "w")),
+                               ib.InvalidWeightError, "weight must be a WeightFunction, got 'w'"),
+    "demon_work_check-record": (_discrete_pair(lambda model, prior: ib.demon_work_check("r", model, prior)),
+                                ib.InvalidParameterError, "record must be a DemonRecord, got 'r'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_WRONG_KINDS))
+def test_argument_of_the_wrong_kind_raises_a_typed_error_naming_it(case):
+    call, error, message = _WRONG_KINDS[case]
+    with pytest.raises(error, match="^" + re.escape(message)):
         call()
 
 

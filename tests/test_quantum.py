@@ -216,6 +216,35 @@ def test_cqfi_averages_to_qfi_all_families():
             assert abs(total - q) <= 1e-8
 
 
+def _ghz_family(n: int) -> ib.StateFamily:
+    """(|0...0> + e^{i n theta} |1...1>)/sqrt(2) on n qubits, as stacks."""
+    d = 2**n
+
+    def stack(thetas, corner, off):
+        out = np.zeros((len(thetas), d, d), dtype=complex)
+        out[:, [0, -1], [0, -1]] = corner
+        phase = np.exp(1j * n * thetas)
+        out[:, -1, 0], out[:, 0, -1] = off * phase, np.conj(off * phase)
+        return out
+
+    return ib.StateFamily.from_stacks(lambda t: stack(t, 0.5, 0.5), lambda t: stack(t, 0.0, 0.5j * n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ghz_phase_family_reaches_heisenberg_scaling(n):
+    # The parity POVM (I +- X^{(x)n})/2 reads p = (1 +- cos(n theta))/2, whose
+    # classical Fisher information is n^2 away from the zeros of sin(n theta),
+    # as is the QFI of the pure GHZ family: Heisenberg scaling.
+    family, flip = _ghz_family(n), np.eye(2**n)[::-1]
+    povm = ib.Povm(((np.eye(2**n) + flip) / 2, (np.eye(2**n) - flip) / 2))
+    model, sensitivity = ib.quantum_conditional_model(family, povm, outcomes=("even", "odd"))
+    for theta in (0.3, 0.5, 1.1):
+        assert abs(math.sin(n * theta)) > 0.1
+        averaged = sum(math.exp(model.log_pdf(x, theta)) * sensitivity(x, theta) for x in ("even", "odd"))
+        for value in (ib.qfi(family, theta), ib.fisher_information(model, theta), averaged):
+            assert abs(value - n * n) <= 1e-9
+
+
 def test_state_family_validation():
     bad_trace = ib.StateFamily(lambda t: np.diag([0.7, 0.7]).astype(complex))
     with pytest.raises(ib.InfoBoundError):

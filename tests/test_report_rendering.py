@@ -2,16 +2,21 @@
 
 The oracle below is the earlier code: each row becomes a dict by column,
 JSON is ``json.dumps(doc, indent=2)`` of those dicts and CSV joins each
-column's ``_cell``. The renderers in ``cli`` lay the text out column by
+column's ``_cell``, which quotes a text holding a comma, quote or line break
+by RFC 4180. The renderers in ``cli`` lay the text out column by
 column instead, formatting each value of a repeating column once, and must
 write the same bytes for every row set, including the awkward ones below.
 """
 
+import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import infobounds as ib
 import infobounds.cli as cli
@@ -30,7 +35,10 @@ def _row_dict(row) -> dict:
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    return f"{value:.17g}" if isinstance(value, float) else str(value)
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    text = str(value)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
 def oracle_json(rows, summary) -> str:
@@ -64,6 +72,7 @@ LABELS = {
     "np.int64": list(np.arange(3, dtype=np.int64)),
     "non-ascii": ["θ₀", "é"],
     "quote and backslash": ['a"b', "c\\d"],
+    "comma and line breaks": ["a,b", "c\nd", "e\r\nf"],
 }
 
 
@@ -153,3 +162,64 @@ def test_a_sweep_renders_as_before():
     reports, skipped = ib.bound_sweep(model, prior, "theorem1", xs, thetas)
     assert not skipped
     _assert_same(reports, ib.summarize_sweep(reports))
+
+
+# ---------------------------------------------------------------------------
+# round trip through the readers of each format
+# ---------------------------------------------------------------------------
+
+_SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308])
+_FLOATS = st.floats() | _SPECIAL_FLOATS
+_TEXTS = st.text(st.sampled_from(',"\n\r ;\'\\#éθ₀—aZ') | st.characters(codec="utf-8"))
+_LABELS = st.one_of(
+    st.integers(), _TEXTS, _FLOATS,
+    st.integers(-(2**63), 2**63 - 1).map(np.int64), _FLOATS.map(np.float64),
+)
+_REPORTS = st.builds(ib.BoundReport, _LABELS, *[_FLOATS] * 7)
+_SKIPPED = st.builds(ib.SkippedPoint, _LABELS, _FLOATS, _TEXTS)
+_SUMMARIES = st.builds(ib.SweepSummary, st.integers(0, 10**6), _FLOATS, _FLOATS, st.integers(0, 10**6), _FLOATS,
+                       st.integers(0, 10**6))
+
+
+def _python(value):
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _same(read, value) -> bool:
+    """``read`` is ``value`` as a Python value: same type, and the same repr,
+    which tells every bit of a float but a NaN's sign and payload."""
+    value = _python(value)
+    return type(read) is type(value) and repr(read) == repr(value)
+
+
+def _same_cell(cell: str, value) -> bool:
+    """A CSV cell holds ``value``: a float's every bit, any other value's text."""
+    value = _python(value)
+    return _same(float(cell), value) if isinstance(value, float) else cell == str(value)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_REPORTS | _SKIPPED, max_size=6), _SUMMARIES)
+def test_reports_read_back_value_for_value(rows, summary):
+    # csv.reader and json.loads give back each row's cells in its columns:
+    # labels with commas, quotes and line breaks are quoted in the CSV.
+    doc = json.loads(cli.render_verify_json(rows, summary))
+    records = list(csv.reader(io.StringIO(cli.render_verify_csv(rows, summary), newline="")))
+    assert records[0] == list(COLUMNS) and len(records) == 1 + len(rows) + len(SUMMARY)
+    assert len(doc["rows"]) == len(rows)
+    for row, cells, read in zip(rows, records[1:], doc["rows"]):
+        skipped = isinstance(row, ib.SkippedPoint)
+        names = ("x", "theta") if skipped else COLUMNS[:-1]
+        status = f"skipped:{row.reason}" if skipped else "ok"
+        assert len(cells) == len(COLUMNS) and list(read) == [*names, "status"]
+        assert cells[-1] == read["status"] == status
+        for i, name in enumerate(names):
+            assert _same_cell(cells[i], getattr(row, name)) and _same(read[name], getattr(row, name))
+        if skipped:
+            assert cells[2:-1] == [""] * (len(COLUMNS) - 3)
+    for name, line in zip(SUMMARY, records[1 + len(rows):]):
+        assert line[0].startswith(f"# {name}=") and len(line) == 1
+        value = getattr(summary, name)
+        assert _same(doc["summary"][name], value)
+        assert _same_cell(line[0][len(f"# {name}="):], value)
+

@@ -37,7 +37,6 @@ _EXPORTS = {
         "mi_chain_values",
         "sqrt_lambda_nodes",
         "summarize_sweep",
-        "verify_bound_sweep",
     ),
     "errors": (
         "ConfigError",
@@ -86,12 +85,10 @@ _EXPORTS = {
         "MeasuredStateFamily",
         "Povm",
         "StateFamily",
-        "born_probability",
         "cqfi",
         "qfi",
         "quantum_conditional_model",
         "sld",
-        "sld_residual",
         "validate_povm",
     ),
     "scenarios": (

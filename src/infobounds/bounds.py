@@ -22,6 +22,7 @@ sensitivity replaces it pointwise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -35,9 +36,10 @@ from .errors import (
     NegativeLambdaError,
     NonFiniteError,
 )
-from .grids import _finite_number, _real_array, quadrature
+from .grids import _finite_number, _of_kind, _real_array, quadrature
 from .information import (
     _Block,
+    _checked_model,
     _fisher_rows,
     _likelihood_error,
     _marginal_rows,
@@ -94,8 +96,8 @@ def lambda_general(sensitivity, score, f, f_dot):
     that are not real numbers raise :class:`InvalidParameterError` naming
     the first of them.
     """
-    names = ("sensitivity", "score", "f", "f_dot")
-    sensitivity, score, f, f_dot = map(_real_array, (sensitivity, score, f, f_dot), names)
+    heads = (f"{name} must be real numbers" for name in ("sensitivity", "score", "f", "f_dot"))
+    sensitivity, score, f, f_dot = map(_real_array, (sensitivity, score, f, f_dot), heads)
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and overflow fail the check below
         t0 = sensitivity * f * f
         t1 = f_dot * f_dot
@@ -209,9 +211,8 @@ def _check_weight(prior: Prior, weight: WeightFunction) -> None:
     """Check that ``weight`` is admissible for ``prior``. Callers run it
     through the memo, so a pair that passes skips the grid scan while it is
     kept; an invalid pair raises on every call."""
-    if not isinstance(weight, WeightFunction):
-        raise InvalidWeightError(f"weight must be a WeightFunction, got {weight!r}")
-    if weight.grid != prior.grid:
+    _of_kind(prior, Prior, "prior")
+    if _of_kind(weight, WeightFunction, "weight", InvalidWeightError).grid != prior.grid:
         raise InvalidWeightError("weight and prior must share one grid")
     if weight.kind == PRIOR_MATCHED and not (
         np.array_equal(weight.values, prior.density) and np.array_equal(weight.derivative, prior.derivative)
@@ -361,7 +362,8 @@ def bound_theorem1(
 
     Requires a finite-support prior and ``theta`` inside its interval.
     """
-    return bound_general(model, prior, boxcar_weight(prior.grid), x, theta, sensitivity)
+    weight = boxcar_weight(_of_kind(prior, Prior, "prior").grid)
+    return bound_general(model, prior, weight, x, theta, sensitivity)
 
 
 def bound_theorem2(
@@ -494,14 +496,14 @@ _BOUND_KINDS = ("theorem1", "theorem2", "general")
 
 def _weight_for_kind(prior: Prior, bound_kind: str, weight: WeightFunction | None) -> WeightFunction:
     if bound_kind == "theorem1":
-        return boxcar_weight(prior.grid)
+        return boxcar_weight(_of_kind(prior, Prior, "prior").grid)
     if bound_kind == "theorem2":
         return prior_weight(prior)
     if bound_kind == "general":
         if weight is None:
-            raise InfoBoundError("bound_kind 'general' requires an explicit weight")
+            raise InvalidWeightError("bound_kind 'general' requires an explicit weight")
         return weight
-    raise InfoBoundError(f"unknown bound kind {bound_kind!r}; expected one of {_BOUND_KINDS}")
+    raise InvalidWeightError(f"unknown bound kind {bound_kind!r}; expected one of {_BOUND_KINDS}")
 
 
 def bound_sweep(
@@ -526,7 +528,8 @@ def bound_sweep(
     if th.ndim != 1:
         raise InvalidParameterError(f"theta samples must be a 1-D sequence of numbers, got shape {th.shape}")
     reports, skipped, thetas = [], [], th.tolist()
-    for x, row in zip(outcomes, _evaluate(model, prior, wt, outcomes, th, sensitivity)):
+    rows = _evaluate(_checked_model(model, sensitivity), prior, wt, outcomes, th, sensitivity)
+    for x, row in zip(outcomes, rows):
         for theta, point in zip(thetas, row):
             if isinstance(point, BoundReport):
                 reports.append(point)
@@ -540,8 +543,8 @@ def summarize_sweep(
     tolerance: float = DEFAULT_SLACK_TOL,
     n_skipped: int = 0,
 ) -> SweepSummary:
-    if not tolerance > 0:
-        raise InfoBoundError("tolerance must be positive")
+    if not (isinstance(tolerance, numbers.Real) and tolerance > 0):
+        raise InvalidParameterError("tolerance must be positive")
     if not reports:
         raise InfoBoundError("sweep produced no successful evaluations")
     slacks = np.array([r.slack for r in reports])
@@ -554,19 +557,3 @@ def summarize_sweep(
         n_skipped=int(n_skipped),
     )
 
-
-def verify_bound_sweep(
-    model: ConditionalModel,
-    prior: Prior,
-    bound_kind: str,
-    x_samples: Sequence,
-    theta_samples: Sequence[float],
-    tolerance: float = DEFAULT_SLACK_TOL,
-    weight: WeightFunction | None = None,
-    sensitivity: Callable | None = None,
-) -> SweepSummary:
-    """Run a sweep and reduce it to violation counts at the tolerance."""
-    reports, skipped = bound_sweep(
-        model, prior, bound_kind, x_samples, theta_samples, weight, sensitivity
-    )
-    return summarize_sweep(reports, tolerance, n_skipped=len(skipped))

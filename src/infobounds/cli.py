@@ -216,11 +216,6 @@ def _read_config(cfg) -> tuple[dict, list[str]]:
     return r.settings, r.errors
 
 
-def validate_config(cfg: dict) -> list[str]:
-    """Schema and cross-field checks; returns error messages with field paths."""
-    return _read_config(cfg)[1]
-
-
 # ---------------------------------------------------------------------------
 # Run context construction
 # ---------------------------------------------------------------------------

@@ -21,10 +21,11 @@ UNIFORM_SPACING_RTOL = 1e-12
 
 
 def _finite_number(value, name: str, nonnegative: bool = False) -> None:
-    """Raise :class:`InvalidParameterError` naming ``name`` unless ``value`` is
-    a finite real number, not a bool, and if ``nonnegative`` not below 0."""
+    """Raise :class:`InvalidParameterError` naming ``name`` unless ``value`` is a
+    finite real number (no bool or NumPy complex), not below 0 if ``nonnegative``."""
     try:
-        ok = not isinstance(value, bool) and math.isfinite(value) and not (nonnegative and value < 0)
+        ok = (not isinstance(value, (bool, np.complexfloating)) and math.isfinite(value)
+              and not (nonnegative and value < 0))
     except TypeError:
         ok = False
     if not ok:
@@ -32,13 +33,25 @@ def _finite_number(value, name: str, nonnegative: bool = False) -> None:
         raise InvalidParameterError(f"{name} must be a {kind} number, got {value!r}")
 
 
-def _real_array(values, name: str) -> np.ndarray:
-    """``values`` as a float array, or :class:`InvalidParameterError` naming
-    ``name`` when they are not real numbers."""
+def _real_array(values, head: str, copy: bool = False) -> np.ndarray:
+    """``values`` as a float array, a fresh one if ``copy``, or
+    :class:`InvalidParameterError` starting with ``head`` when they are not
+    real numbers: complex ones, or any that NumPy cannot convert, whose
+    error then quotes the input as given."""
     try:
-        return np.asarray(values, dtype=float)
+        arr = np.asarray(values)
+        if arr.dtype.kind == "c":
+            raise TypeError(f"got complex values of dtype {arr.dtype}")
+        return np.array(values, dtype=float) if copy or arr.dtype.kind not in "biuf" else np.asarray(arr, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"{name} must be real numbers: {exc}") from None
+        raise InvalidParameterError(f"{head}: {exc}") from None
+
+
+def _of_kind(value, kind: type, name: str, error: type = InvalidParameterError):
+    """``value``, or ``error`` naming ``name`` unless it is a ``kind``."""
+    if not isinstance(value, kind):
+        raise error(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -106,7 +119,7 @@ def quadrature(values, grid: ParameterGrid):
     :class:`NonFiniteError` when an estimate is not finite: a NaN or
     infinite value reaches it, or finite values overflow their sum.
     """
-    arr = _real_array(values, "quadrature values")
+    arr = _real_array(values, "quadrature values must be real numbers")
     if arr.ndim not in (1, 2) or arr.shape[-1] != grid.n_points:
         raise LengthMismatchError(
             f"expected {grid.n_points} values per row, got shape {arr.shape}"

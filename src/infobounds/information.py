@@ -26,7 +26,7 @@ from .errors import (
     ZeroLikelihoodError,
     ZeroWeightError,
 )
-from .grids import UNIFORM_SPACING_RTOL, ParameterGrid, quadrature
+from .grids import UNIFORM_SPACING_RTOL, ParameterGrid, _of_kind, _real_array, quadrature
 from .models import (
     BOXCAR,
     PRIOR_MATCHED,
@@ -131,11 +131,18 @@ def _grid_block(model: ConditionalModel, grid: ParameterGrid, sensitivity) -> _B
     return block
 
 
+def _checked_model(model, sensitivity=None) -> ConditionalModel:
+    """``model``, or InvalidParameterError naming it or ``sensitivity`` when one is of the wrong kind."""
+    if sensitivity is not None and not callable(sensitivity):
+        raise InvalidParameterError(f"sensitivity must be callable, got {sensitivity!r}")
+    return _of_kind(model, ConditionalModel, "model")
+
+
 def _kept_table(model: ConditionalModel, grid: ParameterGrid, sensitivity=None) -> _Block | None:
     """The table of a discrete ``model`` against the nodes of ``grid``, with
     the score, if it fits in one block (else None), kept by model, grid and
     sensitivity so that every evaluator of the model on the grid reads it."""
-    space = model.outcome_space
+    space = _checked_model(model, sensitivity).outcome_space
     if isinstance(space, DiscreteOutcomes) and len(space.outcomes) * grid.n_points <= _BLOCK_CELLS:
         return _kept(_grid_block, model, grid, sensitivity)
 
@@ -192,7 +199,7 @@ def _fisher_rows(block: _Block, *_) -> np.ndarray:
 
 
 def _marginal_row(model: ConditionalModel, prior: Prior, x) -> float:
-    return float(_marginal_rows(_outcome_row(model, prior.grid, x), prior)[1][0])
+    return float(_marginal_rows(_outcome_row(model, _of_kind(prior, Prior, "prior").grid, x), prior)[1][0])
 
 
 def marginal(model: ConditionalModel, prior: Prior, x) -> float:
@@ -223,10 +230,7 @@ def _theta_array(thetas, finite=False, point=False) -> np.ndarray:
     """``thetas`` as a float array, all finite if ``finite`` and of shape (1,)
     if ``point`` (as a one-point entry checks them, before any model call),
     or :class:`InvalidParameterError`."""
-    try:
-        th = np.array(thetas, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"theta is not a number: {exc}") from None
+    th = _real_array(thetas, "theta is not a number", copy=True)
     if finite and not np.logical_and.reduce(np.isfinite(th), axis=None):
         raise InvalidParameterError(f"theta must be a finite number, got {thetas!r}")
     if point and th.size != 1:
@@ -256,7 +260,7 @@ def sfi(model: ConditionalModel, x, theta: float) -> float:
     information.
     """
     th = _theta_array(theta, finite=True, point=True)
-    s = float(model.table((x,), th, score=True)[1][0, 0])
+    s = float(_checked_model(model).table((x,), th, score=True)[1][0, 0])
     if not np.isfinite(s):
         raise NonFiniteError(f"score at ({x!r}, {theta}) is not finite")
     return s * s
@@ -312,7 +316,7 @@ def fisher_information(model: ConditionalModel, theta):
     th = _theta_array(theta, finite=True)
     if th.size == 0:
         raise InvalidParameterError(f"theta must hold at least one number, got {theta!r}")
-    (fi,) = _outcome_sums(_joint_table(model, th.ravel(), score=True), None, _fisher_rows)
+    (fi,) = _outcome_sums(_joint_table(_checked_model(model), th.ravel(), score=True), None, _fisher_rows)
     return float(fi[0]) if th.ndim == 0 else fi.reshape(th.shape)
 
 
@@ -323,5 +327,5 @@ def mutual_information(model: ConditionalModel, prior: Prior) -> float:
     :class:`UnnormalizedOutcomeSpaceError` if the outcome space does not
     hold the conditional mass at some prior node.
     """
-    (mi,) = _outcome_sums(_prior_table(model, prior.grid), prior, _mi_rows)
+    (mi,) = _outcome_sums(_prior_table(model, _of_kind(prior, Prior, "prior").grid), prior, _mi_rows)
     return float(mi)

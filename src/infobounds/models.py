@@ -19,7 +19,7 @@ from .errors import (
     NonFiniteError,
     OutsideSupportError,
 )
-from .grids import ParameterGrid, _finite_number, quadrature
+from .grids import ParameterGrid, _finite_number, _of_kind, quadrature
 
 #: Allowed deviation of the grid quadrature of a prior density from 1.
 NORMALIZATION_TOL = 1e-6
@@ -148,10 +148,6 @@ class ConditionalModel:
         self._score = score
         self.outcome_space = outcome_space
 
-    @property
-    def score_kind(self) -> str:
-        return "analytic" if self._score is not None else "finite_difference"
-
     def log_pdf(self, x, theta):
         return self._log_pdf(x, theta)
 
@@ -230,10 +226,7 @@ def _freeze_on_grid(obj, owner: str, names: tuple) -> None:
 
 @dataclass(frozen=True)
 class FiniteSupport:
-    """The parameter is confined to [lower, upper] with certainty."""
-
-    lower: float
-    upper: float
+    """Marker: the parameter is confined to the prior grid's interval with certainty."""
 
 
 @dataclass(frozen=True)
@@ -275,20 +268,13 @@ class Prior:
         mass = quadrature(self.density, self.grid)
         if abs(mass - 1.0) > NORMALIZATION_TOL:
             raise InvalidParameterError(f"prior density integrates to {mass!r}, not 1")
-        if isinstance(self.support, FiniteSupport):
-            slop = 1e-12 * max(1.0, abs(self.grid.theta_min), abs(self.grid.theta_max))
-            if (
-                abs(self.support.lower - self.grid.theta_min) > slop
-                or abs(self.support.upper - self.grid.theta_max) > slop
-            ):
-                raise InvalidParameterError("finite support must coincide with the grid interval")
 
 
 def uniform_prior(theta_min: float, theta_max: float, n_points: int = 2001) -> Prior:
     """Uniform density on [theta_min, theta_max]; the finite-support prior."""
     grid = ParameterGrid(theta_min, theta_max, n_points)
     dens = np.full(n_points, 1.0 / grid.span)
-    return Prior(grid, dens, np.zeros(n_points), FiniteSupport(theta_min, theta_max))
+    return Prior(grid, dens, np.zeros(n_points), FiniteSupport())
 
 
 def gaussian_prior(
@@ -425,11 +411,12 @@ class WeightFunction:
 
 
 def _boxcar(grid: ParameterGrid) -> WeightFunction:
-    return WeightFunction(grid, np.ones(grid.n_points), np.zeros(grid.n_points), BOXCAR)
+    n = _of_kind(grid, ParameterGrid, "grid").n_points
+    return WeightFunction(grid, np.ones(n), np.zeros(n), BOXCAR)
 
 
 def _matched(prior: Prior) -> WeightFunction:
-    return WeightFunction(prior.grid, prior.density, prior.derivative, PRIOR_MATCHED)
+    return WeightFunction(_of_kind(prior, Prior, "prior").grid, prior.density, prior.derivative, PRIOR_MATCHED)
 
 
 def boxcar_weight(grid: ParameterGrid) -> WeightFunction:
@@ -455,7 +442,7 @@ def gaussian_weight(grid: ParameterGrid, center: float, width: float) -> WeightF
     _finite_number(width, "width")
     if width <= 0:
         raise InvalidParameterError("width must be positive")
-    z = (grid.nodes - center) / width
+    z = (_of_kind(grid, ParameterGrid, "grid").nodes - center) / width
     vals = np.exp(-0.5 * z * z)
     deriv = -z / width * vals
     return WeightFunction(grid, vals, deriv, CUSTOM)

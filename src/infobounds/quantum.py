@@ -21,6 +21,7 @@ from .errors import (
     NonFiniteError,
     ZeroOutcomeProbabilityError,
 )
+from .grids import _of_kind
 from .information import _theta_array
 from .models import ConditionalModel, DiscreteOutcomes
 
@@ -169,17 +170,6 @@ def validate_povm(povm: Povm) -> list[str]:
     return failures
 
 
-def born_probability(state, element) -> float:
-    """Outcome probability Tr(element @ state), clamped into [0, 1]."""
-    rho, e = _stack(state, "state")[0], _stack(element, "element")[0]
-    if rho.shape != e.shape:
-        raise DimensionMismatchError(f"state dim {rho.shape[0]} != element dim {e.shape[0]}")
-    p = float(np.real(np.trace(e @ rho)))
-    if p < -STATE_ATOL or p > 1.0 + STATE_ATOL:
-        raise InfoBoundError(f"Born probability {p} outside [0, 1] beyond tolerance")
-    return min(max(p, 0.0), 1.0)
-
-
 # ---------------------------------------------------------------------------
 # State families and the SLD
 # ---------------------------------------------------------------------------
@@ -231,10 +221,6 @@ class StateFamily:
         family = cls.from_stacks(rho_stack, lambda thetas: pair(thetas)[1])
         family._pair = partial(_checked_pair, pair)
         return family
-
-    @property
-    def derivative_kind(self) -> str:
-        return "analytic" if self._drho_stack is not None else "finite_difference"
 
     def rho(self, theta: float) -> np.ndarray:
         thetas = _theta_array(theta, point=True)
@@ -352,18 +338,10 @@ def sld(rho, drho) -> np.ndarray:
     return _sld_from_eig(w, v, drho)
 
 
-def sld_residual(rho, drho, l_matrix) -> float:
-    """Max-norm of L rho + rho L - 2 drho restricted to the support of rho."""
-    w, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
-    keep = w > RANK_EPS
-    p = v[:, keep]
-    res = l_matrix @ rho + rho @ l_matrix - 2.0 * np.asarray(drho, dtype=complex)
-    return float(np.max(np.abs(p.conj().T @ res @ p)))
-
-
 def qfi(family: StateFamily, theta: float) -> float:
     """Ensemble quantum sensitivity Tr(rho L^2)."""
-    rho, drho = family.states(_theta_array(theta, finite=True, point=True))
+    th = _theta_array(theta, finite=True, point=True)
+    rho, drho = _of_kind(family, StateFamily, "family").states(th)
     w, v = _eigh_state(rho)
     l_matrix = _sld_from_eig(w, v, drho)[0]
     value = float(np.real(np.trace(rho[0] @ l_matrix @ l_matrix)))
@@ -470,8 +448,6 @@ class MeasuredStateFamily(ConditionalModel):
     scalar callables are one-outcome tables. The adapter keeps nothing
     between queries: the evaluators keep the tables they reuse.
     """
-
-    score_kind = "analytic"
 
     def __init__(self, family: StateFamily, povm: Povm, outcomes: tuple | None = None):
         failures = validate_povm(povm)

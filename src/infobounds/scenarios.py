@@ -13,7 +13,7 @@ import numpy as np
 from . import quantum
 from .bounds import _point
 from .errors import InvalidParameterError, NonPositiveDiffusionError
-from .grids import _finite_number, _real_array
+from .grids import _finite_number, _of_kind, _real_array
 from .models import ConditionalModel, ContinuousOutcomes, DiscreteOutcomes, Prior, boxcar_weight
 
 #: Half-width of the outcome grid in units of the widest conditional sigma.
@@ -159,8 +159,8 @@ def discrete_exponential_model(log_weights, coefficients) -> ConditionalModel:
     under p(. | theta). Equal coefficients give a theta-independent model
     with arbitrary fixed outcome probabilities.
     """
-    lw = _real_array(log_weights, "log_weights")
-    c = _real_array(coefficients, "coefficients")
+    lw = _real_array(log_weights, "log_weights must be real numbers")
+    c = _real_array(coefficients, "coefficients must be real numbers")
     if lw.shape != c.shape or lw.ndim != 1 or lw.size < 2:
         raise InvalidParameterError(
             "log_weights and coefficients must be equal-length 1-d, size >= 2"
@@ -247,8 +247,8 @@ def demon_work_check(
     supplied records; it does not simulate feedback.
     """
     _finite_number(tolerance, "tolerance", nonnegative=True)
-    if not isinstance(record, DemonRecord):
-        raise InvalidParameterError(f"record must be a DemonRecord, got {record!r}")
-    _, pmi, bound, *_ = _point(model, prior, boxcar_weight(prior.grid), record.outcome, record.theta, sensitivity)
+    _of_kind(record, DemonRecord, "record")
+    weight = boxcar_weight(_of_kind(prior, Prior, "prior").grid)
+    _, pmi, bound, *_ = _point(model, prior, weight, record.outcome, record.theta, sensitivity)
     lhs = record.lhs
     return DemonCheck(lhs, pmi, bound, lhs <= pmi + tolerance, lhs <= bound + tolerance)

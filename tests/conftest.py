@@ -6,6 +6,8 @@ import pytest
 from scipy.linalg import expm
 
 import infobounds as ib
+from infobounds.errors import DimensionMismatchError, InfoBoundError
+from infobounds.quantum import RANK_EPS, STATE_ATOL, _stack
 
 
 @pytest.fixture(autouse=True)
@@ -80,3 +82,27 @@ def diagonal_family() -> ib.StateFamily:
 def basis_povm(dim: int) -> ib.Povm:
     eye = np.eye(dim, dtype=complex)
     return ib.Povm(tuple(np.outer(eye[i], eye[i].conj()) for i in range(dim)))
+
+
+# Reference oracles of the quantum tests: the Born rule for one state and
+# POVM element, and the residual of the SLD equation on the support.
+
+
+def born_probability(state, element) -> float:
+    """Outcome probability Tr(element @ state), clamped into [0, 1]."""
+    rho, e = _stack(state, "state")[0], _stack(element, "element")[0]
+    if rho.shape != e.shape:
+        raise DimensionMismatchError(f"state dim {rho.shape[0]} != element dim {e.shape[0]}")
+    p = float(np.real(np.trace(e @ rho)))
+    if p < -STATE_ATOL or p > 1.0 + STATE_ATOL:
+        raise InfoBoundError(f"Born probability {p} outside [0, 1] beyond tolerance")
+    return min(max(p, 0.0), 1.0)
+
+
+def sld_residual(rho, drho, l_matrix) -> float:
+    """Max-norm of L rho + rho L - 2 drho restricted to the support of rho."""
+    w, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    keep = w > RANK_EPS
+    p = v[:, keep]
+    res = l_matrix @ rho + rho @ l_matrix - 2.0 * np.asarray(drho, dtype=complex)
+    return float(np.max(np.abs(p.conj().T @ res @ p)))

@@ -11,7 +11,7 @@ import numpy as np
 
 import infobounds as ib
 from infobounds.bounds import sqrt_lambda_nodes
-from conftest import basis_povm, diagonal_family, three_level_family
+from conftest import basis_povm, born_probability, diagonal_family, sld_residual, three_level_family
 
 SLACK_TOL = 1e-6
 CHAIN_TOL = 1e-6
@@ -84,11 +84,10 @@ def qubit_mi_oracle(n_theta: int = 20001) -> float:
 def test_criterion_theorem1_langevin(langevin_uniform):
     model, prior = langevin_uniform
     start = time.perf_counter()
-    summary = ib.verify_bound_sweep(
-        model, prior, "theorem1",
-        np.linspace(-4, 4, 50), np.linspace(0.5, 1.5, 50),
-        tolerance=SLACK_TOL,
+    reports, skipped = ib.bound_sweep(
+        model, prior, "theorem1", np.linspace(-4, 4, 50), np.linspace(0.5, 1.5, 50),
     )
+    summary = ib.summarize_sweep(reports, SLACK_TOL, len(skipped))
     elapsed = time.perf_counter() - start
     ok = summary.violations == 0 and summary.n_evaluations == 2500 and elapsed < 10.0
     _verdict(
@@ -100,11 +99,10 @@ def test_criterion_theorem1_langevin(langevin_uniform):
 
 def test_criterion_theorem2_langevin_gaussian(langevin_gaussian):
     model, prior = langevin_gaussian
-    summary = ib.verify_bound_sweep(
-        model, prior, "theorem2",
-        np.linspace(-4, 4, 50), np.linspace(0.4, 1.6, 50),
-        tolerance=SLACK_TOL,
+    reports, skipped = ib.bound_sweep(
+        model, prior, "theorem2", np.linspace(-4, 4, 50), np.linspace(0.4, 1.6, 50),
     )
+    summary = ib.summarize_sweep(reports, SLACK_TOL, len(skipped))
     weight = ib.prior_weight(prior)
     worst = 0.0
     for x in np.linspace(-4, 4, 50):
@@ -125,10 +123,8 @@ def test_criterion_theorem2_langevin_gaussian(langevin_gaussian):
 def test_criterion_theorem3_qubit(qubit):
     model, sensitivity, prior = qubit
     thetas = np.linspace(0.0, math.pi / 2, 41)
-    summary = ib.verify_bound_sweep(
-        model, prior, "theorem1", ["+", "-"], thetas,
-        tolerance=SLACK_TOL, sensitivity=sensitivity,
-    )
+    reports, skipped = ib.bound_sweep(model, prior, "theorem1", ["+", "-"], thetas, sensitivity=sensitivity)
+    summary = ib.summarize_sweep(reports, SLACK_TOL, len(skipped))
     cqfi_dev = 0.0
     for x in ("+", "-"):
         sens = np.asarray(sensitivity(x, thetas))
@@ -216,10 +212,10 @@ def test_criterion_quantum_identities():
         for theta in thetas:
             rho, drho = family.rho(theta), family.drho(theta)
             l_matrix = ib.sld(rho, drho)
-            worst_res = max(worst_res, ib.sld_residual(rho, drho, l_matrix))
+            worst_res = max(worst_res, sld_residual(rho, drho, l_matrix))
             total = 0.0
             for i in range(len(povm)):
-                p = ib.born_probability(rho, povm.elements[i])
+                p = born_probability(rho, povm.elements[i])
                 if p > 1e-12:
                     total += p * ib.cqfi(family, povm, i, theta)
             worst_avg = max(worst_avg, abs(total - ib.qfi(family, theta)))

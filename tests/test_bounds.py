@@ -64,6 +64,8 @@ def test_lambda_clamps_tiny_cancellation():
     # exact root of the square: roundoff may dip barely below zero
     s, f = 0.75, 1.2
     assert ib.lambda_general(s * s, s, f, -s * f) >= 0.0
+    # a kernel of -1e-15 against terms of order 1 is roundoff: clamped to zero
+    assert ib.lambda_general(1 - 1e-15, 1, 1, -1) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +191,10 @@ def test_general_prior_matches_theorem2_bitwise(langevin_gaussian):
 def test_general_gaussian_weight_sweep(langevin_uniform):
     model, prior = langevin_uniform
     weight = ib.gaussian_weight(prior.grid, 1.0, 0.08)
-    summary = ib.verify_bound_sweep(
-        model,
-        prior,
-        "general",
-        np.linspace(-4, 4, 50),
-        np.linspace(0.5, 1.5, 50),
-        weight=weight,
+    reports, skipped = ib.bound_sweep(
+        model, prior, "general", np.linspace(-4, 4, 50), np.linspace(0.5, 1.5, 50), weight=weight,
     )
+    summary = ib.summarize_sweep(reports, n_skipped=len(skipped))
     assert summary.violations == 0
     assert summary.min_slack >= 0
     assert summary.n_evaluations == 2500
@@ -237,6 +235,48 @@ def _hat_problem():
     weight = ib.WeightFunction(grid, wide_hat, wderiv, "custom")
     model = ib.discrete_exponential_model(np.log([0.5, 0.5]), [0.3, -0.3])
     return model, prior, weight
+
+
+def _discrete_on_unit_grid():
+    model = ib.discrete_exponential_model([0.0, 0.0], [1.0, -1.0])
+    return model, ib.uniform_prior(0.0, 1.0, 11)
+
+
+def _bump(grid, zero_at=None):
+    """A custom Gaussian bump on ``grid`` that decays at its ends, set to 0 at node ``zero_at``."""
+    values = np.exp(-0.5 * ((grid.nodes - 0.5) / 0.1) ** 2)
+    if zero_at is not None:
+        values[zero_at] = 0.0
+    return ib.WeightFunction(grid, values, np.zeros(grid.n_points), "custom")
+
+
+#: Inadmissible weights and bound kinds: the call on the discrete model under
+#: a uniform prior on [0, 1], and the InvalidWeightError message it raises.
+_WEIGHT_GUARDS = {
+    "weight-on-another-grid": (
+        lambda m, p: ib.mi_chain_values(m, p, ib.boxcar_weight(ib.ParameterGrid(0.0, 2.0, 11))),
+        "weight and prior must share one grid",
+    ),
+    "weight-zero-where-the-prior-is-positive": (
+        lambda m, p: ib.bound_general(m, p, _bump(p.grid, zero_at=5), 0, 0.3),
+        "weight must be positive wherever the prior is",
+    ),
+    "unknown-bound-kind": (
+        lambda m, p: ib.bound_sweep(m, p, "theorem9", [0], [0.5]),
+        "unknown bound kind 'theorem9'; expected one of ('theorem1', 'theorem2', 'general')",
+    ),
+    "general-without-a-weight": (
+        lambda m, p: ib.bound_sweep(m, p, "general", [0], [0.5]),
+        "bound_kind 'general' requires an explicit weight",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_WEIGHT_GUARDS))
+def test_inadmissible_weight_raises_invalid_weight_error(case):
+    call, message = _WEIGHT_GUARDS[case]
+    with pytest.raises(ib.InvalidWeightError, match="^" + re.escape(message) + "$"):
+        call(*_discrete_on_unit_grid())
 
 
 def test_general_zero_weight_at_theta():
@@ -646,9 +686,8 @@ def test_a_nan_on_a_zero_probability_cell_is_masked():
 
 def test_sweep_theta_independent_no_violations(flat3):
     prior = ib.uniform_prior(0.0, 1.0, 501)
-    summary = ib.verify_bound_sweep(
-        flat3, prior, "theorem1", [0, 1, 2], np.linspace(0.0, 1.0, 11)
-    )
+    reports, skipped = ib.bound_sweep(flat3, prior, "theorem1", [0, 1, 2], np.linspace(0.0, 1.0, 11))
+    summary = ib.summarize_sweep(reports, n_skipped=len(skipped))
     assert summary.violations == 0
     assert summary.n_evaluations == 33
     assert summary.min_slack == pytest.approx(math.log(2.0), abs=1e-8)
@@ -831,11 +870,10 @@ def test_summarize_sweep_validation():
     with pytest.raises(ib.InfoBoundError):
         ib.summarize_sweep([], 1e-6)
     report = ib.BoundReport(0, 0.5, 0.1, 0.2, 0.1, 0.0, 1.0, 0.0)
-    with pytest.raises(ib.InfoBoundError):
-        ib.summarize_sweep([report], 0.0)
     violating = ib.BoundReport(0, 0.5, 0.1, 0.0, -0.1, 0.0, 1.0, 0.0)
-    with pytest.raises(ib.InfoBoundError):
-        ib.summarize_sweep([violating], math.nan)
+    for reports, tolerance in (([report], 0.0), ([violating], math.nan), ([], "a"), ([report], 1j)):
+        with pytest.raises(ib.InvalidParameterError, match="^tolerance must be positive$"):
+            ib.summarize_sweep(reports, tolerance)
     s = ib.summarize_sweep([report], 1e-6, n_skipped=2)
     assert s.n_evaluations == 1 and s.n_skipped == 2 and s.violations == 0
 

@@ -50,6 +50,10 @@ def _custom_cfg(out_path, coefficients, fmt="csv"):
     }
 
 
+def _custom3(out_path):
+    return _custom_cfg(out_path, [-1.0, 0.0, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -89,6 +93,23 @@ def test_gaussian_prior_cut_that_breaks_normalisation_exits_two(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("config error: gaussian prior cut lower=0.5 discards 0.00620967 ")
     assert "NORMALIZATION_TOL=1e-06" in err
+
+
+def test_verify_gamma_prior_theorem2_exits_zero(tmp_path):
+    out = tmp_path / "report.csv"
+    prior = {"kind": "gamma", "shape": 3.0, "scale": 0.5, "grid_points": 2001}
+    cfg = _write(tmp_path, _langevin_cfg(str(out), bound="theorem2", prior=prior))
+    assert cli.main(["verify", "--config", cfg]) == 0
+    text = out.read_text()
+    assert "# violations=0" in text and "# n_evaluations=100" in text
+
+
+def test_verify_general_with_a_boxcar_weight_is_theorem1(tmp_path):
+    general, theorem1 = tmp_path / "general.csv", tmp_path / "theorem1.csv"
+    cfg = {**_langevin_cfg(str(general), bound="general"), "weight": {"kind": "boxcar"}}
+    assert cli.main(["verify", "--config", _write(tmp_path, cfg)]) == 0
+    assert cli.main(["verify", "--config", _write(tmp_path, _langevin_cfg(str(theorem1)))]) == 0
+    assert general.read_bytes() == theorem1.read_bytes()
 
 
 def test_verify_rejects_mi_average(tmp_path, capsys):
@@ -132,6 +153,11 @@ _MALFORMED = {
     "prior-grid-points-boolean": (_langevin_cfg, {"prior": {"grid_points": True}}, "prior.grid_points"),
     "sweep-tolerance-nan": (_langevin_cfg, {"sweep": {"tolerance": math.nan}}, "sweep.tolerance"),
     "prior-theta-max-infinity": (_langevin_cfg, {"prior": {"theta_max": math.inf}}, "prior.theta_max"),
+    "log-weights-not-a-list": (_custom3, {"scenario_params": {"log_weights": 0.5}}, "scenario_params.log_weights"),
+    "coefficients-of-another-length": (
+        _custom3, {"scenario_params": {"coefficients": [0.0, 1.0]}}, "scenario_params.coefficients"
+    ),
+    "sweep-theta-outside-the-prior-grid": (_langevin_cfg, {"sweep": {"theta_min": 0.1}}, "sweep.theta_min/theta_max"),
 }
 
 
@@ -164,6 +190,12 @@ def test_override_into_a_section_that_is_not_an_object_exits_two(tmp_path, capsy
     cfg["sweep"] = 3
     assert cli.main(["verify", "--config", _write(tmp_path, cfg), "--tolerance", "1e-3"]) == 2
     assert capsys.readouterr().err == "config error: sweep: must be an object\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "mi-chain"])
+def test_config_that_is_not_an_object_exits_two(tmp_path, capsys, command):
+    assert cli.main([command, "--config", _write(tmp_path, [1, 2])]) == 2
+    assert capsys.readouterr().err == "config error: config: expected a JSON object\n"
 
 
 def test_verify_missing_config_file(tmp_path, capsys):
@@ -368,29 +400,29 @@ def test_scenario_list(capsys):
 def test_validate_config_theorem3_needs_qubit():
     cfg = _custom_cfg("r.csv", [0.0, 0.0, 0.0])
     cfg["bound"] = "theorem3"
-    errors = cli.validate_config(cfg)
+    errors = cli._read_config(cfg)[1]
     assert any("theorem3 requires scenario 'qubit_phase'" in e for e in errors)
 
 
 def test_validate_config_discrete_rejects_x_fields():
     cfg = _qubit_cfg("r.csv")
     cfg["sweep"]["x_min"] = -1.0
-    errors = cli.validate_config(cfg)
+    errors = cli._read_config(cfg)[1]
     assert any("sweep.x_min" in e for e in errors)
 
 
 def test_validate_config_general_needs_weight():
     cfg = _langevin_cfg("r.csv", bound="general")
-    errors = cli.validate_config(cfg)
+    errors = cli._read_config(cfg)[1]
     assert any("weight" in e for e in errors)
     cfg["weight"] = {"kind": "gaussian", "center": 1.0, "width": 0.08}
-    assert cli.validate_config(cfg) == []
+    assert cli._read_config(cfg)[1] == []
 
 
 @pytest.mark.parametrize("kind", ["beta", ["uniform"]], ids=["beta", "list"])
 def test_validate_config_unknown_prior_kind_is_one_error(kind):
     cfg = _langevin_cfg("r.csv", prior={"kind": kind})
-    errors = [e for e in cli.validate_config(cfg) if e.startswith("prior.kind:")]
+    errors = [e for e in cli._read_config(cfg)[1] if e.startswith("prior.kind:")]
     assert len(errors) == 1 and "expected one of" in errors[0], errors
 
 

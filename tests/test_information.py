@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,38 @@ def _discrete_pair(call):
     return lambda: call(ib.discrete_exponential_model([0.0, 0.0], [1.0, -1.0]), ib.uniform_prior(-1.0, 1.0, 201))
 
 
+#: A feedback record at outcome 0 and theta = 0.5.
+_RECORD = ib.DemonRecord(1.0, 0.0, 0.0, 0, 0.5)
+
+#: Calls on a discrete model and its prior with a prior, a model or a
+#: sensitivity of the wrong kind, and the message each raises.
+_WRONG_PAIR_ARGUMENTS = {
+    "prior": ("prior must be a Prior, got 'p'", {
+        "mi_chain_values": lambda model, prior: ib.mi_chain_values(model, "p", ib.boxcar_weight(prior.grid)),
+        "mutual_information": lambda model, prior: ib.mutual_information(model, "p"),
+        "pmi": lambda model, prior: ib.pmi(model, "p", 0, 0.5),
+        "surprisal": lambda model, prior: ib.surprisal("p", 0.5),
+        "bound_theorem1": lambda model, prior: ib.bound_theorem1(model, "p", 0, 0.5),
+        "bound_sweep": lambda model, prior: ib.bound_sweep(model, "p", "theorem1", [0], [0.5]),
+        "demon_work_check": lambda model, prior: ib.demon_work_check(_RECORD, model, "p"),
+    }),
+    "model": ("model must be a ConditionalModel, got 'm'", {
+        "mutual_information": lambda model, prior: ib.mutual_information("m", prior),
+        "bound_general": lambda model, prior: ib.bound_general("m", prior, ib.boxcar_weight(prior.grid), "+", 0.1),
+        "bound_sweep": lambda model, prior: ib.bound_sweep("m", prior, "theorem1", [0], [0.5]),
+        "mi_chain_values": lambda model, prior: ib.mi_chain_values("m", prior, ib.boxcar_weight(prior.grid)),
+        "fisher_information": lambda model, prior: ib.fisher_information("m", 0.5),
+        "sfi": lambda model, prior: ib.sfi("m", 0, 0.5),
+    }),
+    "sensitivity": ("sensitivity must be callable, got 's'", {
+        "bound_general": lambda model, prior: ib.bound_general(model, prior, ib.boxcar_weight(prior.grid), 0, 0.1, "s"),
+        "demon_work_check": lambda model, prior: ib.demon_work_check(_RECORD, model, prior, "s"),
+        "bound_sweep": lambda model, prior: ib.bound_sweep(model, prior, "theorem1", [0], [0.5], sensitivity="s"),
+        "average_pointwise_bound": lambda model, prior: ib.average_pointwise_bound(
+            model, prior, ib.boxcar_weight(prior.grid), "s"),
+    }),
+}
+
 #: Library calls with an argument of the wrong kind: the typed error each
 #: raises and how its message starts, with the argument it names.
 _WRONG_KINDS = {
@@ -266,6 +299,13 @@ _WRONG_KINDS = {
                                ib.InvalidWeightError, "weight must be a WeightFunction, got 'w'"),
     "demon_work_check-record": (_discrete_pair(lambda model, prior: ib.demon_work_check("r", model, prior)),
                                 ib.InvalidParameterError, "record must be a DemonRecord, got 'r'"),
+    **{f"{name}-{kind}": (_discrete_pair(call), ib.InvalidParameterError, message)
+       for kind, (message, calls) in _WRONG_PAIR_ARGUMENTS.items() for name, call in calls.items()},
+    "boxcar_weight-grid": (lambda: ib.boxcar_weight("g"), ib.InvalidParameterError, "grid must be a ParameterGrid, got 'g'"),
+    "gaussian_weight-grid": (lambda: ib.gaussian_weight("g", 0.5, 0.1),
+                             ib.InvalidParameterError, "grid must be a ParameterGrid, got 'g'"),
+    "qfi-family": (lambda: ib.qfi("f", 0.3), ib.InvalidParameterError, "family must be a StateFamily, got 'f'"),
+    "summarize_sweep-tolerance": (lambda: ib.summarize_sweep([], "a"), ib.InvalidParameterError, "tolerance must be positive"),
 }
 
 
@@ -274,6 +314,44 @@ def test_argument_of_the_wrong_kind_raises_a_typed_error_naming_it(case):
     call, error, message = _WRONG_KINDS[case]
     with pytest.raises(error, match="^" + re.escape(message)):
         call()
+
+
+def _grid3():
+    return ib.ParameterGrid(0.0, 1.0, 3)
+
+
+#: Complex values, as a NumPy array, a NumPy scalar or a sequence of NumPy
+#: scalars: each call and how its error message starts.
+_COMPLEX = {
+    "quadrature-array": (lambda: ib.quadrature(np.array([1j] * 3), _grid3()), "quadrature values must be real numbers"),
+    "quadrature-sequence": (lambda: ib.quadrature([np.complex64(1)] * 3, _grid3()), "quadrature values must be real numbers"),
+    "lambda_general-score": (lambda: ib.lambda_general(1.0, np.complex128(0.5), 1.0, 0.0), "score must be real numbers"),
+    "pmi-scalar": (_langevin(lambda m, p, x: ib.pmi(m, p, 0.0, np.complex128(1.0 + 1j))), "theta is not a number"),
+    "bound_general-scalar": (_langevin(lambda m, p, x: ib.bound_general(
+        m, p, ib.boxcar_weight(p.grid), 0.0, np.complex128(1.0 + 1j))), "theta is not a number"),
+    "bound_sweep-sequence": (_langevin(lambda m, p, x: ib.bound_sweep(
+        m, p, "theorem1", [0.0], [np.complex128(1.0)])), "theta is not a number"),
+    "fisher_information-array": (_langevin(lambda m, p, x: ib.fisher_information(m, np.array([0.3 + 1j]))),
+                                 "theta is not a number"),
+    "DemonRecord-theta": (lambda: ib.DemonRecord(1.0, 0.0, 0.0, 0, np.complex128(0.5)), "theta must be a finite number"),
+    "chain_holds-tolerance": (lambda: ib.chain_holds(0.1, 0.2, 0.3, np.complex64(1e-6)), "tolerance must be a finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(_COMPLEX))
+def test_a_complex_value_raises_instead_of_losing_its_imaginary_part(case):
+    call, message = _COMPLEX[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning on the way
+        with pytest.raises(ib.InvalidParameterError, match="^" + message):
+            call()
+
+
+def test_sfi_of_a_non_finite_score_raises():
+    model = ib.ConditionalModel(lambda x, t: np.zeros(np.shape(t)), ib.DiscreteOutcomes((0,)),
+                                score=lambda x, t: np.full(np.shape(t), np.inf))
+    with pytest.raises(ib.NonFiniteError, match=r"^score at \(0, 0\.5\) is not finite$"):
+        ib.sfi(model, 0, 0.5)
 
 
 @pytest.mark.parametrize("space", [ib.DiscreteOutcomes((0, 1)), ib.ContinuousOutcomes(0.0, 1.0, 5)],

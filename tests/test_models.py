@@ -39,7 +39,6 @@ def test_uniform_prior_normalized_and_finite_support():
     prior = ib.uniform_prior(0.5, 1.5, 501)
     assert ib.quadrature(prior.density, prior.grid) == pytest.approx(1.0, abs=1e-12)
     assert isinstance(prior.support, ib.FiniteSupport)
-    assert prior.support.lower == 0.5 and prior.support.upper == 1.5
     assert np.all(prior.derivative == 0.0)
 
 
@@ -141,13 +140,19 @@ def test_prior_validation_errors():
     grid = ib.ParameterGrid(0.0, 1.0, 101)
     ones = np.ones(101)
     with pytest.raises(ValueError):
-        ib.Prior(grid, -ones, np.zeros(101), ib.FiniteSupport(0.0, 1.0))
+        ib.Prior(grid, -ones, np.zeros(101), ib.FiniteSupport())
     with pytest.raises(ValueError):
-        ib.Prior(grid, 2.0 * ones, np.zeros(101), ib.FiniteSupport(0.0, 1.0))
-    with pytest.raises(ValueError):
-        ib.Prior(grid, ones, np.zeros(101), ib.FiniteSupport(0.0, 2.0))
+        ib.Prior(grid, 2.0 * ones, np.zeros(101), ib.FiniteSupport())
     with pytest.raises(ib.LengthMismatchError):
-        ib.Prior(grid, np.ones(100), np.zeros(100), ib.FiniteSupport(0.0, 1.0))
+        ib.Prior(grid, np.ones(100), np.zeros(100), ib.FiniteSupport())
+    with pytest.raises(ib.NonFiniteError, match="^prior density contains NaN or infinity$"):
+        ib.Prior(grid, np.where(np.arange(101) == 50, np.nan, 1.0), np.zeros(101), ib.FiniteSupport())
+
+
+@pytest.mark.parametrize("tail_mass", [0.0, 0.5, -1e-3])
+def test_gaussian_prior_rejects_a_tail_mass_outside_the_open_half_interval(tail_mass):
+    with pytest.raises(ib.InvalidParameterError, match=r"^tail_mass must lie in \(0, 0\.5\)$"):
+        ib.gaussian_prior(0.0, 1.0, tail_mass=tail_mass)
 
 
 def test_prior_interpolation():
@@ -193,7 +198,6 @@ def test_analytic_score_matches_finite_differences(case, langevin_uniform, softm
         model, _, _ = qubit
         xs = np.where(rng.random(100) < 0.5, "+", "-")
         thetas = rng.uniform(0.05, math.pi / 2 - 0.05, size=100)
-    assert model.score_kind == "analytic"
     for x, theta in zip(xs, thetas):
         x = x.item() if isinstance(x, np.generic) and not isinstance(x, np.str_) else x
         s = float(model.score(x, float(theta)))
@@ -209,8 +213,14 @@ def test_finite_difference_score_fallback():
         lambda x, t: 0.5 * np.log(np.asarray(t) / (2 * np.pi)) - np.asarray(t) * x * x / 2.0,
         ib.ContinuousOutcomes(-11.4, 11.4, 101),
     )
-    assert model.score_kind == "finite_difference"
     assert model.score(0.7, 1.2) == pytest.approx(1 / 2.4 - 0.49 / 2, abs=1e-9)
+    # an array theta, as every evaluator reads the model: through table
+    xs, thetas = [0.7, -1.5], np.array([0.8, 1.2, 2.0])
+    scores = model.table(xs, thetas, score=True)[1]
+    expected = 1 / (2 * thetas) - np.square(xs)[:, None] / 2
+    np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-9)
+    fisher = ib.fisher_information(model, thetas)
+    np.testing.assert_allclose(fisher, 1 / (2 * thetas**2), rtol=1e-6)
 
 
 def test_discrete_score_mean_vanishes(softmax3, qubit):
@@ -264,6 +274,15 @@ def test_weight_rejects_negative_values():
     grid = ib.ParameterGrid(0.0, 1.0, 11)
     with pytest.raises(ValueError):
         ib.WeightFunction(grid, -np.ones(11), np.zeros(11), "custom")
+
+
+def test_weight_rejects_an_unknown_kind_and_a_nonpositive_width():
+    grid = ib.ParameterGrid(0.0, 1.0, 11)
+    with pytest.raises(ib.InvalidParameterError, match="^unknown weight kind 'bump'$"):
+        ib.WeightFunction(grid, np.ones(11), np.zeros(11), "bump")
+    for width in (0.0, -0.1):
+        with pytest.raises(ib.InvalidParameterError, match="^width must be positive$"):
+            ib.gaussian_weight(grid, 0.5, width)
 
 
 @pytest.mark.parametrize("values, derivative", [(2.0, 0.0), (1.0, 1e-3)], ids=["values", "derivative"])

@@ -1,5 +1,5 @@
-"""The package's public names: each one the package has always exported,
-each the object its submodule defines, read afresh on every access."""
+"""The package's public names: each the object its submodule defines, read
+afresh on every access."""
 
 import sys
 
@@ -7,8 +7,7 @@ import pytest
 
 import infobounds as ib
 
-#: The public names of ``infobounds`` when its ``__init__`` imported every
-#: submodule eagerly.
+#: The public names of ``infobounds``.
 PUBLIC_NAMES = [
     "BoundReport", "ConditionalModel", "ConfigError", "ContinuousOutcomes",
     "DegenerateMarginalError", "DemonCheck", "DemonRecord", "DimensionMismatchError",
@@ -18,15 +17,15 @@ PUBLIC_NAMES = [
     "ParameterGrid", "Povm", "Prior", "SkippedPoint", "StateFamily", "SweepSummary",
     "ThetaOutsideSupportError", "TruncatedInfinite", "UnnormalizedOutcomeSpaceError",
     "WeightFunction", "ZeroLikelihoodError", "ZeroOutcomeProbabilityError", "ZeroWeightError",
-    "average_pointwise_bound", "born_probability", "bound_general", "bound_sweep", "bound_theorem1",
+    "average_pointwise_bound", "bound_general", "bound_sweep", "bound_theorem1",
     "bound_theorem2", "boxcar_weight", "chain_holds", "cqfi", "demon_work_check",
     "discrete_exponential_model", "fisher_information", "gamma_prior", "gaussian_prior",
     "gaussian_weight", "lambda_general", "langevin_model", "marginal", "mi_bound_average",
     "mi_chain_values", "mutual_information", "pmi", "prior_weight", "qfi", "quadrature",
     "quantum_conditional_model", "qubit_measurement_model", "qubit_phase_family",
     "qubit_phase_scenario", "sfi", "sigma_x_povm", "sigma_y_povm", "sigma_z_povm", "sld",
-    "sld_residual", "sqrt_lambda_nodes", "summarize_sweep", "surprisal", "uniform_prior",
-    "validate_povm", "verify_bound_sweep",
+    "sqrt_lambda_nodes", "summarize_sweep", "surprisal", "uniform_prior",
+    "validate_povm",
 ]
 
 SUBMODULES = ("bounds", "errors", "grids", "information", "models", "quantum", "scenarios")

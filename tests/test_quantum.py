@@ -12,7 +12,7 @@ import pytest
 
 import infobounds as ib
 from infobounds.quantum import RANK_EPS
-from conftest import basis_povm, diagonal_family, three_level_family
+from conftest import basis_povm, born_probability, diagonal_family, sld_residual, three_level_family
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -77,24 +77,24 @@ def test_non_numeric_matrices_raise_a_typed_error_naming_the_matrix():
     with pytest.raises(ib.InvalidParameterError, match="drho is not a numeric array"):
         ib.sld(np.eye(2) / 2, letters)
     with pytest.raises(ib.InvalidParameterError, match="state is not a numeric array"):
-        ib.born_probability(letters, np.eye(2))
+        born_probability(letters, np.eye(2))
     with pytest.raises(ib.InvalidParameterError, match="element is not a numeric array"):
-        ib.born_probability(np.eye(2) / 2, [[1.0, "x"], [0.0, 1.0]])
+        born_probability(np.eye(2) / 2, [[1.0, "x"], [0.0, 1.0]])
 
 
 def test_born_probability_examples():
-    assert ib.born_probability(_proj(PLUS), _proj(PLUS)) == pytest.approx(1.0, abs=1e-12)
-    assert ib.born_probability(_proj(PLUS), _proj(ZERO)) == pytest.approx(0.5, abs=1e-12)
+    assert born_probability(_proj(PLUS), _proj(PLUS)) == pytest.approx(1.0, abs=1e-12)
+    assert born_probability(_proj(PLUS), _proj(ZERO)) == pytest.approx(0.5, abs=1e-12)
     fam = ib.qubit_phase_family()
     for theta in (0.0, 0.4, 1.2):
-        assert ib.born_probability(fam.rho(theta), _proj(PLUS)) == pytest.approx(
+        assert born_probability(fam.rho(theta), _proj(PLUS)) == pytest.approx(
             math.cos(theta / 2) ** 2, abs=1e-10
         )
 
 
 def test_born_probability_dimension_mismatch():
     with pytest.raises(ib.DimensionMismatchError):
-        ib.born_probability(np.eye(2) / 2, np.eye(3))
+        born_probability(np.eye(2) / 2, np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,7 @@ def test_sld_diagonal_closed_form():
     drho = np.diag([dp, -dp]).astype(complex)
     L = ib.sld(rho, drho)
     assert np.allclose(np.diag(L), [dp / p, -dp / (1 - p)], atol=1e-12)
-    assert ib.sld_residual(rho, drho, L) <= 1e-12
+    assert sld_residual(rho, drho, L) <= 1e-12
 
 
 def test_sld_zero_derivative():
@@ -124,7 +124,26 @@ def test_sld_pure_family_is_twice_drho():
         L = ib.sld(rho, drho)
         assert np.max(np.abs(L - 2.0 * drho)) <= 1e-8
         assert np.max(np.abs(L @ L - np.eye(2))) <= 1e-8
-        assert ib.sld_residual(rho, drho, L) <= 1e-8
+        assert sld_residual(rho, drho, L) <= 1e-8
+
+
+#: Malformed quantum inputs: the call, the error it raises and its message.
+_QUANTUM_GUARDS = {
+    "empty-povm": (lambda: ib.Povm(()), ib.InvalidParameterError, "a POVM needs at least one element"),
+    "negative-eigenvalue": (lambda: ib.sld(np.diag([1.2, -0.2]), np.zeros((2, 2))),
+                            ib.InfoBoundError, "state has negative eigenvalue -2.000e-01"),
+    "sld-dimensions-differ": (lambda: ib.sld(np.eye(2) / 2, np.zeros((3, 3))),
+                              ib.DimensionMismatchError, "rho and drho dimensions differ"),
+    "adapter-label-count": (lambda: ib.quantum_conditional_model(ib.qubit_phase_family(), ib.sigma_x_povm(), ("+",)),
+                            ib.DimensionMismatchError, "one outcome label per POVM element required"),
+}
+
+
+@pytest.mark.parametrize("case", list(_QUANTUM_GUARDS))
+def test_malformed_quantum_input_raises_a_typed_error(case):
+    call, error, message = _QUANTUM_GUARDS[case]
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        call()
 
 
 def test_sld_ill_conditioned_window():
@@ -180,7 +199,7 @@ def test_cqfi_pure_qubit_any_outcome():
     for povm in (ib.sigma_x_povm(), ib.sigma_y_povm(), ib.sigma_z_povm()):
         for theta in (0.2, 0.9, 1.4):
             for i in range(2):
-                p = ib.born_probability(fam.rho(theta), povm.elements[i])
+                p = born_probability(fam.rho(theta), povm.elements[i])
                 if p > 1e-9:
                     assert ib.cqfi(fam, povm, i, theta) == pytest.approx(1.0, abs=1e-8)
 
@@ -210,7 +229,7 @@ def test_cqfi_averages_to_qfi_all_families():
             total = 0.0
             q = ib.qfi(fam, theta)
             for i in range(len(povm)):
-                p = ib.born_probability(fam.rho(theta), povm.elements[i])
+                p = born_probability(fam.rho(theta), povm.elements[i])
                 if p > 1e-12:
                     total += p * ib.cqfi(fam, povm, i, theta)
             assert abs(total - q) <= 1e-8
@@ -250,7 +269,6 @@ def test_state_family_validation():
     with pytest.raises(ib.InfoBoundError):
         bad_trace.rho(0.1)
     fam = three_level_family()
-    assert fam.derivative_kind == "finite_difference"
     drho = fam.drho(0.5)
     assert abs(np.trace(drho)) <= 1e-10
     assert np.max(np.abs(drho - drho.conj().T)) == 0.0  # symmetrized exactly
@@ -345,10 +363,10 @@ def test_quantum_prior_matched_bound_sweep():
     # no positivity clip is needed and the prior decays at its truncation.
     prior = ib.gaussian_prior(math.pi / 4, math.pi / 20)
     model, sensitivity = ib.qubit_measurement_model()
-    summary = ib.verify_bound_sweep(
-        model, prior, "theorem2", ["+"], np.linspace(0.2, 1.4, 25),
-        sensitivity=sensitivity,
+    reports, skipped = ib.bound_sweep(
+        model, prior, "theorem2", ["+"], np.linspace(0.2, 1.4, 25), sensitivity=sensitivity,
     )
+    summary = ib.summarize_sweep(reports, n_skipped=len(skipped))
     assert summary.violations == 0 and summary.min_slack > 0
 
 
@@ -408,7 +426,7 @@ def test_adapter_table_matches_pointwise_born_and_cqfi():
         sens = sensitivity(i, thetas)
         for j, theta in enumerate(thetas):
             rho, drho = fam.rho(theta), fam.drho(theta)
-            born = ib.born_probability(rho, element)
+            born = born_probability(rho, element)
             L = ib.sld(rho, drho)
             assert abs(p[j] - born) <= 1e-12
             assert abs(score[j] - np.trace(element @ drho).real / born) <= 1e-12
@@ -880,7 +898,6 @@ def test_stack_callables_are_called_once_per_table():
 
 def test_finite_differences_call_the_rho_stack_once_with_all_shifted_values():
     counted, rho_sizes, drho_sizes = _counting_stacks(three_level_family(), analytic=False)
-    assert counted.derivative_kind == "finite_difference"
     rho, drho = counted.states(GRID)
     assert rho_sizes == [GRID.size, 2 * GRID.size] and drho_sizes == []
     reference = three_level_family().states(GRID)
@@ -918,7 +935,6 @@ def test_the_qubit_pair_gives_the_states_of_its_one_value_formulas_bit_for_bit()
     assert calls == [len(thetas)]  # rho alone comes from the rho stack
     for i, theta in enumerate(thetas):
         assert qubit.drho(theta).tobytes() == scalar.drho(theta).tobytes() == expected[1][64 * i : 64 * (i + 1)]
-    assert qubit.derivative_kind == "analytic"
 
 
 def test_povm_copies_the_callers_arrays():

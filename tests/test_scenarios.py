@@ -6,6 +6,7 @@ from scipy import special
 
 import infobounds as ib
 from infobounds.scenarios import _logsumexp
+from conftest import born_probability
 
 
 # ---------------------------------------------------------------------------
@@ -52,20 +53,16 @@ def test_langevin_scenario_wiring():
 
 def test_langevin_theorem1_sweep_invariant(langevin_uniform):
     model, prior = langevin_uniform
-    summary = ib.verify_bound_sweep(
-        model, prior, "theorem1",
-        np.linspace(-4, 4, 50), np.linspace(0.5, 1.5, 50),
-    )
+    reports, skipped = ib.bound_sweep(model, prior, "theorem1", np.linspace(-4, 4, 50), np.linspace(0.5, 1.5, 50))
+    summary = ib.summarize_sweep(reports, n_skipped=len(skipped))
     assert summary.violations == 0
     assert summary.min_slack > 0
 
 
 def test_langevin_theorem2_sweep_invariant(langevin_gaussian):
     model, prior = langevin_gaussian
-    summary = ib.verify_bound_sweep(
-        model, prior, "theorem2",
-        np.linspace(-4, 4, 50), np.linspace(0.4, 1.6, 50),
-    )
+    reports, skipped = ib.bound_sweep(model, prior, "theorem2", np.linspace(-4, 4, 50), np.linspace(0.4, 1.6, 50))
+    summary = ib.summarize_sweep(reports, n_skipped=len(skipped))
     assert summary.violations == 0
 
 
@@ -76,11 +73,11 @@ def test_langevin_theorem2_sweep_invariant(langevin_gaussian):
 
 def test_qubit_scenario_construction():
     family, povm = ib.qubit_phase_scenario()
-    assert ib.born_probability(family.rho(0.0), povm.elements[0]) == pytest.approx(1.0)
+    assert born_probability(family.rho(0.0), povm.elements[0]) == pytest.approx(1.0)
     for theta in (0.3, 1.0):
         assert ib.qfi(family, theta) == pytest.approx(1.0, abs=1e-8)
         for i in range(2):
-            p = ib.born_probability(family.rho(theta), povm.elements[i])
+            p = born_probability(family.rho(theta), povm.elements[i])
             if p > 1e-9:
                 assert ib.cqfi(family, povm, i, theta) == pytest.approx(1.0, abs=1e-8)
 
@@ -94,9 +91,8 @@ def test_qubit_scenario_rejects_wrong_dimension():
 def test_qubit_theorem3_sweep_invariant(qubit):
     model, sensitivity, prior = qubit
     thetas = np.linspace(0.0, math.pi / 2, 41)
-    summary = ib.verify_bound_sweep(
-        model, prior, "theorem1", ["+", "-"], thetas, sensitivity=sensitivity
-    )
+    reports, skipped = ib.bound_sweep(model, prior, "theorem1", ["+", "-"], thetas, sensitivity=sensitivity)
+    summary = ib.summarize_sweep(reports, n_skipped=len(skipped))
     assert summary.violations == 0
     # squared score of the "+" outcome is tan^2(theta/2), below the unit sensitivity
     scores = np.asarray(model.score("+", thetas))

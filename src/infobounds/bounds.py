@@ -153,7 +153,8 @@ def _sqrt_lambda(block: _Block, weight: WeightFunction) -> np.ndarray:
 def sqrt_lambda_nodes(model: ConditionalModel, weight: WeightFunction, x, sensitivity=None):
     """sqrt(Lambda) at every grid node for one outcome (see :func:`_sqrt_lambda`),
     0 where the outcome has zero probability."""
-    block = _outcome_row(model, weight.grid, x, score=True, sensitivity=sensitivity)
+    grid = _of_kind(weight, WeightFunction, "weight", InvalidWeightError).grid
+    block = _outcome_row(model, grid, x, score=True, sensitivity=sensitivity)
     return np.where(block.pdf[0] > 0.0, _sqrt_lambda(block, weight)[0], 0.0)
 
 

@@ -7,6 +7,7 @@ Exit codes: 0 clean, 1 bound or chain violations, 2 configuration errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -492,5 +493,22 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> int:
+    """The process entry: :func:`main` with the cyclic garbage collector off.
+
+    A process runs one command and exits, so the cyclic garbage it leaves is
+    bounded by that one run, and collecting would only walk the heap: in
+    passes while NumPy loads and once more at exit. The heap is frozen before
+    return, out of reach of the interpreter's final collection; exit handlers
+    and the flushing of the standard streams still run. :func:`main` leaves
+    the collector as it finds it, for callers in a process that goes on.
+    """
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -40,7 +40,10 @@ def _real_array(values, head: str, copy: bool = False) -> np.ndarray:
     error then quotes the input as given."""
     try:
         arr = np.asarray(values)
-        if arr.dtype.kind == "c":
+        # A complex element of an object array would lose its imaginary part, with a warning only
+        if arr.dtype.kind == "c" or (
+            arr.dtype.kind == "O" and any(isinstance(v, (complex, np.complexfloating)) for v in arr.flat)
+        ):
             raise TypeError(f"got complex values of dtype {arr.dtype}")
         return np.array(values, dtype=float) if copy or arr.dtype.kind not in "biuf" else np.asarray(arr, dtype=float)
     except (TypeError, ValueError) as exc:

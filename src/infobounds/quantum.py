@@ -161,7 +161,7 @@ class Povm:
 
 def validate_povm(povm: Povm) -> list[str]:
     """Positivity and completeness checks; returns failure messages, empty if ok."""
-    elements = np.array(povm.elements)
+    elements = np.array(_of_kind(povm, Povm, "povm").elements)
     failures = [f"element {i}: not positive semidefinite (min eigenvalue {low:.3e})"
                 for i, low in enumerate(np.linalg.eigvalsh(elements).min(axis=1)) if low < -STATE_ATOL]
     dev = np.abs(elements.sum(axis=0) - np.eye(povm.dim)).max()
@@ -423,8 +423,10 @@ def cqfi(family: StateFamily, povm: Povm, x_index: int, theta: float) -> float:
     an element of ``povm``.
     """
     th = _theta_array(theta, finite=True, point=True)
-    if isinstance(x_index, bool) or not isinstance(x_index, int) or not 0 <= x_index < len(povm):
-        raise InvalidParameterError(f"x_index must be an int in range({len(povm)}), got {x_index!r}")
+    _of_kind(family, StateFamily, "family")
+    n = len(_of_kind(povm, Povm, "povm"))  # before len: a string has a length too
+    if isinstance(x_index, bool) or not isinstance(x_index, int) or not 0 <= x_index < n:
+        raise InvalidParameterError(f"x_index must be an int in range({n}), got {x_index!r}")
     elements = povm.elements[x_index][None]
     probs, _, states = _born_table(family, elements, th, score=False, sld=True)
     if probs[0, 0] <= PROB_EPS:
@@ -450,6 +452,7 @@ class MeasuredStateFamily(ConditionalModel):
     """
 
     def __init__(self, family: StateFamily, povm: Povm, outcomes: tuple | None = None):
+        _of_kind(family, StateFamily, "family")
         failures = validate_povm(povm)
         if failures:
             raise InfoBoundError("invalid POVM: " + "; ".join(failures))

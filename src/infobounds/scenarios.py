@@ -125,7 +125,7 @@ def qubit_phase_scenario(povm: quantum.Povm | None = None) -> tuple[quantum.Stat
     """
     if povm is None:
         povm = sigma_x_povm()
-    if povm.dim != 2:
+    if _of_kind(povm, quantum.Povm, "povm").dim != 2:
         raise InvalidParameterError("qubit scenario needs a dimension-2 POVM")
     return qubit_phase_family(), povm
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -390,6 +391,21 @@ def test_scenario_list(capsys):
     out = capsys.readouterr().out
     for name in ("langevin", "qubit_phase", "custom_discrete"):
         assert name in out
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_leaves_the_collector_as_it_finds_it(tmp_path, capsys, enabled):
+    # Only the process entry, cli.run, turns the collector off and freezes the heap.
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    frozen = gc.get_freeze_count()
+    try:
+        assert cli.main(["scenario", "list"]) == 0
+        assert cli.main(["verify", "--config", _write(tmp_path, _custom3(None))]) == 0
+        assert cli.main(["mi-chain", "--config", _write(tmp_path, [1, 2])]) == 2
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,19 @@ _WRONG_KINDS = {
                              ib.InvalidParameterError, "grid must be a ParameterGrid, got 'g'"),
     "qfi-family": (lambda: ib.qfi("f", 0.3), ib.InvalidParameterError, "family must be a StateFamily, got 'f'"),
     "summarize_sweep-tolerance": (lambda: ib.summarize_sweep([], "a"), ib.InvalidParameterError, "tolerance must be positive"),
+    "cqfi-family": (lambda: ib.cqfi("f", ib.sigma_x_povm(), 0, 0.3),
+                    ib.InvalidParameterError, "family must be a StateFamily, got 'f'"),
+    "cqfi-povm": (lambda: ib.cqfi(ib.qubit_phase_family(), "pp", 0, 0.3),  # a string has a length
+                  ib.InvalidParameterError, "povm must be a Povm, got 'pp'"),
+    "quantum_conditional_model-family": (lambda: ib.quantum_conditional_model("f", ib.sigma_x_povm()),
+                                         ib.InvalidParameterError, "family must be a StateFamily, got 'f'"),
+    "quantum_conditional_model-povm": (lambda: ib.quantum_conditional_model(ib.qubit_phase_family(), "p"),
+                                       ib.InvalidParameterError, "povm must be a Povm, got 'p'"),
+    "validate_povm-povm": (lambda: ib.validate_povm("p"), ib.InvalidParameterError, "povm must be a Povm, got 'p'"),
+    "qubit_measurement_model-povm": (lambda: ib.qubit_measurement_model("p"),
+                                     ib.InvalidParameterError, "povm must be a Povm, got 'p'"),
+    "sqrt_lambda_nodes-weight": (lambda: ib.sqrt_lambda_nodes(ib.qubit_measurement_model()[0], "w", "+"),
+                                 ib.InvalidWeightError, "weight must be a WeightFunction, got 'w'"),
 }
 
 
@@ -320,10 +333,13 @@ def _grid3():
     return ib.ParameterGrid(0.0, 1.0, 3)
 
 
-#: Complex values, as a NumPy array, a NumPy scalar or a sequence of NumPy
-#: scalars: each call and how its error message starts.
+#: Complex values, as a NumPy array, a NumPy scalar, a sequence of NumPy
+#: scalars or an object array holding one: each call and how its error
+#: message starts.
 _COMPLEX = {
     "quadrature-array": (lambda: ib.quadrature(np.array([1j] * 3), _grid3()), "quadrature values must be real numbers"),
+    "quadrature-object-array": (lambda: ib.quadrature(np.array([np.complex128(1j), 1, 2], dtype=object), _grid3()),
+                                "quadrature values must be real numbers"),
     "quadrature-sequence": (lambda: ib.quadrature([np.complex64(1)] * 3, _grid3()), "quadrature values must be real numbers"),
     "lambda_general-score": (lambda: ib.lambda_general(1.0, np.complex128(0.5), 1.0, 0.0), "score must be real numbers"),
     "pmi-scalar": (_langevin(lambda m, p, x: ib.pmi(m, p, 0.0, np.complex128(1.0 + 1j))), "theta is not a number"),

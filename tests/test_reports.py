@@ -3,7 +3,8 @@
 Each config below runs through ``cli.main`` in process, and its stdout is
 compared with what was recorded for it: the exit code, the SHA-256 digest,
 the line count and the footer (the summary of a verify report, the whole
-JSON of a chain report).
+JSON of a chain report). A few also run as ``python -m infobounds.cli``
+processes, through the process entry ``cli.run``.
 
 Reports are deterministic, but their last digits come from NumPy's
 floating-point kernels, and CI installs an unpinned NumPy. So the digest is
@@ -151,16 +152,19 @@ def _agrees(recorded, value) -> bool:
     return type(value) is type(recorded) and value == recorded
 
 
+def _argv(name: str, tmp_path) -> list[str]:
+    """The CLI arguments of a recorded run, its config written to ``tmp_path``."""
+    if name == "scenario_list":
+        return ["scenario", "list"]
+    command, cfg = CONFIGS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"schema_version": 1, **cfg}))
+    return [command, "--config", str(path)]
+
+
 @pytest.mark.parametrize("name", list(RECORDED))
 def test_report_matches_the_record(name, tmp_path, capsys):
-    if name == "scenario_list":
-        argv = ["scenario", "list"]
-    else:
-        command, cfg = CONFIGS[name]
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"schema_version": 1, **cfg}))
-        argv = [command, "--config", str(path)]
-    code = cli.main(argv)
+    code = cli.main(_argv(name, tmp_path))
     text = capsys.readouterr().out
     recorded_code, digest, lines, footer = RECORDED[name]
     assert (code, len(text.splitlines())) == (recorded_code, lines)
@@ -181,17 +185,67 @@ QUBIT_THEOREM3_STDERR = "".join(f"{{cli}}:0: RuntimeWarning: {message}\n" for me
 ))
 
 
-def test_qubit_report_stderr_under_python_m_is_pinned(tmp_path):
-    path = tmp_path / "qubit_theorem3.json"
-    path.write_text(json.dumps({"schema_version": 1, **CONFIGS["qubit_theorem3"][1]}))
-    src = str(Path(cli.__file__).resolve().parents[1])
+#: The ``src`` directory this package was imported from.
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _python(args: list[str], cwd) -> subprocess.CompletedProcess:
+    """A fresh interpreter with ``args``, importing this package, with no
+    warning filters of the calling environment."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "infobounds.cli", "verify", "--config", str(path)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
-    )
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+
+
+def test_qubit_report_stderr_under_python_m_is_pinned(tmp_path):
+    proc = _python(["-m", "infobounds.cli", *_argv("qubit_theorem3", tmp_path)], tmp_path)
     assert proc.returncode == RECORDED["qubit_theorem3"][0]
-    assert proc.stderr == QUBIT_THEOREM3_STDERR.format(cli=os.path.join(src, "infobounds", "cli.py"))
+    assert proc.stderr == QUBIT_THEOREM3_STDERR.format(cli=os.path.join(_SRC, "infobounds", "cli.py"))
     if np.__version__ == RECORDED_NUMPY:
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == RECORDED["qubit_theorem3"][1]
+
+
+@pytest.mark.parametrize("name", ["scenario_list", "langevin_chain", "discrete_theorem1"])
+def test_report_under_python_m_matches_the_record(name, tmp_path):
+    proc = _python(["-m", "infobounds.cli", *_argv(name, tmp_path)], tmp_path)
+    recorded_code, digest, lines, _ = RECORDED[name]
+    assert (proc.returncode, len(proc.stdout.splitlines()), proc.stderr) == (recorded_code, lines, "")
+    if np.__version__ == RECORDED_NUMPY:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["verify", "mi-chain"])
+def test_config_that_is_not_an_object_under_python_m_exits_two_as_in_process(command, tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    argv = [command, "--config", str(path)]
+    assert cli.main(argv) == 2
+    proc = _python(["-m", "infobounds.cli", *argv], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", capsys.readouterr().err)
+
+
+#: Calls the process entry as a console script does, with ``cli.main``
+#: wrapped to report the collector's state during the run; the freeze count
+#: after it goes to stderr too.
+_ENTRY_PROBE = """\
+import gc, sys
+import infobounds.cli as cli
+main = cli.main
+def probe(argv=None):
+    print("enabled in main:", gc.isenabled(), file=sys.stderr)
+    return main(argv)
+cli.main = probe
+print("enabled at start:", gc.isenabled(), file=sys.stderr)
+code = cli.run()
+print("frozen after run:", gc.get_freeze_count(), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_process_entry_runs_with_the_collector_off_and_freezes_the_heap(tmp_path):
+    proc = _python(["-c", _ENTRY_PROBE, "scenario", "list"], tmp_path)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == RECORDED["scenario_list"][1]  # no NumPy in it
+    start, during, after = proc.stderr.splitlines()
+    assert (start, during) == ("enabled at start: True", "enabled in main: False")
+    assert after.startswith("frozen after run: ") and int(after.split(": ")[1]) > 0

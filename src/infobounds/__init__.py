@@ -70,9 +70,7 @@ _EXPORTS = {
         "ConditionalModel",
         "ContinuousOutcomes",
         "DiscreteOutcomes",
-        "FiniteSupport",
         "Prior",
-        "TruncatedInfinite",
         "WeightFunction",
         "boxcar_weight",
         "gamma_prior",

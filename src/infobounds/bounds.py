@@ -54,7 +54,6 @@ from .models import (
     BOXCAR,
     PRIOR_MATCHED,
     ConditionalModel,
-    FiniteSupport,
     Prior,
     WeightFunction,
     _kept,
@@ -223,7 +222,7 @@ def _check_weight(prior: Prior, weight: WeightFunction) -> None:
     if np.any(weight.values[covered] <= 0.0):
         raise InvalidWeightError("weight must be positive wherever the prior is")
     if weight.kind == BOXCAR:
-        if not isinstance(prior.support, FiniteSupport):
+        if prior.tail_mass_bound is not None:
             raise InvalidWeightError("boxcar weight requires a finite-support prior")
     elif max(weight.values[0], weight.values[-1]) > BOUNDARY_DECAY_RTOL * weight.values.max():
         # The derivation integrates d(p*f)/dtheta over the whole axis, so a
@@ -525,7 +524,11 @@ def bound_sweep(
     """
     wt = _weight_for_kind(prior, bound_kind, weight)
     _kept(_check_weight, prior, wt)
-    outcomes, th = list(x_samples), _theta_array(theta_samples)
+    try:
+        outcomes = list(x_samples)
+    except TypeError:
+        raise InvalidParameterError(f"x_samples must be a sequence of outcomes, got {x_samples!r}") from None
+    th = _theta_array(theta_samples)
     if th.ndim != 1:
         raise InvalidParameterError(f"theta samples must be a 1-D sequence of numbers, got shape {th.shape}")
     reports, skipped, thetas = [], [], th.tolist()
@@ -544,8 +547,11 @@ def summarize_sweep(
     tolerance: float = DEFAULT_SLACK_TOL,
     n_skipped: int = 0,
 ) -> SweepSummary:
-    if not (isinstance(tolerance, numbers.Real) and tolerance > 0):
+    _finite_number(tolerance, "tolerance")
+    if tolerance <= 0:
         raise InvalidParameterError("tolerance must be positive")
+    if isinstance(n_skipped, bool) or not isinstance(n_skipped, numbers.Integral) or n_skipped < 0:
+        raise InvalidParameterError(f"n_skipped must be a nonnegative integer, got {n_skipped!r}")
     if not reports:
         raise InfoBoundError("sweep produced no successful evaluations")
     slacks = np.array([r.slack for r in reports])

@@ -36,15 +36,15 @@ def _finite_number(value, name: str, nonnegative: bool = False) -> None:
 def _real_array(values, head: str, copy: bool = False) -> np.ndarray:
     """``values`` as a float array, a fresh one if ``copy``, or
     :class:`InvalidParameterError` starting with ``head`` when they are not
-    real numbers: complex ones, or any that NumPy cannot convert, whose
-    error then quotes the input as given."""
+    real numbers: bools, complex ones, or any that NumPy cannot convert,
+    whose error then quotes the input as given."""
     try:
         arr = np.asarray(values)
         # A complex element of an object array would lose its imaginary part, with a warning only
-        if arr.dtype.kind == "c" or (
+        if arr.dtype.kind in "bc" or (
             arr.dtype.kind == "O" and any(isinstance(v, (complex, np.complexfloating)) for v in arr.flat)
         ):
-            raise TypeError(f"got complex values of dtype {arr.dtype}")
+            raise TypeError(f"got bool or complex values of dtype {arr.dtype}")
         return np.array(values, dtype=float) if copy or arr.dtype.kind not in "biuf" else np.asarray(arr, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"{head}: {exc}") from None
@@ -79,8 +79,9 @@ class ParameterGrid:
 
     def __post_init__(self):
         for name in ("theta_min", "theta_max", "n_points"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise InvalidParameterError(f"{name} must be a number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidParameterError(f"{name} must be a number, got {value!r}")
         if not (np.isfinite(self.theta_min) and np.isfinite(self.theta_max)):
             raise NonFiniteError("grid endpoints must be finite")
         if not self.theta_min < self.theta_max:

@@ -7,7 +7,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -73,6 +73,7 @@ class DiscreteOutcomes:
 
     def __post_init__(self):
         try:
+            object.__setattr__(self, "outcomes", tuple(self.outcomes))
             n, distinct = len(self.outcomes), len(set(self.outcomes))
         except TypeError:
             raise InvalidParameterError(f"outcomes must be hashable labels, got {self.outcomes!r}") from None
@@ -112,9 +113,6 @@ class ContinuousOutcomes:
         return ParameterGrid(self.x_min, self.x_max, self.n_x)
 
 
-OutcomeSpace = Union[DiscreteOutcomes, ContinuousOutcomes]
-
-
 # ---------------------------------------------------------------------------
 # Conditional model
 # ---------------------------------------------------------------------------
@@ -141,7 +139,7 @@ class ConditionalModel:
     def __init__(
         self,
         log_pdf: Callable,
-        outcome_space: OutcomeSpace,
+        outcome_space: DiscreteOutcomes | ContinuousOutcomes,
         score: Callable | None = None,
     ):
         self._log_pdf = log_pdf
@@ -224,25 +222,6 @@ def _freeze_on_grid(obj, owner: str, names: tuple) -> None:
         raise InvalidParameterError(f"{owner} {names[0]} must be nonnegative")
 
 
-@dataclass(frozen=True)
-class FiniteSupport:
-    """Marker: the parameter is confined to the prior grid's interval with certainty."""
-
-
-@dataclass(frozen=True)
-class TruncatedInfinite:
-    """Infinite-support density truncated to the grid.
-
-    ``tail_mass_bound`` records the total probability mass discarded by the
-    truncation; it bounds the quadrature error of prior-weighted integrals.
-    """
-
-    tail_mass_bound: float
-
-
-SupportKind = Union[FiniteSupport, TruncatedInfinite]
-
-
 @dataclass(frozen=True, eq=False)
 class Prior:
     """Differentiable parameter density tabulated on a grid.
@@ -255,16 +234,21 @@ class Prior:
         ``NORMALIZATION_TOL`` under the grid quadrature.
     derivative : ndarray
         dp/dtheta at each node.
-    support : FiniteSupport or TruncatedInfinite
+    tail_mass_bound : float or None
+        None for finite support (the grid's interval); else the mass lost by
+        truncating an infinite-support density to the grid, which bounds the
+        quadrature error of prior-weighted integrals.
     """
 
     grid: ParameterGrid
     density: np.ndarray
     derivative: np.ndarray
-    support: SupportKind
+    tail_mass_bound: float | None = None
 
     def __post_init__(self):
         _freeze_on_grid(self, "prior", ("density", "derivative"))
+        if self.tail_mass_bound is not None:
+            _finite_number(self.tail_mass_bound, "tail_mass_bound", nonnegative=True)
         mass = quadrature(self.density, self.grid)
         if abs(mass - 1.0) > NORMALIZATION_TOL:
             raise InvalidParameterError(f"prior density integrates to {mass!r}, not 1")
@@ -274,7 +258,7 @@ def uniform_prior(theta_min: float, theta_max: float, n_points: int = 2001) -> P
     """Uniform density on [theta_min, theta_max]; the finite-support prior."""
     grid = ParameterGrid(theta_min, theta_max, n_points)
     dens = np.full(n_points, 1.0 / grid.span)
-    return Prior(grid, dens, np.zeros(n_points), FiniteSupport())
+    return Prior(grid, dens, np.zeros(n_points))
 
 
 def gaussian_prior(
@@ -301,6 +285,9 @@ def gaussian_prior(
     if not 0.0 < tail_mass < 0.5:
         raise InvalidParameterError("tail_mass must lie in (0, 0.5)")
     _finite_number(mean, "mean")
+    for name, bound in (("lower", lower), ("upper", upper)):
+        if bound is not None:
+            _finite_number(bound, name)
     from statistics import NormalDist  # it loads fractions, decimal and random; no other prior needs them
 
     lo = NormalDist(mean, sigma).inv_cdf(tail_mass)
@@ -328,7 +315,7 @@ def gaussian_prior(
             f"gaussian prior cut {' and '.join(cuts)} discards {discarded:.6g} of the mass, "
             f"more than NORMALIZATION_TOL={NORMALIZATION_TOL}; the cut density is not renormalised"
         )
-    return Prior(grid, dens, deriv, TruncatedInfinite(discarded))
+    return Prior(grid, dens, deriv, discarded)
 
 
 def gamma_prior(
@@ -372,7 +359,7 @@ def gamma_prior(
             cause = f"n_points={1 + math.ceil((n_points - 1) * math.sqrt(ratio))} brings its h^2 error within tolerance"
         raise InvalidParameterError(f"gamma prior density integrates to {mass!r} on {n_points} nodes, not 1 "
                                     f"within NORMALIZATION_TOL={NORMALIZATION_TOL}: {cause}; it is not renormalised")
-    return Prior(grid, dens, deriv, TruncatedInfinite(discarded))
+    return Prior(grid, dens, deriv, discarded)
 
 
 # ---------------------------------------------------------------------------

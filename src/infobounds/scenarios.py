@@ -12,7 +12,7 @@ import numpy as np
 
 from . import quantum
 from .bounds import _point
-from .errors import InvalidParameterError, NonPositiveDiffusionError
+from .errors import InvalidParameterError, NonPositiveDiffusionError, ThetaOutsideSupportError
 from .grids import _finite_number, _of_kind, _real_array
 from .models import ConditionalModel, ContinuousOutcomes, DiscreteOutcomes, Prior, boxcar_weight
 
@@ -54,12 +54,19 @@ def langevin_model(
     d = float(diffusion)
     x_max = LANGEVIN_GRID_SIGMAS * math.sqrt(d / theta_min)
 
-    def log_pdf(x, theta):
+    def stiffness(theta) -> np.ndarray:
         th = np.asarray(theta, dtype=float)
+        low = np.minimum.reduce(th, axis=None, initial=math.inf)  # before NumPy warns on log(theta) or 1/theta
+        if low <= 0.0:
+            raise ThetaOutsideSupportError(f"trap stiffness theta={low} is not positive")
+        return th
+
+    def log_pdf(x, theta):
+        th = stiffness(theta)
         return 0.5 * np.log(th / (2.0 * np.pi * d)) - th * np.square(x) / (2.0 * d)
 
     def score(x, theta):
-        th = np.asarray(theta, dtype=float)
+        th = stiffness(theta)
         out = 1.0 / (2.0 * th) - np.square(x) / (2.0 * d)
         if np.ndim(theta) == 0 and np.ndim(x) == 0:
             return float(out)

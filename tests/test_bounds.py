@@ -229,7 +229,7 @@ def _hat_problem():
     hat = np.clip(1.0 - np.abs(grid.nodes - 0.5) / 0.25, 0.0, None)
     dens = 4.0 * hat  # integrates to 1
     deriv = np.where(np.abs(grid.nodes - 0.5) < 0.25, -np.sign(grid.nodes - 0.5) * 16.0, 0.0)
-    prior = ib.Prior(grid, dens, deriv, ib.TruncatedInfinite(0.0))
+    prior = ib.Prior(grid, dens, deriv, 0.0)
     wide_hat = np.clip(1.0 - np.abs(grid.nodes - 0.5) / 0.375, 0.0, None)
     wderiv = np.where(np.abs(grid.nodes - 0.5) < 0.375, -np.sign(grid.nodes - 0.5) / 0.375, 0.0)
     weight = ib.WeightFunction(grid, wide_hat, wderiv, "custom")
@@ -871,9 +871,17 @@ def test_summarize_sweep_validation():
         ib.summarize_sweep([], 1e-6)
     report = ib.BoundReport(0, 0.5, 0.1, 0.2, 0.1, 0.0, 1.0, 0.0)
     violating = ib.BoundReport(0, 0.5, 0.1, 0.0, -0.1, 0.0, 1.0, 0.0)
-    for reports, tolerance in (([report], 0.0), ([violating], math.nan), ([], "a"), ([report], 1j)):
+    for reports, tolerance in (([report], 0.0), ([violating], -1e-6)):
         with pytest.raises(ib.InvalidParameterError, match="^tolerance must be positive$"):
             ib.summarize_sweep(reports, tolerance)
+    # an infinite tolerance would count no violation at all
+    for reports, tolerance in (([violating], math.nan), ([violating], math.inf), ([], "a"), ([report], 1j),
+                               ([report], True)):
+        with pytest.raises(ib.InvalidParameterError, match="^tolerance must be a finite number, got "):
+            ib.summarize_sweep(reports, tolerance)
+    for n_skipped in ("a", math.nan, 2.7, -1, True, None):
+        with pytest.raises(ib.InvalidParameterError, match="^n_skipped must be a nonnegative integer, got "):
+            ib.summarize_sweep([report], 1e-6, n_skipped)
     s = ib.summarize_sweep([report], 1e-6, n_skipped=2)
     assert s.n_evaluations == 1 and s.n_skipped == 2 and s.violations == 0
 
@@ -1034,7 +1042,7 @@ def test_weight_check_is_kept_per_prior_and_weight(langevin_uniform, monkeypatch
         with pytest.raises(ib.InvalidWeightError, match="does not vanish"):
             ib.bound_general(model, prior, same, 0.0, 1.0)
     # the kept check belongs to one prior: the same weight and grid under another prior
-    unbounded = dataclasses.replace(prior, support=ib.models.TruncatedInfinite(0.0))
+    unbounded = dataclasses.replace(prior, tail_mass_bound=0.0)
     boxcar = ib.boxcar_weight(prior.grid)
     ib.bound_general(model, prior, boxcar, 0.0, 1.0)
     for _ in range(2):

@@ -305,7 +305,8 @@ _WRONG_KINDS = {
     "gaussian_weight-grid": (lambda: ib.gaussian_weight("g", 0.5, 0.1),
                              ib.InvalidParameterError, "grid must be a ParameterGrid, got 'g'"),
     "qfi-family": (lambda: ib.qfi("f", 0.3), ib.InvalidParameterError, "family must be a StateFamily, got 'f'"),
-    "summarize_sweep-tolerance": (lambda: ib.summarize_sweep([], "a"), ib.InvalidParameterError, "tolerance must be positive"),
+    "summarize_sweep-tolerance": (lambda: ib.summarize_sweep([], "a"), ib.InvalidParameterError,
+                                  "tolerance must be a finite number, got 'a'"),
     "cqfi-family": (lambda: ib.cqfi("f", ib.sigma_x_povm(), 0, 0.3),
                     ib.InvalidParameterError, "family must be a StateFamily, got 'f'"),
     "cqfi-povm": (lambda: ib.cqfi(ib.qubit_phase_family(), "pp", 0, 0.3),  # a string has a length

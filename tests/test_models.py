@@ -15,6 +15,8 @@ import infobounds as ib
 
 def test_discrete_outcomes_validation():
     ib.DiscreteOutcomes(("a", "b"))
+    listed = ib.DiscreteOutcomes(["a", "b"])  # kept as a tuple, so the frozen space hashes
+    assert listed.outcomes == ("a", "b") and hash(listed) == hash(ib.DiscreteOutcomes(("a", "b")))
     with pytest.raises(ValueError):
         ib.DiscreteOutcomes(())
     with pytest.raises(ValueError):
@@ -38,14 +40,13 @@ def test_continuous_outcomes_validation():
 def test_uniform_prior_normalized_and_finite_support():
     prior = ib.uniform_prior(0.5, 1.5, 501)
     assert ib.quadrature(prior.density, prior.grid) == pytest.approx(1.0, abs=1e-12)
-    assert isinstance(prior.support, ib.FiniteSupport)
+    assert prior.tail_mass_bound is None
     assert np.all(prior.derivative == 0.0)
 
 
 def test_gaussian_prior_truncation_and_derivative():
     prior = ib.gaussian_prior(0.0, 1.0)
-    assert isinstance(prior.support, ib.TruncatedInfinite)
-    assert prior.support.tail_mass_bound <= 3e-12
+    assert 0.0 < prior.tail_mass_bound <= 3e-12
     assert ib.quadrature(prior.density, prior.grid) == pytest.approx(1.0, abs=1e-6)
     # dp/dtheta of the normal density: -(theta - mu)/sigma^2 * p
     i = prior.grid.n_points // 4
@@ -57,7 +58,7 @@ def test_gaussian_prior_lower_clip_records_extra_mass():
     prior = ib.gaussian_prior(1.0, 0.2, lower=1e-3)
     assert prior.grid.theta_min == 1e-3
     # clipped left tail carries ~2.9e-7 of mass, far above the 1e-12 target
-    assert 1e-8 < prior.support.tail_mass_bound < 1e-6
+    assert 1e-8 < prior.tail_mass_bound < 1e-6
     assert ib.quadrature(prior.density, prior.grid) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -91,7 +92,7 @@ def test_gaussian_prior_matches_scipy_norm(mean, sigma, lower):
     assert prior.grid.theta_max == pytest.approx(hi, rel=0, abs=1e-14)
     np.testing.assert_allclose(prior.density, dist.pdf(prior.grid.nodes), rtol=1e-12, atol=0)
     discarded = dist.cdf(prior.grid.theta_min) + dist.sf(prior.grid.theta_max)
-    assert prior.support.tail_mass_bound == pytest.approx(discarded, rel=1e-12, abs=0)
+    assert prior.tail_mass_bound == pytest.approx(discarded, rel=1e-12, abs=0)
 
 
 def test_gamma_prior_normalized_positive_support():
@@ -133,20 +134,37 @@ def test_gamma_prior_matches_scipy_gamma(shape, scale):
     assert prior.grid.theta_max == pytest.approx(dist.isf(tail), rel=0, abs=1e-14)
     np.testing.assert_allclose(prior.density, dist.pdf(prior.grid.nodes), rtol=1e-12, atol=0)
     discarded = dist.cdf(prior.grid.theta_min) + dist.sf(prior.grid.theta_max)
-    assert prior.support.tail_mass_bound == pytest.approx(discarded, rel=1e-12, abs=0)
+    assert prior.tail_mass_bound == pytest.approx(discarded, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("name", ["lower", "upper"])
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, "a", 1j, True])
+def test_gaussian_prior_rejects_a_bound_that_is_not_a_finite_number(name, bound):
+    # an infinite bound is refused too: None already means no cut
+    with pytest.raises(ib.InvalidParameterError, match=f"^{name} must be a finite number, got "):
+        ib.gaussian_prior(1.0, 0.2, **{name: bound})
+
+
+def test_prior_tail_mass_bound_is_none_or_a_finite_nonnegative_number():
+    grid = ib.ParameterGrid(0.0, 1.0, 101)
+    assert ib.Prior(grid, np.ones(101), np.zeros(101)).tail_mass_bound is None
+    assert ib.Prior(grid, np.ones(101), np.zeros(101), 0.0).tail_mass_bound == 0.0
+    for bad in (-1e-12, math.nan, math.inf, "a", True):
+        with pytest.raises(ib.InvalidParameterError, match="^tail_mass_bound must be a finite nonnegative number"):
+            ib.Prior(grid, np.ones(101), np.zeros(101), bad)
 
 
 def test_prior_validation_errors():
     grid = ib.ParameterGrid(0.0, 1.0, 101)
     ones = np.ones(101)
     with pytest.raises(ValueError):
-        ib.Prior(grid, -ones, np.zeros(101), ib.FiniteSupport())
+        ib.Prior(grid, -ones, np.zeros(101))
     with pytest.raises(ValueError):
-        ib.Prior(grid, 2.0 * ones, np.zeros(101), ib.FiniteSupport())
+        ib.Prior(grid, 2.0 * ones, np.zeros(101))
     with pytest.raises(ib.LengthMismatchError):
-        ib.Prior(grid, np.ones(100), np.zeros(100), ib.FiniteSupport())
+        ib.Prior(grid, np.ones(100), np.zeros(100))
     with pytest.raises(ib.NonFiniteError, match="^prior density contains NaN or infinity$"):
-        ib.Prior(grid, np.where(np.arange(101) == 50, np.nan, 1.0), np.zeros(101), ib.FiniteSupport())
+        ib.Prior(grid, np.where(np.arange(101) == 50, np.nan, 1.0), np.zeros(101))
 
 
 @pytest.mark.parametrize("tail_mass", [0.0, 0.5, -1e-3])

@@ -11,11 +11,11 @@ import infobounds as ib
 PUBLIC_NAMES = [
     "BoundReport", "ConditionalModel", "ConfigError", "ContinuousOutcomes",
     "DegenerateMarginalError", "DemonCheck", "DemonRecord", "DimensionMismatchError",
-    "DiscreteOutcomes", "FiniteSupport", "IllConditionedError", "InfoBoundError",
+    "DiscreteOutcomes", "IllConditionedError", "InfoBoundError",
     "InvalidParameterError", "InvalidWeightError", "LengthMismatchError", "MeasuredStateFamily",
     "NegativeLambdaError", "NonFiniteError", "NonPositiveDiffusionError", "OutsideSupportError",
     "ParameterGrid", "Povm", "Prior", "SkippedPoint", "StateFamily", "SweepSummary",
-    "ThetaOutsideSupportError", "TruncatedInfinite", "UnnormalizedOutcomeSpaceError",
+    "ThetaOutsideSupportError", "UnnormalizedOutcomeSpaceError",
     "WeightFunction", "ZeroLikelihoodError", "ZeroOutcomeProbabilityError", "ZeroWeightError",
     "average_pointwise_bound", "bound_general", "bound_sweep", "bound_theorem1",
     "bound_theorem2", "boxcar_weight", "chain_holds", "cqfi", "demon_work_check",

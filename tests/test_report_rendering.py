@@ -198,7 +198,7 @@ def _same_cell(cell: str, value) -> bool:
     return _same(float(cell), value) if isinstance(value, float) else cell == str(value)
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(_REPORTS | _SKIPPED, max_size=6), _SUMMARIES)
 def test_reports_read_back_value_for_value(rows, summary):
     # csv.reader and json.loads give back each row's cells in its columns:

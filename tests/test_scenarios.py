@@ -51,6 +51,19 @@ def test_langevin_scenario_wiring():
         ib.langevin_model(1.0, ib.uniform_prior(-0.5, 0.5).grid.theta_min)
 
 
+def test_langevin_model_refuses_a_stiffness_that_is_not_positive():
+    # an uncut Gaussian prior's grid reaches theta = -0.41, where log(theta) is not defined
+    model, prior = ib.langevin_model(1.0), ib.gaussian_prior(1.0, 0.2)
+    message = f"^trap stiffness theta={prior.grid.theta_min} is not positive$"
+    with pytest.raises(ib.ThetaOutsideSupportError, match=message):
+        ib.mi_chain_values(model, prior, ib.prior_weight(prior))
+    reports, skipped = ib.bound_sweep(model, prior, "theorem2", [0.0, 1.0], [1.0])
+    assert not reports and {point.reason for point in skipped} == {"ThetaOutsideSupportError"}
+    for fn in (model.log_pdf, model.score):
+        with pytest.raises(ib.ThetaOutsideSupportError, match="^trap stiffness theta=0.0 is not positive$"):
+            fn(0.5, np.array([1.0, 0.0]))
+
+
 def test_langevin_theorem1_sweep_invariant(langevin_uniform):
     model, prior = langevin_uniform
     reports, skipped = ib.bound_sweep(model, prior, "theorem1", np.linspace(-4, 4, 50), np.linspace(0.5, 1.5, 50))

@@ -51,8 +51,6 @@ from .information import (
     _theta_terms,
 )
 from .models import (
-    BOXCAR,
-    PRIOR_MATCHED,
     ConditionalModel,
     Prior,
     WeightFunction,
@@ -130,9 +128,8 @@ def _sqrt_lambda(block: _Block, weight: WeightFunction) -> np.ndarray:
     and sensitivity 0 at its cells of zero probability, so there the root is
     ``|fdot|``, which the block's zero probability cancels.
     """
-    boxcar = weight.kind == BOXCAR
     if block.sensitivity is not None:
-        if not boxcar:
+        if not weight.boxcar:
             return np.sqrt(lambda_general(block.sensitivity, block.score, weight.values, weight.derivative))
         sensitivity, score = block.sensitivity, block.score
         low = np.minimum.reduce(sensitivity, axis=None)
@@ -143,7 +140,7 @@ def _sqrt_lambda(block: _Block, weight: WeightFunction) -> np.ndarray:
         if low < 0.0:
             raise NegativeLambdaError("sensitivity must be nonnegative")
         return np.sqrt(sensitivity)
-    root = np.abs(block.score) if boxcar else np.abs(block.score * weight.values + weight.derivative)
+    root = np.abs(block.score) if weight.boxcar else np.abs(block.score * weight.values + weight.derivative)
     if not np.maximum.reduce(root, axis=None) < math.inf:  # NaN fails too
         raise NonFiniteError("sqrt(Lambda) is not finite at a positive-probability node")
     return root
@@ -214,14 +211,10 @@ def _check_weight(prior: Prior, weight: WeightFunction) -> None:
     _of_kind(prior, Prior, "prior")
     if _of_kind(weight, WeightFunction, "weight", InvalidWeightError).grid != prior.grid:
         raise InvalidWeightError("weight and prior must share one grid")
-    if weight.kind == PRIOR_MATCHED and not (
-        np.array_equal(weight.values, prior.density) and np.array_equal(weight.derivative, prior.derivative)
-    ):
-        raise InvalidWeightError("prior-matched weight must carry its prior's density and derivative")
     covered = prior.density > 0.0
     if np.any(weight.values[covered] <= 0.0):
         raise InvalidWeightError("weight must be positive wherever the prior is")
-    if weight.kind == BOXCAR:
+    if weight.boxcar:
         if prior.tail_mass_bound is not None:
             raise InvalidWeightError("boxcar weight requires a finite-support prior")
     elif max(weight.values[0], weight.values[-1]) > BOUNDARY_DECAY_RTOL * weight.values.max():
@@ -237,7 +230,7 @@ def _bound_rows(block: _Block, prior: Prior, weight: WeightFunction, px: np.ndar
     """Boundary and integral terms of each row's bound, both over p(x)."""
     root = _sqrt_lambda(block, weight)
     integral = quadrature(block.pdf * root, prior.grid) / px
-    if weight.kind == BOXCAR:
+    if weight.boxcar:
         return (block.pdf[:, 0] + block.pdf[:, -1]) / px, integral
     return np.zeros_like(px), integral
 
@@ -388,7 +381,7 @@ def bound_theorem2(
 
 
 def _average_penalty(prior: Prior, weight: WeightFunction) -> float:
-    if weight.kind == BOXCAR:
+    if weight.boxcar:
         return 0.0
     covered = prior.density > 0.0
     safe_vals = np.where(covered, np.where(weight.values > 0.0, weight.values, 1.0), 1.0)
@@ -400,7 +393,7 @@ def _ensemble_bound(prior: Prior, weight: WeightFunction, fi: np.ndarray) -> flo
     """The ensemble bound from the Fisher information at the prior nodes."""
     if not np.maximum.reduce(fi, axis=None) < math.inf:  # NaN fails too
         raise NonFiniteError("Fisher information is not finite on the grid")
-    if weight.kind == BOXCAR:
+    if weight.boxcar:
         total = 2.0 + quadrature(np.sqrt(fi), prior.grid)
     else:
         integrand = np.sqrt(fi * weight.values**2 + weight.derivative**2)
@@ -495,6 +488,10 @@ _BOUND_KINDS = ("theorem1", "theorem2", "general")
 
 
 def _weight_for_kind(prior: Prior, bound_kind: str, weight: WeightFunction | None) -> WeightFunction:
+    if weight is not None and bound_kind in ("theorem1", "theorem2"):
+        raise InvalidWeightError(
+            f"bound_kind {bound_kind!r} fixes its own weight; pass weight=None, or 'general' with the weight"
+        )
     if bound_kind == "theorem1":
         return boxcar_weight(_of_kind(prior, Prior, "prior").grid)
     if bound_kind == "theorem2":
@@ -517,9 +514,11 @@ def bound_sweep(
 ) -> tuple[list[BoundReport], list[SkippedPoint]]:
     """Evaluate the selected bound at every (x, theta) pair.
 
-    Evaluation order is x-major and deterministic. Per-point contract
-    errors are recorded as :class:`SkippedPoint` entries instead of
-    aborting the sweep, so a single degenerate point cannot mask a bound
+    ``"theorem1"`` and ``"theorem2"`` fix their own weight, so a ``weight``
+    given with either raises :class:`InvalidWeightError`; ``"general"``
+    requires one. Evaluation order is x-major and deterministic. Per-point
+    contract errors are recorded as :class:`SkippedPoint` entries instead
+    of aborting the sweep, so a single degenerate point cannot mask a bound
     violation elsewhere.
     """
     wt = _weight_for_kind(prior, bound_kind, weight)

@@ -28,8 +28,6 @@ from .errors import (
 )
 from .grids import UNIFORM_SPACING_RTOL, ParameterGrid, _of_kind, _real_array, quadrature
 from .models import (
-    BOXCAR,
-    PRIOR_MATCHED,
     ConditionalModel,
     DiscreteOutcomes,
     Prior,
@@ -270,7 +268,7 @@ def _theta_terms(prior: Prior, weight: WeightFunction, th: np.ndarray) -> tuple[
     """Each theta sample's penalty -log f(theta), and the error that rules it
     out (or None), for the samples ``th`` already parsed by :func:`_theta_array`."""
     grid, thetas = prior.grid, th.tolist()
-    if weight.kind == BOXCAR:  # grid.contains's float comparisons, on Python floats; NaN fails them
+    if weight.boxcar:  # grid.contains's float comparisons, on Python floats; NaN fails them
         slop = 1e-12 * max(1.0, grid.span)
         low, high = grid.theta_min - slop, grid.theta_max + slop
         return [0.0] * len(thetas), [None if low <= t <= high else ThetaOutsideSupportError(
@@ -284,7 +282,7 @@ def _theta_terms(prior: Prior, weight: WeightFunction, th: np.ndarray) -> tuple[
     for i in np.flatnonzero(~usable):
         if not on_grid[i]:
             errors[i] = OutsideSupportError(f"theta={thetas[i]} outside grid [{grid.theta_min}, {grid.theta_max}]")
-        elif weight.kind == PRIOR_MATCHED:
+        elif np.array_equal(weight.values, prior.density):
             errors[i] = OutsideSupportError(f"prior density vanishes at theta={thetas[i]}")
         else:
             errors[i] = ZeroWeightError(f"weight vanishes at theta={thetas[i]}")

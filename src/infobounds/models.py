@@ -366,44 +366,38 @@ def gamma_prior(
 # Weight functions
 # ---------------------------------------------------------------------------
 
-BOXCAR = "boxcar"
-PRIOR_MATCHED = "prior"
-CUSTOM = "custom"
-
-_WEIGHT_KINDS = (BOXCAR, PRIOR_MATCHED, CUSTOM)
-
-
 @dataclass(frozen=True, eq=False)
 class WeightFunction:
     """Nonnegative weight f(theta) and its derivative on a grid.
 
-    The boxcar kind carries its boundary jumps analytically (they enter the
-    bounds as boundary probability terms, never as numerical derivatives),
-    so its values are identically one and its tabulated derivative
-    identically zero; a boxcar weight of other values raises
-    :class:`InvalidWeightError`, since every evaluator relies on them.
+    The arrays fix every term of a weight's bound, except for the boxcar
+    (``boxcar=True``): its jumps at the support ends lie off the grid and
+    enter the bounds analytically, as boundary probability terms, never as
+    numerical derivatives. So its values are identically one and its
+    tabulated derivative identically zero; a boxcar weight of other values
+    raises :class:`InvalidWeightError`, since every evaluator relies on them.
     """
 
     grid: ParameterGrid
     values: np.ndarray
     derivative: np.ndarray
-    kind: str
+    boxcar: bool = False
 
     def __post_init__(self):
-        if self.kind not in _WEIGHT_KINDS:
-            raise InvalidParameterError(f"unknown weight kind {self.kind!r}")
+        if not isinstance(self.boxcar, bool):
+            raise InvalidParameterError(f"boxcar must be a bool, got {self.boxcar!r}")
         _freeze_on_grid(self, "weight", ("values", "derivative"))
-        if self.kind == BOXCAR and not (np.all(self.values == 1.0) and not self.derivative.any()):
+        if self.boxcar and not (np.all(self.values == 1.0) and not self.derivative.any()):
             raise InvalidWeightError("boxcar weight must be 1 with a zero derivative at every node")
 
 
 def _boxcar(grid: ParameterGrid) -> WeightFunction:
     n = _of_kind(grid, ParameterGrid, "grid").n_points
-    return WeightFunction(grid, np.ones(n), np.zeros(n), BOXCAR)
+    return WeightFunction(grid, np.ones(n), np.zeros(n), boxcar=True)
 
 
 def _matched(prior: Prior) -> WeightFunction:
-    return WeightFunction(_of_kind(prior, Prior, "prior").grid, prior.density, prior.derivative, PRIOR_MATCHED)
+    return WeightFunction(_of_kind(prior, Prior, "prior").grid, prior.density, prior.derivative)
 
 
 def boxcar_weight(grid: ParameterGrid) -> WeightFunction:
@@ -432,4 +426,4 @@ def gaussian_weight(grid: ParameterGrid, center: float, width: float) -> WeightF
     z = (_of_kind(grid, ParameterGrid, "grid").nodes - center) / width
     vals = np.exp(-0.5 * z * z)
     deriv = -z / width * vals
-    return WeightFunction(grid, vals, deriv, CUSTOM)
+    return WeightFunction(grid, vals, deriv)

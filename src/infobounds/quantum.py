@@ -362,14 +362,16 @@ def _born_table(family: StateFamily, elements: np.ndarray, thetas: np.ndarray, s
     values. The n states come as one validated stack from
     :meth:`StateFamily.states`; one stacked eigendecomposition checks them,
     with eigenvectors only for the ``sld``. Returns (K, n) probabilities
-    clamped into [0, 1], with ``score`` their derivatives (else None), and
-    the stacks ``(rho, drho, w, v)`` that :func:`_sensitivities` needs.
+    clamped into [0, 1], those at most ``PROB_EPS`` set to 0, with ``score``
+    their derivatives (else None), and the stacks ``(rho, drho, w, v)`` that
+    :func:`_sensitivities` needs.
     """
     rho, drho = family.states(thetas)
     if rho.shape[-1] != elements.shape[-1]:  # both square
         raise DimensionMismatchError("POVM dimension does not match the state")
     w, v = _eigh_state(rho, vectors=sld)
-    probs = np.minimum(np.maximum(_traces(elements, rho), 0.0), 1.0)
+    probs = np.minimum(_traces(elements, rho), 1.0)
+    probs[probs <= PROB_EPS] = 0.0  # negative roundoff too
     return probs, _traces(elements, drho) if score else None, (rho, drho, w, v)
 
 

@@ -208,18 +208,22 @@ def test_general_weight_support_checks(langevin_uniform):
 
 
 @pytest.mark.parametrize("entry", ["bound_general", "bound_sweep", "mi_chain_values"])
-@pytest.mark.parametrize("scale", [(1.5, 1.5), (1.0, 0.5)], ids=["density", "derivative"])
-def test_prior_matched_weight_must_carry_its_prior(langevin_gaussian, entry, scale):
-    # the penalty reads the prior's density, the kernel the weight's: they must agree
+def test_a_scaled_prior_weight_gives_the_prior_weight_bound(langevin_gaussian, entry):
+    # the bound does not change when f is scaled: log(c * integral) - log(c * f);
+    # the ensemble bound's penalty integrates log(c) against the prior's mass on the grid
     model, prior = langevin_gaussian
-    weight = ib.WeightFunction(prior.grid, scale[0] * prior.density, scale[1] * prior.derivative, "prior")
+    scaled = ib.WeightFunction(prior.grid, 1.5 * prior.density, 1.5 * prior.derivative)
     calls = {
-        "bound_general": lambda: ib.bound_general(model, prior, weight, 0.5, 1.0),
-        "bound_sweep": lambda: ib.bound_sweep(model, prior, "general", [0.5], [1.0], weight),
-        "mi_chain_values": lambda: ib.mi_chain_values(model, prior, weight),
+        "bound_general": lambda w: [ib.bound_general(model, prior, w, 0.5, 1.0).bound],
+        "bound_sweep": lambda w: [
+            r.bound for r in ib.bound_sweep(model, prior, "general", [-1.0, 0.5], [0.8, 1.0, 1.2], w)[0]
+        ],
+        "mi_chain_values": lambda w: list(ib.mi_chain_values(model, prior, w)),
     }
-    with pytest.raises(ib.InvalidWeightError, match="^prior-matched weight must carry its prior's density and derivative$"):
-        calls[entry]()
+    got, want = calls[entry](scaled), calls[entry](ib.prior_weight(prior))
+    if entry == "mi_chain_values":
+        want[2] += math.log(1.5) * (1.0 - ib.quadrature(prior.density, prior.grid))
+    assert len(got) == len(want) and np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def _hat_problem():
@@ -232,7 +236,7 @@ def _hat_problem():
     prior = ib.Prior(grid, dens, deriv, 0.0)
     wide_hat = np.clip(1.0 - np.abs(grid.nodes - 0.5) / 0.375, 0.0, None)
     wderiv = np.where(np.abs(grid.nodes - 0.5) < 0.375, -np.sign(grid.nodes - 0.5) / 0.375, 0.0)
-    weight = ib.WeightFunction(grid, wide_hat, wderiv, "custom")
+    weight = ib.WeightFunction(grid, wide_hat, wderiv)
     model = ib.discrete_exponential_model(np.log([0.5, 0.5]), [0.3, -0.3])
     return model, prior, weight
 
@@ -247,7 +251,7 @@ def _bump(grid, zero_at=None):
     values = np.exp(-0.5 * ((grid.nodes - 0.5) / 0.1) ** 2)
     if zero_at is not None:
         values[zero_at] = 0.0
-    return ib.WeightFunction(grid, values, np.zeros(grid.n_points), "custom")
+    return ib.WeightFunction(grid, values, np.zeros(grid.n_points))
 
 
 #: Inadmissible weights and bound kinds: the call on the discrete model under
@@ -268,6 +272,14 @@ _WEIGHT_GUARDS = {
     "general-without-a-weight": (
         lambda m, p: ib.bound_sweep(m, p, "general", [0], [0.5]),
         "bound_kind 'general' requires an explicit weight",
+    ),
+    "weight-with-theorem1": (
+        lambda m, p: ib.bound_sweep(m, p, "theorem1", [0], [0.5], weight=ib.boxcar_weight(p.grid)),
+        "bound_kind 'theorem1' fixes its own weight; pass weight=None, or 'general' with the weight",
+    ),
+    "weight-with-theorem2": (
+        lambda m, p: ib.bound_sweep(m, p, "theorem2", [0], [0.5], weight=_bump(p.grid)),
+        "bound_kind 'theorem2' fixes its own weight; pass weight=None, or 'general' with the weight",
     ),
 }
 
@@ -303,12 +315,22 @@ _HAT_THETAS = (-0.1, 0.05, 0.2, 0.3, 0.5, 0.8, 0.9, 1.1)
             ["OutsideSupportError", "OutsideSupportError", "OutsideSupportError", "ok", "ok",
              "OutsideSupportError", "OutsideSupportError", "OutsideSupportError"],
         ),
+        (
+            "hand-built-prior-weight",  # the prior's arrays, not built by prior_weight: the same weight
+            ["OutsideSupportError", "OutsideSupportError", "OutsideSupportError", "ok", "ok",
+             "OutsideSupportError", "OutsideSupportError", "OutsideSupportError"],
+        ),
     ],
 )
 def test_sweep_skip_reasons_follow_the_point_order(kind, reasons):
     model, prior, weight = _hat_problem()
-    wt = weight if kind == "general" else ib.prior_weight(prior)
-    reports, skipped = ib.bound_sweep(model, prior, kind, [0, 1], _HAT_THETAS, weight=weight)
+    hand_built = ib.WeightFunction(prior.grid, prior.density, prior.derivative)
+    sweep_kind, swept, wt = {
+        "general": ("general", weight, weight),
+        "theorem2": ("theorem2", None, ib.prior_weight(prior)),
+        "hand-built-prior-weight": ("general", hand_built, ib.prior_weight(prior)),
+    }[kind]
+    reports, skipped = ib.bound_sweep(model, prior, sweep_kind, [0, 1], _HAT_THETAS, weight=swept)
     by_point = {(r.x, r.theta): r for r in reports}
     by_point.update({(s.x, s.theta): s.reason for s in skipped})
     for x in (0, 1):
@@ -316,8 +338,11 @@ def test_sweep_skip_reasons_follow_the_point_order(kind, reasons):
         assert [p if isinstance(p, str) else "ok" for p in got] == reasons
         for theta, point in zip(_HAT_THETAS, got):
             if isinstance(point, str):
-                with pytest.raises(getattr(ib, point)):
+                with pytest.raises(getattr(ib, point)) as raised:
                     ib.bound_general(model, prior, wt, x, theta)
+                if swept is hand_built:  # the same error type and message as the prior-matched weight's
+                    with pytest.raises(type(raised.value), match="^" + re.escape(str(raised.value)) + "$"):
+                        ib.bound_general(model, prior, hand_built, x, theta)
             else:
                 assert point == ib.bound_general(model, prior, wt, x, theta)
 
@@ -635,7 +660,7 @@ def test_one_bad_cell_raises_through_the_chain_and_the_kernel(name):
     model, reader = _tabulated(logpdf, score)
     for weight in ib.gaussian_weight(prior.grid, 0.5, 0.1), ib.boxcar_weight(prior.grid):
         evaluators = (ib.mi_chain_values, ib.average_pointwise_bound)
-        if name == "negative-lambda" and weight.kind == "boxcar":
+        if name == "negative-lambda" and weight.boxcar:
             # with fdot = 0 the kernel is the sensitivity itself, here nonnegative
             ib.lambda_general(sensitivity, score, weight.values, weight.derivative)
             for evaluate in evaluators:
@@ -805,7 +830,8 @@ def test_random_points_agree_with_the_sweep(scenario, weight_kind, langevin_unif
     thetas = [float(t) for t in rng.uniform(grid.theta_min - 0.1 * grid.span, grid.theta_max + 0.1 * grid.span, 12)]
     thetas += [grid.theta_min, grid.theta_max, float(grid.nodes[int(rng.integers(grid.n_points))])]
     points = [(outcomes[int(rng.integers(len(outcomes)))], theta) for theta in thetas for _ in range(2)]
-    reports, skipped = ib.bound_sweep(model, prior, kind, outcomes, thetas, weight, sensitivity)
+    reports, skipped = ib.bound_sweep(model, prior, kind, outcomes, thetas, weight if kind == "general" else None,
+                                      sensitivity)
     swept = {(repr(r.x), r.theta): repr(r) for r in reports}
     swept.update({(repr(s.x), s.theta): s.reason for s in skipped})
     assert len(swept) == len(outcomes) * len(thetas) and reports and skipped

@@ -339,6 +339,29 @@ def test_qubit_prior_outside_the_phase_window_exits_two(tmp_path, capsys, comman
     assert not (tmp_path / "r.csv").exists()
 
 
+#: Qubit priors whose support starts (sigma_x), or ends (sigma_y), within 2e-6
+#: of a node where an outcome's probability is at most PROB_EPS, not 0.
+_NEAR_ZERO_PROBABILITY = {
+    "sigma_x-from-1e-6": ("sigma_x", {"theta_min": 1e-6, "theta_max": 1.5}),
+    "sigma_y-to-pi/2-less-1.3e-6": ("sigma_y", {"theta_min": 0.0, "theta_max": 1.5707950}),
+}
+
+
+@pytest.mark.parametrize("case", list(_NEAR_ZERO_PROBABILITY))
+def test_qubit_probability_at_most_prob_eps_is_zero(tmp_path, case):
+    # such a node is excluded from the integrals, as a node of probability 0 is
+    povm, support = _NEAR_ZERO_PROBABILITY[case]
+    cfg = _qubit_cfg(str(tmp_path / "chain.json"), fmt="json")
+    cfg["scenario_params"]["povm"] = povm
+    cfg["prior"].update(support)
+    assert cli.main(["mi-chain", "--config", _write(tmp_path, cfg)]) == 0
+    assert json.loads((tmp_path / "chain.json").read_text())["chain_ok"] is True
+    cfg["output"] = {"format": "csv", "path": str(tmp_path / "report.csv")}
+    assert cli.main(["verify", "--config", _write(tmp_path, cfg)]) == 0
+    lines = (tmp_path / "report.csv").read_text().splitlines()
+    assert "# n_skipped=1" in lines and "# violations=0" in lines
+
+
 # ---------------------------------------------------------------------------
 # mi-chain
 # ---------------------------------------------------------------------------
@@ -447,7 +470,7 @@ def _same_context(a, b):
     assert (a.sweep_kind, a.settings["output.format"]) == (b.sweep_kind, b.settings["output.format"])
     assert np.array_equal(a.prior.grid.nodes, b.prior.grid.nodes)
     assert np.array_equal(a.prior.density, b.prior.density)
-    assert a.weight.kind == b.weight.kind
+    assert a.weight.boxcar == b.weight.boxcar and np.array_equal(a.weight.values, b.weight.values)
     theta = a.theta_samples[len(a.theta_samples) // 2]
     for x in a.x_samples:
         assert a.model.log_pdf(x, theta) == b.model.log_pdf(x, theta)

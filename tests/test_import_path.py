@@ -125,6 +125,31 @@ def test_config_error_loads_no_numpy(tmp_path, content):
     assert _top_level(modules, "numpy") == []
 
 
+#: Each bound whose weight is the boxcar: its command and config.
+_BOXCAR_BOUNDS = {
+    "theorem1": ("verify", _LANGEVIN),
+    "theorem3": ("verify", {**_LANGEVIN, "scenario": "qubit_phase", "scenario_params": {}, "sweep": {},
+                            "bound": "theorem3"}),
+    "mi_average": ("mi-chain", {**_LANGEVIN, "bound": "mi_average"}),
+    "general-boxcar": ("verify", {**_LANGEVIN, "bound": "general", "weight": {"kind": "boxcar"}}),
+}
+
+
+@pytest.mark.parametrize("prior", [{"kind": "gaussian", "mean": 1.0, "sigma": 0.2},
+                                   {"kind": "gamma", "shape": 3.0, "scale": 0.5}], ids=["gaussian", "gamma"])
+@pytest.mark.parametrize("bound", sorted(_BOXCAR_BOUNDS))
+def test_boxcar_weight_on_an_infinite_support_prior_is_a_config_error(tmp_path, bound, prior):
+    command, cfg = _BOXCAR_BOUNDS[bound]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, "prior": prior}))
+    proc, modules = _run(_CLI, command, "--config", str(path))
+    assert proc.returncode == 2, proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("config error: ")]
+    assert len(errors) == 1 and errors[0].startswith("config error: prior.kind: "), proc.stderr
+    assert "requires a finite-support prior" in errors[0]
+    assert _top_level(modules, "numpy") == []
+
+
 def test_langevin_verify_runs_no_quantum_code(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_LANGEVIN))

@@ -267,7 +267,7 @@ def test_boxcar_weight_shape():
     grid = ib.ParameterGrid(0.0, 1.0, 51)
     w = ib.boxcar_weight(grid)
     assert np.all(w.values == 1.0) and np.all(w.derivative == 0.0)
-    assert w.kind == "boxcar"
+    assert w.boxcar is True
     assert ib.boxcar_weight(grid) is w  # one weight object per grid
 
 
@@ -277,6 +277,7 @@ def test_prior_weight_shares_prior_tables():
     assert np.array_equal(w.values, prior.density)
     assert np.array_equal(w.derivative, prior.derivative)
     assert ib.prior_weight(prior) is w  # one weight object per prior
+    assert w.boxcar is False and ib.gaussian_weight(prior.grid, 0.0, 0.5).boxcar is False
 
 
 def test_gaussian_weight_derivative_consistent():
@@ -291,13 +292,15 @@ def test_gaussian_weight_derivative_consistent():
 def test_weight_rejects_negative_values():
     grid = ib.ParameterGrid(0.0, 1.0, 11)
     with pytest.raises(ValueError):
-        ib.WeightFunction(grid, -np.ones(11), np.zeros(11), "custom")
+        ib.WeightFunction(grid, -np.ones(11), np.zeros(11))
 
 
 def test_weight_rejects_an_unknown_kind_and_a_nonpositive_width():
+    # a weight declares only whether it is the boxcar: a kind name is refused, not read as true
     grid = ib.ParameterGrid(0.0, 1.0, 11)
-    with pytest.raises(ib.InvalidParameterError, match="^unknown weight kind 'bump'$"):
-        ib.WeightFunction(grid, np.ones(11), np.zeros(11), "bump")
+    for kind in ("bump", "prior", 1, None):
+        with pytest.raises(ib.InvalidParameterError, match=f"^boxcar must be a bool, got {re.escape(repr(kind))}$"):
+            ib.WeightFunction(grid, np.ones(11), np.zeros(11), kind)
     for width in (0.0, -0.1):
         with pytest.raises(ib.InvalidParameterError, match="^width must be positive$"):
             ib.gaussian_weight(grid, 0.5, width)
@@ -308,7 +311,7 @@ def test_boxcar_weight_must_be_one_with_a_zero_derivative(values, derivative):
     # every evaluator reads a boxcar weight as f = 1, fdot = 0
     grid = ib.ParameterGrid(0.0, 1.0, 11)
     with pytest.raises(ib.InvalidWeightError, match="^boxcar weight must be 1 with a zero derivative at every node$"):
-        ib.WeightFunction(grid, np.full(11, values), np.full(11, derivative), "boxcar")
+        ib.WeightFunction(grid, np.full(11, values), np.full(11, derivative), boxcar=True)
 
 
 def test_kept_raises_a_type_error_of_the_function_once():

@@ -668,6 +668,20 @@ def test_adapter_warnings_name_the_callers_file():
     assert {w.filename for w in caught} == {__file__}
 
 
+def test_a_probability_at_most_prob_eps_is_zero():
+    # p(-|theta) ~ theta^2 / 4 is 2.5e-13 at theta = 1e-6: read as 0, as at theta = 0,
+    # so the grid's first node is excluded from the integrals
+    model, sensitivity = ib.qubit_measurement_model()
+    assert model.log_pdf("-", 1e-6) == -math.inf
+    prior = ib.uniform_prior(1e-6, math.pi / 2)
+    assert ib.chain_holds(*ib.mi_chain_values(model, prior, ib.boxcar_weight(prior.grid), sensitivity))
+    assert ib.bound_theorem1(model, prior, "-", 0.5, sensitivity).slack >= 0.0
+    zero = (lambda: ib.pmi(model, prior, "-", 1e-6), lambda: ib.bound_theorem1(model, prior, "-", 1e-6, sensitivity))
+    for call in zero:
+        with pytest.raises(ib.ZeroLikelihoodError, match=r"^p\('-' \| theta=1e-06\) is zero$"):
+            call()
+
+
 def test_unknown_label_on_the_adapter_raises_a_typed_error(qubit):
     model, sensitivity, prior = qubit
     calls = (

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from typing import Callable, Sequence
 
@@ -159,44 +159,20 @@ def sqrt_lambda_nodes(model: ConditionalModel, weight: WeightFunction, x, sensit
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """One bound evaluation: the PMI, its upper bound and the pieces.
+BoundReport = namedtuple("BoundReport", "x theta pmi bound slack boundary_term integral_term penalty_term")
+BoundReport.__doc__ = """One bound evaluation: the PMI, its upper bound and the pieces.
 
-    ``slack = bound - pmi`` by construction; a negative slack beyond the
-    sweep tolerance is a violation. ``boundary_term`` is nonzero only for
-    the boxcar weight; ``penalty_term`` is ``-log f(theta)``.
-    """
+``slack = bound - pmi`` by construction; a negative slack beyond the
+sweep tolerance is a violation. ``boundary_term`` is nonzero only for
+the boxcar weight; ``penalty_term`` is ``-log f(theta)``.
+"""
 
-    x: object
-    theta: float
-    pmi: float
-    bound: float
-    slack: float
-    boundary_term: float
-    integral_term: float
-    penalty_term: float
+SkippedPoint = namedtuple("SkippedPoint", "x theta reason")
+SkippedPoint.__doc__ = """A sweep point whose evaluation raised a per-point contract error."""
 
-
-@dataclass(frozen=True)
-class SkippedPoint:
-    """A sweep point whose evaluation raised a per-point contract error."""
-
-    x: object
-    theta: float
-    reason: str
-
-
-@dataclass(frozen=True)
-class SweepSummary:
-    """Aggregate verdict of a bound sweep at a stated slack tolerance."""
-
-    n_evaluations: int
-    min_slack: float
-    mean_slack: float
-    violations: int
-    tolerance: float
-    n_skipped: int = 0
+SweepSummary = namedtuple("SweepSummary", "n_evaluations min_slack mean_slack violations tolerance n_skipped",
+                          defaults=(0,))
+SweepSummary.__doc__ = """Aggregate verdict of a bound sweep at a stated slack tolerance."""
 
 
 # ---------------------------------------------------------------------------

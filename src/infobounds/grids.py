@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -57,8 +56,37 @@ def _of_kind(value, kind: type, name: str, error: type = InvalidParameterError):
     return value
 
 
-@dataclass(frozen=True)
-class ParameterGrid:
+class _Frozen:
+    """Base of the validated value types: ``__init__`` sets the fields named
+    by ``_fields`` through ``__dict__``, after which they are read-only.
+    Equality and hash are by identity, unless a subclass keeps ``_key``, the
+    tuple of its fields, and derives from :class:`_Valued`."""
+
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Valued(_Frozen):
+    """A frozen type equal to one of its own class with equal fields, and
+    hashed by them, as memo keys need."""
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+
+class ParameterGrid(_Valued):
     """Uniformly spaced nodes over a closed parameter interval.
 
     The grid is the substrate of every quadrature in the toolkit: prior
@@ -73,12 +101,12 @@ class ParameterGrid:
         Number of nodes, at least 3 (the quadrature needs interior nodes).
     """
 
-    theta_min: float
-    theta_max: float
-    n_points: int
+    _fields = ("theta_min", "theta_max", "n_points")
 
-    def __post_init__(self):
-        for name in ("theta_min", "theta_max", "n_points"):
+    def __init__(self, theta_min: float, theta_max: float, n_points: int):
+        self.__dict__.update(theta_min=theta_min, theta_max=theta_max, n_points=n_points,
+                             _key=(theta_min, theta_max, n_points))
+        for name in self._fields:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise InvalidParameterError(f"{name} must be a number, got {value!r}")

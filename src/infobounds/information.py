@@ -12,7 +12,7 @@ block through :meth:`ConditionalModel.table`, each cell once. One walk,
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from collections import namedtuple
 
 import numpy as np
 
@@ -45,20 +45,13 @@ OUTCOME_MASS_TOL = 1e-3
 #: Cells (outcomes x parameter values) of the joint table evaluated at once.
 _BLOCK_CELLS = 1 << 15
 
-class _Block(NamedTuple):
-    """Rows of the joint table, one outcome per row, against an array of
-    parameter values. ``weights`` are the trapezoid weights of a continuous
-    outcome grid's rows (None on a discrete space); ``score`` and
-    ``sensitivity`` are None unless they were asked for. Where ``pdf`` is 0,
-    ``logpdf``, ``score`` and ``sensitivity`` read 0: they may be infinite or
-    NaN there, and such a cell adds nothing to any outcome sum."""
-
-    outcomes: Sequence
-    weights: np.ndarray | None
-    logpdf: np.ndarray
-    pdf: np.ndarray
-    score: np.ndarray | None
-    sensitivity: np.ndarray | None
+#: Rows of the joint table, one outcome per row, against an array of
+#: parameter values. ``weights`` are the trapezoid weights of a continuous
+#: outcome grid's rows (None on a discrete space); ``score`` and
+#: ``sensitivity`` are None unless they were asked for. Where ``pdf`` is 0,
+#: ``logpdf``, ``score`` and ``sensitivity`` read 0: they may be infinite or
+#: NaN there, and such a cell adds nothing to any outcome sum.
+_Block = namedtuple("_Block", "outcomes weights logpdf pdf score sensitivity")
 
 
 def _table_rows(model, outcomes, thetas, weights=None, score=False, sensitivity=None) -> _Block:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -19,7 +18,7 @@ from .errors import (
     NonFiniteError,
     OutsideSupportError,
 )
-from .grids import ParameterGrid, _finite_number, _of_kind, quadrature
+from .grids import ParameterGrid, _finite_number, _Frozen, _of_kind, _Valued, quadrature
 
 #: Allowed deviation of the grid quadrature of a prior density from 1.
 NORMALIZATION_TOL = 1e-6
@@ -65,40 +64,45 @@ def _kept(fn: Callable, *args):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiscreteOutcomes:
+class DiscreteOutcomes(_Valued):
     """Finite, duplicate-free collection of outcome labels."""
 
-    outcomes: tuple
+    _fields = ("outcomes",)
 
-    def __post_init__(self):
+    def __init__(self, outcomes: tuple):
         try:
-            object.__setattr__(self, "outcomes", tuple(self.outcomes))
-            n, distinct = len(self.outcomes), len(set(self.outcomes))
+            outcomes = tuple(outcomes)
+            # a label's position; a dict matches keys as tuple.index does: by identity, then ==
+            positions = dict(zip(outcomes, range(len(outcomes))))
         except TypeError:
-            raise InvalidParameterError(f"outcomes must be hashable labels, got {self.outcomes!r}") from None
-        if n == 0:
+            raise InvalidParameterError(f"outcomes must be hashable labels, got {outcomes!r}") from None
+        self.__dict__.update(outcomes=outcomes, _key=(outcomes,), _positions=positions)
+        if not outcomes:
             raise InvalidParameterError("outcome list must be non-empty")
-        if distinct != n:
+        if len(positions) != len(outcomes):
             raise InvalidParameterError("outcome list contains duplicates")
 
     def index(self, x) -> int:
         """The position of label ``x``, or :class:`OutsideSupportError`."""
         try:
-            return self.outcomes.index(x)
-        except ValueError:
-            raise OutsideSupportError(f"outcome {x!r} is not in the outcome space") from None
+            return self._positions[x]
+        except KeyError:
+            pass
+        except TypeError:  # unhashable, as an array is: matched by == as before
+            try:
+                return self.outcomes.index(x)
+            except ValueError:
+                pass
+        raise OutsideSupportError(f"outcome {x!r} is not in the outcome space")
 
 
-@dataclass(frozen=True)
-class ContinuousOutcomes:
+class ContinuousOutcomes(_Valued):
     """Uniform grid over a continuous outcome interval."""
 
-    x_min: float
-    x_max: float
-    n_x: int
+    _fields = ("x_min", "x_max", "n_x")
 
-    def __post_init__(self):
+    def __init__(self, x_min: float, x_max: float, n_x: int):
+        self.__dict__.update(x_min=x_min, x_max=x_max, n_x=n_x, _key=(x_min, x_max, n_x))
         _finite_number(self.x_min, "x_min")
         _finite_number(self.x_max, "x_max")
         if not self.x_min < self.x_max:
@@ -222,8 +226,7 @@ def _freeze_on_grid(obj, owner: str, names: tuple) -> None:
         raise InvalidParameterError(f"{owner} {names[0]} must be nonnegative")
 
 
-@dataclass(frozen=True, eq=False)
-class Prior:
+class Prior(_Frozen):
     """Differentiable parameter density tabulated on a grid.
 
     Attributes
@@ -240,12 +243,11 @@ class Prior:
         quadrature error of prior-weighted integrals.
     """
 
-    grid: ParameterGrid
-    density: np.ndarray
-    derivative: np.ndarray
-    tail_mass_bound: float | None = None
+    _fields = ("grid", "density", "derivative", "tail_mass_bound")
 
-    def __post_init__(self):
+    def __init__(self, grid: ParameterGrid, density: np.ndarray, derivative: np.ndarray,
+                 tail_mass_bound: float | None = None):
+        self.__dict__.update(grid=grid, density=density, derivative=derivative, tail_mass_bound=tail_mass_bound)
         _freeze_on_grid(self, "prior", ("density", "derivative"))
         if self.tail_mass_bound is not None:
             _finite_number(self.tail_mass_bound, "tail_mass_bound", nonnegative=True)
@@ -366,8 +368,7 @@ def gamma_prior(
 # Weight functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class WeightFunction:
+class WeightFunction(_Frozen):
     """Nonnegative weight f(theta) and its derivative on a grid.
 
     The arrays fix every term of a weight's bound, except for the boxcar
@@ -378,12 +379,10 @@ class WeightFunction:
     raises :class:`InvalidWeightError`, since every evaluator relies on them.
     """
 
-    grid: ParameterGrid
-    values: np.ndarray
-    derivative: np.ndarray
-    boxcar: bool = False
+    _fields = ("grid", "values", "derivative", "boxcar")
 
-    def __post_init__(self):
+    def __init__(self, grid: ParameterGrid, values: np.ndarray, derivative: np.ndarray, boxcar: bool = False):
+        self.__dict__.update(grid=grid, values=values, derivative=derivative, boxcar=boxcar)
         if not isinstance(self.boxcar, bool):
             raise InvalidParameterError(f"boxcar must be a bool, got {self.boxcar!r}")
         _freeze_on_grid(self, "weight", ("values", "derivative"))

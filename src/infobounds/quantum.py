@@ -7,7 +7,6 @@ from __future__ import annotations
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -21,7 +20,7 @@ from .errors import (
     NonFiniteError,
     ZeroOutcomeProbabilityError,
 )
-from .grids import _of_kind
+from .grids import _Frozen, _of_kind
 from .information import _theta_array
 from .models import ConditionalModel, DiscreteOutcomes
 
@@ -128,8 +127,7 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Povm:
+class Povm(_Frozen):
     """Tuple of measurement operators on one Hilbert space.
 
     Construction checks structure only (shapes, Hermiticity); the physics
@@ -137,19 +135,19 @@ class Povm:
     an invalid candidate can still be inspected.
     """
 
-    elements: tuple
+    _fields = ("elements",)
 
-    def __post_init__(self):
-        if len(self.elements) == 0:
+    def __init__(self, elements: tuple):
+        if len(elements) == 0:
             raise InvalidParameterError("a POVM needs at least one element")
-        names = tuple(f"POVM element {i}" for i in range(len(self.elements)))
-        mats = [_stack(e, name)[0] for e, name in zip(self.elements, names)]
+        names = tuple(f"POVM element {i}" for i in range(len(elements)))
+        mats = [_stack(e, name)[0] for e, name in zip(elements, names)]
         for name, m in zip(names, mats):
             if m.shape != mats[0].shape:
                 raise DimensionMismatchError(f"{name} has mismatched dimension")
         stack = _require_hermitian(np.array(mats), names, HERMITICITY_ATOL)  # a copy, so
         stack.setflags(write=False)  # freezing does not reach the caller's arrays
-        object.__setattr__(self, "elements", tuple(stack))
+        self.__dict__["elements"] = tuple(stack)
 
     @property
     def dim(self) -> int:

@@ -5,7 +5,7 @@ feedback-demon work-budget checker."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable
 
 import numpy as np
@@ -13,7 +13,7 @@ import numpy as np
 from . import quantum
 from .bounds import _point
 from .errors import InvalidParameterError, NonPositiveDiffusionError, ThetaOutsideSupportError
-from .grids import _finite_number, _of_kind, _real_array
+from .grids import _finite_number, _of_kind, _real_array, _Valued
 from .models import ConditionalModel, ContinuousOutcomes, DiscreteOutcomes, Prior, boxcar_weight
 
 #: Half-width of the outcome grid in units of the widest conditional sigma.
@@ -202,18 +202,15 @@ def discrete_exponential_model(log_weights, coefficients) -> ConditionalModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DemonRecord:
+class DemonRecord(_Valued):
     """One feedback trajectory: inverse temperature, extracted work, free
     energy change, the measurement outcome and the true parameter."""
 
-    beta: float
-    work_extracted: float
-    delta_free_energy: float
-    outcome: object
-    theta: float
+    _fields = ("beta", "work_extracted", "delta_free_energy", "outcome", "theta")
 
-    def __post_init__(self):
+    def __init__(self, beta: float, work_extracted: float, delta_free_energy: float, outcome: object, theta: float):
+        self.__dict__.update(beta=beta, work_extracted=work_extracted, delta_free_energy=delta_free_energy,
+                             outcome=outcome, theta=theta, _key=(beta, work_extracted, delta_free_energy, outcome, theta))
         for name in ("beta", "work_extracted", "delta_free_energy", "theta"):
             _finite_number(getattr(self, name), name)
         if self.beta <= 0:
@@ -225,15 +222,8 @@ class DemonRecord:
         return self.beta * (self.work_extracted - self.delta_free_energy)
 
 
-@dataclass(frozen=True)
-class DemonCheck:
-    """Verdict on one record against the information and bound budgets."""
-
-    lhs: float
-    pmi: float
-    bound: float
-    sagawa_ueda_ok: bool
-    chained_ok: bool
+DemonCheck = namedtuple("DemonCheck", "lhs pmi bound sagawa_ueda_ok chained_ok")
+DemonCheck.__doc__ = """Verdict on one record against the information and bound budgets."""
 
 
 def demon_work_check(

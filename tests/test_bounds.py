@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -1005,7 +1004,7 @@ def test_kept_outcome_rows_stay_bounded():
     after = _kept_rows()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     hashed = ib.bound_general(model, prior, weight, 0.5, 1.0)
-    assert repr(dataclasses.replace(report, x=0.5)) == repr(hashed)
+    assert repr(report._replace(x=0.5)) == repr(hashed)
 
 
 def test_warm_demon_record_and_pmi_make_one_point_query(langevin_uniform):
@@ -1068,7 +1067,7 @@ def test_weight_check_is_kept_per_prior_and_weight(langevin_uniform, monkeypatch
         with pytest.raises(ib.InvalidWeightError, match="does not vanish"):
             ib.bound_general(model, prior, same, 0.0, 1.0)
     # the kept check belongs to one prior: the same weight and grid under another prior
-    unbounded = dataclasses.replace(prior, tail_mass_bound=0.0)
+    unbounded = ib.Prior(prior.grid, prior.density, prior.derivative, 0.0)
     boxcar = ib.boxcar_weight(prior.grid)
     ib.bound_general(model, prior, boxcar, 0.0, 1.0)
     for _ in range(2):

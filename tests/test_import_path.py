@@ -168,6 +168,28 @@ def test_uniform_prior_verify_loads_no_statistics(tmp_path):
     assert "statistics" not in modules
 
 
+#: A cold run of each path the benchmark's CLI mix takes: its command and config.
+_COLD_RUNS = {
+    "langevin-verify": ("verify", {**_LANGEVIN, "bound": "theorem2",
+                                   "prior": {"kind": "gaussian", "mean": 1.0, "sigma": 0.2}}),
+    "qubit-verify": _BOXCAR_BOUNDS["theorem3"],
+    "discrete-verify": ("verify", {**_LANGEVIN, "scenario": "custom_discrete", "sweep": {"theta_count": 5},
+                                   "scenario_params": {"log_weights": [-1.0, -1.0], "coefficients": [-1.0, 1.0]}}),
+    "langevin-mi-chain": _BOXCAR_BOUNDS["mi_average"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COLD_RUNS))
+def test_a_cold_run_loads_no_dataclasses(tmp_path, name):
+    # no class of the package is generated from source at import
+    command, cfg = _COLD_RUNS[name]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    modules = _imported_by([_CLI, command, "--config", str(path)])
+    assert {"numpy", "infobounds.bounds"} <= set(modules)
+    assert "dataclasses" not in modules
+
+
 def test_a_failed_submodule_run_raises_the_same_error_on_every_use():
     # With NumPy blocked, no library submodule can run. Each use must raise
     # the import error again, not an AttributeError of a half-run module,

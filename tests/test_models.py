@@ -23,6 +23,24 @@ def test_discrete_outcomes_validation():
         ib.DiscreteOutcomes((1, 1, 2))
 
 
+def test_every_label_maps_to_its_position():
+    labels = tuple(range(1001)) + ("a", (1, 2), None)
+    space = ib.DiscreteOutcomes(labels)
+    assert [space.index(x) for x in labels] == list(range(len(labels)))
+
+
+def test_a_label_is_found_as_tuple_index_finds_it():
+    # by identity first, then by ==: a NaN label only by identity; an
+    # unhashable query by == alone, as an array equal to a label
+    nan = float("nan")
+    space = ib.DiscreteOutcomes(("a", 1, 0.5, nan))
+    assert space.index(True) == 1 and space.index(np.float64(0.5)) == 2 and space.index(nan) == 3
+    assert space.index(np.array(1)) == 1 and space.index(np.array([0.5])) == 2
+    for absent in (float("nan"), "b", 2, [1], np.array([1, 2]), {"a": 1}):
+        with pytest.raises(ib.OutsideSupportError, match="is not in the outcome space"):
+            space.index(absent)
+
+
 def test_continuous_outcomes_validation():
     space = ib.ContinuousOutcomes(-1.0, 1.0, 11)
     assert space.grid.n_points == 11

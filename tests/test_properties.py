@@ -7,7 +7,6 @@ Examples are derandomized, so every run checks the same models. The stacked
 qubit phase family is checked bit for bit against its one-value formulas.
 """
 
-import dataclasses
 import warnings
 from unittest import mock
 
@@ -169,5 +168,5 @@ def test_stacked_qubit_family_matches_its_scalar_twin(thetas, theta_max, where, 
             table = model.table(("+", "-"), thetas, score=True, sensitivity=sensitivity)
             chain = ib.mi_chain_values(model, prior, weight, sensitivity)
             check = ib.demon_work_check(record, model, prior, sensitivity)
-            results.append(_bits(*table, *chain, *dataclasses.astuple(check)))
+            results.append(_bits(*table, *chain, *tuple(check)))
     assert results[0] == results[1]

@@ -376,7 +376,10 @@ def _ensemble_bound(prior: Prior, weight: WeightFunction, fi: np.ndarray) -> flo
         total = quadrature(integrand, prior.grid)
     if total <= 0.0:
         raise NonFiniteError("average bound argument is nonpositive")
-    value = float(np.log(total)) + _average_penalty(prior, weight)
+    value = float(np.log(total))
+    if not weight.boxcar:  # f -> c f adds log c to the log; the penalty's average over
+        # the grid prior's trapezoid mass (1 only within NORMALIZATION_TOL) takes it off exactly
+        value += _average_penalty(prior, weight) / quadrature(prior.density, prior.grid)
     if not math.isfinite(value):
         raise NonFiniteError("average bound is not finite")
     return value
@@ -384,7 +387,8 @@ def _ensemble_bound(prior: Prior, weight: WeightFunction, fi: np.ndarray) -> flo
 
 def mi_bound_average(model: ConditionalModel, prior: Prior, weight: WeightFunction) -> float:
     """Ensemble bound log(integral of sqrt(F f^2 + fdot^2)) minus the
-    prior-averaged log weight.
+    prior-averaged log weight, averaged over the grid prior's trapezoid mass
+    so that scaling the weight leaves the bound unchanged.
 
     For the boxcar weight the derivative's boundary jumps contribute the
     constant 2 inside the logarithm (each edge contributes the full jump of

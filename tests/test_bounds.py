@@ -208,8 +208,7 @@ def test_general_weight_support_checks(langevin_uniform):
 
 @pytest.mark.parametrize("entry", ["bound_general", "bound_sweep", "mi_chain_values"])
 def test_a_scaled_prior_weight_gives_the_prior_weight_bound(langevin_gaussian, entry):
-    # the bound does not change when f is scaled: log(c * integral) - log(c * f);
-    # the ensemble bound's penalty integrates log(c) against the prior's mass on the grid
+    # the bound does not change when f is scaled: log(c * integral) - log(c * f)
     model, prior = langevin_gaussian
     scaled = ib.WeightFunction(prior.grid, 1.5 * prior.density, 1.5 * prior.derivative)
     calls = {
@@ -220,9 +219,21 @@ def test_a_scaled_prior_weight_gives_the_prior_weight_bound(langevin_gaussian, e
         "mi_chain_values": lambda w: list(ib.mi_chain_values(model, prior, w)),
     }
     got, want = calls[entry](scaled), calls[entry](ib.prior_weight(prior))
-    if entry == "mi_chain_values":
-        want[2] += math.log(1.5) * (1.0 - ib.quadrature(prior.density, prior.grid))
     assert len(got) == len(want) and np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.5, 1e6])
+@pytest.mark.parametrize("kind", ["prior", "bump"])
+def test_scaling_the_weight_moves_no_ensemble_quantity(langevin_gaussian, kind, scale):
+    # f -> c f adds log c to each bound's logarithm and takes it off its
+    # penalty, the ensemble bound's included, whose prior average is taken
+    # over the grid prior's trapezoid mass (1 only within NORMALIZATION_TOL)
+    model, prior = langevin_gaussian
+    weight = ib.prior_weight(prior) if kind == "prior" else ib.gaussian_weight(prior.grid, 1.0, 0.08)
+    scaled = ib.WeightFunction(prior.grid, scale * weight.values, scale * weight.derivative)
+    assert abs(ib.quadrature(prior.density, prior.grid) - 1.0) > 1e-7  # the mass the fix divides by
+    got, want = ib.mi_chain_values(model, prior, scaled), ib.mi_chain_values(model, prior, weight)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def _hat_problem():
@@ -440,11 +451,11 @@ CHAIN_RTOL = 1e-12
 #: Fisher information at a quarter, half and three quarters of the grid span).
 CHAIN_RECORDS = {
     "langevin-gaussian-prior": (
-        (0.011398441999742067, 1.203757855564239, 1.226114575677969),
+        (0.011398441999742067, 1.203757855564239, 1.2261145196313996),
         (1.3775047642489522, 0.34494850664579824, 0.15339537581255902),
     ),
     "langevin-gaussian-bump": (
-        (0.011398441999742067, 3.818997907009336, 3.824731678990974),
+        (0.011398441999742067, 3.818997907009336, 3.824732598367696),
         (1.3775047642489522, 0.34494850664579824, 0.15339537581255902),
     ),
     "langevin-uniform-boxcar": (
@@ -464,7 +475,7 @@ CHAIN_RECORDS = {
         (1.2740239859521916, 1.6829405542153808, 1.554881198224547),
     ),
     "discrete20-prior": (
-        (0.06670593905514183, 1.2614390152239843, 1.3458392378613677),
+        (0.06670593905514183, 1.2614390152239843, 1.3458392378617976),
         (0.7972403291285636, 1.6829405542153808, 0.9610858879453842),
     ),
 }

@@ -58,11 +58,14 @@ def _of_kind(value, kind: type, name: str, error: type = InvalidParameterError):
 
 class _Frozen:
     """Base of the validated value types: ``__init__`` sets the fields named
-    by ``_fields`` through ``__dict__``, after which they are read-only.
-    Equality and hash are by identity, unless a subclass keeps ``_key``, the
-    tuple of its fields, and derives from :class:`_Valued`."""
+    by ``_fields`` through :meth:`_set`, after which they are read-only.
+    Equality and hash are by identity."""
 
     _fields: tuple = ()
+
+    def _set(self, *values) -> None:
+        """Set the fields, given in ``_fields`` order."""
+        self.__dict__.update(zip(self._fields, values))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -77,7 +80,11 @@ class _Frozen:
 
 class _Valued(_Frozen):
     """A frozen type equal to one of its own class with equal fields, and
-    hashed by them, as memo keys need."""
+    hashed by them, as memo keys need; ``_key`` keeps them as one tuple."""
+
+    def _set(self, *values) -> None:
+        super()._set(*values)
+        self.__dict__["_key"] = values
 
     def __eq__(self, other):
         return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
@@ -104,8 +111,7 @@ class ParameterGrid(_Valued):
     _fields = ("theta_min", "theta_max", "n_points")
 
     def __init__(self, theta_min: float, theta_max: float, n_points: int):
-        self.__dict__.update(theta_min=theta_min, theta_max=theta_max, n_points=n_points,
-                             _key=(theta_min, theta_max, n_points))
+        self._set(theta_min, theta_max, n_points)
         for name in self._fields:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):

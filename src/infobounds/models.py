@@ -76,7 +76,8 @@ class DiscreteOutcomes(_Valued):
             positions = dict(zip(outcomes, range(len(outcomes))))
         except TypeError:
             raise InvalidParameterError(f"outcomes must be hashable labels, got {outcomes!r}") from None
-        self.__dict__.update(outcomes=outcomes, _key=(outcomes,), _positions=positions)
+        self._set(outcomes)
+        self.__dict__["_positions"] = positions
         if not outcomes:
             raise InvalidParameterError("outcome list must be non-empty")
         if len(positions) != len(outcomes):
@@ -102,7 +103,7 @@ class ContinuousOutcomes(_Valued):
     _fields = ("x_min", "x_max", "n_x")
 
     def __init__(self, x_min: float, x_max: float, n_x: int):
-        self.__dict__.update(x_min=x_min, x_max=x_max, n_x=n_x, _key=(x_min, x_max, n_x))
+        self._set(x_min, x_max, n_x)
         _finite_number(self.x_min, "x_min")
         _finite_number(self.x_max, "x_max")
         if not self.x_min < self.x_max:
@@ -247,7 +248,7 @@ class Prior(_Frozen):
 
     def __init__(self, grid: ParameterGrid, density: np.ndarray, derivative: np.ndarray,
                  tail_mass_bound: float | None = None):
-        self.__dict__.update(grid=grid, density=density, derivative=derivative, tail_mass_bound=tail_mass_bound)
+        self._set(grid, density, derivative, tail_mass_bound)
         _freeze_on_grid(self, "prior", ("density", "derivative"))
         if self.tail_mass_bound is not None:
             _finite_number(self.tail_mass_bound, "tail_mass_bound", nonnegative=True)
@@ -382,7 +383,7 @@ class WeightFunction(_Frozen):
     _fields = ("grid", "values", "derivative", "boxcar")
 
     def __init__(self, grid: ParameterGrid, values: np.ndarray, derivative: np.ndarray, boxcar: bool = False):
-        self.__dict__.update(grid=grid, values=values, derivative=derivative, boxcar=boxcar)
+        self._set(grid, values, derivative, boxcar)
         if not isinstance(self.boxcar, bool):
             raise InvalidParameterError(f"boxcar must be a bool, got {self.boxcar!r}")
         _freeze_on_grid(self, "weight", ("values", "derivative"))

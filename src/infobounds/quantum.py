@@ -147,7 +147,7 @@ class Povm(_Frozen):
                 raise DimensionMismatchError(f"{name} has mismatched dimension")
         stack = _require_hermitian(np.array(mats), names, HERMITICITY_ATOL)  # a copy, so
         stack.setflags(write=False)  # freezing does not reach the caller's arrays
-        self.__dict__["elements"] = tuple(stack)
+        self._set(tuple(stack))
 
     @property
     def dim(self) -> int:

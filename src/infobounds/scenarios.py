@@ -209,8 +209,7 @@ class DemonRecord(_Valued):
     _fields = ("beta", "work_extracted", "delta_free_energy", "outcome", "theta")
 
     def __init__(self, beta: float, work_extracted: float, delta_free_energy: float, outcome: object, theta: float):
-        self.__dict__.update(beta=beta, work_extracted=work_extracted, delta_free_energy=delta_free_energy,
-                             outcome=outcome, theta=theta, _key=(beta, work_extracted, delta_free_energy, outcome, theta))
+        self._set(beta, work_extracted, delta_free_energy, outcome, theta)
         for name in ("beta", "work_extracted", "delta_free_energy", "theta"):
             _finite_number(getattr(self, name), name)
         if self.beta <= 0:

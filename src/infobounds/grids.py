@@ -56,6 +56,9 @@ def _of_kind(value, kind: type, name: str, error: type = InvalidParameterError):
     return value
 
 
+_setattr = object.__setattr__
+
+
 class _Frozen:
     """Base of the validated value types: ``__init__`` sets the fields named
     by ``_fields`` through :meth:`_set`, after which they are read-only.
@@ -64,8 +67,10 @@ class _Frozen:
     _fields: tuple = ()
 
     def _set(self, *values) -> None:
-        """Set the fields, given in ``_fields`` order."""
-        self.__dict__.update(zip(self._fields, values))
+        """Set the fields, given in ``_fields`` order. Each is set as an
+        attribute: writing ``__dict__`` would make every later read slower."""
+        for name, value in zip(self._fields, values):
+            _setattr(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -83,8 +88,8 @@ class _Valued(_Frozen):
     hashed by them, as memo keys need; ``_key`` keeps them as one tuple."""
 
     def _set(self, *values) -> None:
-        super()._set(*values)
-        self.__dict__["_key"] = values
+        _Frozen._set(self, *values)
+        _setattr(self, "_key", values)
 
     def __eq__(self, other):
         return self._key == other._key if other.__class__ is self.__class__ else NotImplemented

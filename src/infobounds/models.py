@@ -77,7 +77,7 @@ class DiscreteOutcomes(_Valued):
         except TypeError:
             raise InvalidParameterError(f"outcomes must be hashable labels, got {outcomes!r}") from None
         self._set(outcomes)
-        self.__dict__["_positions"] = positions
+        object.__setattr__(self, "_positions", positions)
         if not outcomes:
             raise InvalidParameterError("outcome list must be non-empty")
         if len(positions) != len(outcomes):

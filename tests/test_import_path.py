@@ -3,7 +3,9 @@
 ``import infobounds`` and the CLI must not load SciPy, and ``gamma_prior``
 must load no more of it than ``scipy.special``. ``scenario list`` and a
 ``verify`` whose config is missing, not JSON or has a bad field must not load
-NumPy either, and a Langevin ``verify`` must not run the quantum module.
+NumPy either, and a Langevin ``verify`` must not run the quantum module. No
+cold ``verify`` or ``mi-chain`` loads ``dataclasses``: no class of the
+package is generated from source.
 
 Each command runs in a fresh interpreter under ``-X importtime``, which logs
 every module the process imports; the pytest process cannot tell, because
